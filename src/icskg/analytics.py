@@ -18,7 +18,7 @@ from typing import Optional
 
 from icskg.errors import EmptyGraph
 from icskg.graph import Configuration, Edge, GraphView
-from icskg.risk import exposure
+from icskg.risk import exposure, p_exploit_product
 
 _MIN_PROB = 1e-9
 
@@ -105,10 +105,7 @@ def _weight_adjacency(view: GraphView, weighted: bool) -> dict[str, dict[str, fl
 
 
 def _make_result(pg: _PathGraph, path: tuple[int, ...], cost: float) -> PathResult:
-    prob = 1.0
-    for e in pg.edges_along(path):
-        prob *= e.risk.p_exploit if e.risk is not None else 0.0
-    return PathResult(pg.names(path), prob, cost)
+    return PathResult(pg.names(path), p_exploit_product(pg.edges_along(path)), cost)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from icskg.graph import (
     GraphView,
     audit_hierarchy,
     audit_risk_completeness,
+    write_json,
 )
 
 logger = logging.getLogger("icskg")
@@ -97,6 +98,15 @@ class RunConfig:
         data["seed"] = self.seed
         return logsynth.SynthProfile.from_dict(data)
 
+    def controls(self, testbed: ingest.TestbedSpec,
+                 risk_cfg: RiskConfig) -> logsynth.ControlProfile:
+        """The selected control profile of the testbed spec."""
+        spec = testbed.control_profiles.get(self.control_profile)
+        if spec is None:
+            raise IcskgError(
+                f"testbed declares no control profile named {self.control_profile!r}")
+        return logsynth.ControlProfile.from_spec(spec, risk_cfg.control_overrides)
+
 
 # ---------------------------------------------------------------------------
 # Pipeline state
@@ -139,15 +149,12 @@ class PipelineState:
         self.stages.sort(key=lambda s: STAGE_ORDER.index(s))
         self.seed = seed
         self.convention = convention
-        payload = {
+        _write_json(self.path, {
             "schemaVersion": reports.SCHEMA_VERSION,
             "stages": self.stages,
             "seed": seed,
             "convention": convention,
-        }
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+        })
 
 
 def _graph_dir(out_dir: Path) -> Path:
@@ -160,7 +167,7 @@ def _write(path: Path, data: bytes) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    _write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    _write(path, write_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +217,7 @@ def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool = False) -> int
     ingest.save_state(graph, _graph_dir(out_dir))
     _write_json(out_dir / "graph-summary.json", summary)
     state = PipelineState(out_dir)
-    state.mark("build", cfg.seed, cfg.risk_config().convention.value)
+    state.mark("build", cfg.seed, risk_cfg.convention.value)
     print(f"build: {graph.node_count()} nodes, {graph.edge_count()} edges")
     return _EXIT_OK
 
@@ -224,12 +231,7 @@ def cmd_synth_logs(cfg: RunConfig, out_dir: Path) -> int:
     testbed = ingest.load_testbed(cfg.paths["testbed"])
     profile = cfg.profile()
     baseline = logsynth.generate(testbed, profile)
-    spec = testbed.control_profiles.get(cfg.control_profile)
-    if spec is None:
-        raise IcskgError(
-            f"testbed declares no control profile named {cfg.control_profile!r}")
-    controls = logsynth.ControlProfile.from_spec(spec, risk_cfg.control_overrides)
-    secured = logsynth.generate_secured(testbed, profile, controls)
+    secured = logsynth.generate_secured(testbed, profile, cfg.controls(testbed, risk_cfg))
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
     logsynth.write_log_csv(baseline, logs_dir / "baseline.csv")
@@ -302,12 +304,7 @@ def cmd_controls(cfg: RunConfig, out_dir: Path) -> int:
     risk_cfg = cfg.risk_config()
     state.check_consistency(cfg.seed, risk_cfg.convention.value)
     graph = ingest.load_state(_graph_dir(out_dir))
-    testbed = ingest.load_testbed(cfg.paths["testbed"])
-    spec = testbed.control_profiles.get(cfg.control_profile)
-    if spec is None:
-        raise IcskgError(
-            f"testbed declares no control profile named {cfg.control_profile!r}")
-    controls = logsynth.ControlProfile.from_spec(spec, risk_cfg.control_overrides)
+    controls = cfg.controls(ingest.load_testbed(cfg.paths["testbed"]), risk_cfg)
     secured = logsynth.load_log_csv(out_dir / "logs" / "secured.csv")
     report = risk.apply_controls(graph, controls, secured, risk_cfg)
     ingest.save_state(graph, _graph_dir(out_dir))
@@ -413,11 +410,7 @@ def cmd_export(cfg: RunConfig, out_dir: Path, view_name: str = "Original",
     graph = ingest.load_state(_graph_dir(out_dir))
     graph.finalize()
     config = Configuration(view_name)
-    if config is Configuration.ENRICHED:
-        state.require("enrich")
-    if config is Configuration.CONTROLLED:
-        state.require("controls")
-    view = graph.project_view(config, risk_cfg.prune_threshold)
+    view = _build_views(graph, risk_cfg, state, [config])[config]
     export_dir = out_dir / "export" / config.value.lower()
     formats = ["dot", "graphml", "edge-csv"] if fmt == "all" else [fmt]
     names = {"dot": "graph.dot", "graphml": "graph.graphml", "edge-csv": "edges.csv"}

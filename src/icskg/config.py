@@ -159,26 +159,3 @@ class RiskConfig:
                 raise KeyError(f"unknown control override {name!r}")
             setattr(cfg.control_overrides, name, float(value))
         return cfg
-
-    def to_dict(self) -> dict:
-        c = self.coefficients
-        o = self.control_overrides
-        return {
-            "convention": self.convention.value,
-            "pruneThreshold": self.prune_threshold,
-            "factorCoefficients": {
-                "a_insecure": c.a_insecure, "a_ip": c.a_ip, "c_cert": c.c_cert,
-                "e_failed": c.e_failed, "e_audit": c.e_audit, "e_access": c.e_access,
-                "h_scale": c.h_scale,
-            },
-            "fAC": dict(self.f_ac),
-            "fAV": dict(self.f_av),
-            "criticalityDefaults": dict(self.criticality_defaults),
-            "zoneDefaultWeakness": {k: list(v) for k, v in self.zone_default_weakness.items()},
-            "controlOverrides": {
-                "anon_frac_cap": o.anon_frac_cap, "cert_frac_floor": o.cert_frac_floor,
-                "insecure_mode_cap": o.insecure_mode_cap, "misconfig_scale": o.misconfig_scale,
-                "fail_check_scale": o.fail_check_scale, "failed_write_scale": o.failed_write_scale,
-                "audit_write_scale": o.audit_write_scale, "epss_scale": o.epss_scale,
-            },
-        }

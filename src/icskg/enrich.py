@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from io import StringIO
 from typing import Sequence
 
 import numpy as np
 
 from icskg.errors import EmptyGraph
-from icskg.graph import Edge, EdgeKind, GraphView
+from icskg.graph import Edge, EdgeKind, GraphView, write_csv
 
 DEFAULT_DIM = 128
 DEFAULT_ITERATION_WEIGHTS = (0.0, 1.0, 1.0)
@@ -36,11 +35,9 @@ class EmbeddingMatrix:
         return self.vectors[self.node_ids.index(node_id)]
 
     def to_csv(self) -> bytes:
-        buf = StringIO()
-        buf.write("id," + ",".join(f"e{i}" for i in range(self.dim)) + "\n")
-        for node_id, row in zip(self.node_ids, self.vectors):
-            buf.write(node_id + "," + ",".join(f"{x:.8f}" for x in row) + "\n")
-        return buf.getvalue().encode("utf-8")
+        return write_csv(["id"] + [f"e{i}" for i in range(self.dim)], (
+            [node_id] + [f"{x:.8f}" for x in row]
+            for node_id, row in zip(self.node_ids, self.vectors)))
 
 
 def fastrp_embed(view: GraphView, dim: int = DEFAULT_DIM,

@@ -77,10 +77,6 @@ class RiskError(IcskgError):
     pass
 
 
-class NoLogsForPair(RiskError):
-    """No log records exist for the requested communication pair."""
-
-
 class MissingSecuredLogs(RiskError):
     pass
 

@@ -17,11 +17,14 @@ views treats communication edges as undirected.
 
 from __future__ import annotations
 
+import csv
 import json
 import xml.sax.saxutils as saxutils
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from io import StringIO
+from pathlib import Path
+from typing import Iterable, Optional, Sequence
 
 from icskg.errors import (
     GraphFinalized,
@@ -30,6 +33,7 @@ from icskg.errors import (
     InvalidNode,
     KindConflict,
     KindConstraintViolation,
+    MissingColumn,
     MissingEndpoint,
     UnknownNode,
 )
@@ -124,6 +128,11 @@ class Configuration(Enum):
     CONTROLLED = "Controlled"
 
 
+# The four risk columns of every edge CSV, in file order.
+RISK_COLUMNS = ("riskWeight", "pExploit", "attackCost", "controlStrength")
+EDGE_CSV_HEADER = ["src", "dst", "kind", *RISK_COLUMNS, "protocol"]
+
+
 @dataclass
 class RiskAttributes:
     """Per-edge risk metrics carried by communication-family edges.
@@ -153,6 +162,23 @@ class RiskAttributes:
             attack_cost=float(d.get("attackCost", 0.0)),
             risk_weight=float(d.get("riskWeight", 0.0)),
         )
+
+    @staticmethod
+    def encode(risk: Optional["RiskAttributes"]) -> list[str]:
+        """The :data:`RISK_COLUMNS` cells of a CSV row: ``repr`` floats
+        (lossless), all empty for an edge without risk."""
+        if risk is None:
+            return [""] * len(RISK_COLUMNS)
+        values = risk.as_dict()
+        return [repr(values[col]) for col in RISK_COLUMNS]
+
+    @classmethod
+    def decode(cls, row: dict[str, str]) -> Optional["RiskAttributes"]:
+        """Inverse of :meth:`encode`: no risk when the riskWeight cell is
+        empty; any other empty cell reads as 0.0."""
+        if not (row.get("riskWeight") or "").strip():
+            return None
+        return cls.from_dict({col: row.get(col) or 0.0 for col in RISK_COLUMNS})
 
 
 @dataclass
@@ -300,13 +326,6 @@ class Graph:
         out.sort(key=lambda e: e.key)
         return out
 
-    def in_edges(self, node_id: str, kind: Optional[EdgeKind] = None) -> list[Edge]:
-        self.node(node_id)
-        out = [e for e in self._edges.values()
-               if e.dst == node_id and (kind is None or e.kind is kind)]
-        out.sort(key=lambda e: e.key)
-        return out
-
     def counts_by_kind(self) -> dict[str, dict[str, int]]:
         nodes: dict[str, int] = {}
         for n in self._nodes.values():
@@ -388,8 +407,6 @@ class GraphView:
     # Export
     # ------------------------------------------------------------------
 
-    EDGE_CSV_HEADER = "src,dst,kind,riskWeight,pExploit,attackCost,controlStrength,protocol"
-
     def export(self, fmt: str) -> bytes:
         """Serialize the view; output ordering is deterministic.
 
@@ -460,16 +477,10 @@ class GraphView:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def _export_edge_csv(self) -> bytes:
-        rows = [self.EDGE_CSV_HEADER]
-        for e in self.edges:
-            if e.risk is not None:
-                risk_cols = [repr(e.risk.risk_weight), repr(e.risk.p_exploit),
-                             repr(e.risk.attack_cost), repr(e.risk.control_strength)]
-            else:
-                risk_cols = ["", "", "", ""]
-            protocol = e.props.get("protocol", "")
-            rows.append(",".join([e.src, e.dst, e.kind.value] + risk_cols + [protocol]))
-        return ("\n".join(rows) + "\n").encode("utf-8")
+        return write_csv(EDGE_CSV_HEADER, (
+            [e.src, e.dst, e.kind.value, *RiskAttributes.encode(e.risk),
+             e.props.get("protocol", "")]
+            for e in self.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -505,5 +516,41 @@ def audit_risk_completeness(graph: Graph) -> list[str]:
     return missing
 
 
+# ---------------------------------------------------------------------------
+# The on-disk dialect: every CSV and JSON file icskg reads or writes
+# ---------------------------------------------------------------------------
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
+    """Header plus rows as UTF-8 CSV with LF line ends; a field is quoted
+    only when it holds a comma, a double quote or a line feed."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def read_csv(path: str | Path, required: Sequence[str]) -> csv.DictReader:
+    """Rows of a UTF-8 CSV file as dicts; a required column missing from the
+    header raises :class:`MissingColumn`."""
+    reader = csv.DictReader(StringIO(Path(path).read_text(encoding="utf-8")))
+    header = reader.fieldnames or []
+    for col in required:
+        if col not in header:
+            raise MissingColumn(f"{path}: missing required column {col!r}")
+    return reader
+
+
+def write_json(payload) -> bytes:
+    """A JSON artifact: two-space indent, sorted keys, trailing newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def props_to_json(props: dict[str, str]) -> str:
     return json.dumps(props, sort_keys=True, separators=(",", ":")) if props else "{}"
+
+
+def props_from_json(cell: str) -> dict[str, str]:
+    """Inverse of :func:`props_to_json`; an empty cell holds no properties.
+    Raises ValueError or AttributeError when the cell is not a JSON object."""
+    return {str(k): str(v) for k, v in json.loads(cell).items()} if cell else {}

@@ -1,9 +1,13 @@
 """Loaders for public-dataset CSV snapshots, advisories and the testbed spec.
 
-File formats (all UTF-8, comma-separated, first row is the header):
+File formats (all UTF-8, comma-separated, first row is the header; see
+:func:`icskg.graph.write_csv` for the quoting rule):
 
 * node.csv      ``id,kind,name,zone,criticality,props_json``
 * relation.csv  ``src,dst,kind,props_json``
+* state         ``graph/nodes.csv`` in the node.csv format and
+  ``graph/edges.csv`` as ``src,dst,kind,riskWeight,pExploit,attackCost,
+  controlStrength,props_json`` (relation.csv plus the risk columns)
 * edge-CSV      ``src,dst,kind,riskWeight,pExploit,attackCost,controlStrength,protocol``
   (the export format of :meth:`GraphView.export`; re-ingestable here)
 * predictions   ``srcId,dstId,kind,confidence`` with kind limited to
@@ -18,39 +22,40 @@ number and the row is skipped; a missing header column is fatal.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
 from dataclasses import dataclass, field
-from io import StringIO
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from icskg.config import RiskConfig
 from icskg.errors import (
     BadEnum,
     DanglingReference,
     GraphError,
-    MissingColumn,
+    IngestError,
 )
 from icskg.graph import (
+    EDGE_CSV_HEADER,
     PREDICTION_KINDS,
+    RISK_COLUMNS,
     Edge,
     EdgeKind,
     Graph,
     Node,
     NodeKind,
     RiskAttributes,
+    props_from_json,
     props_to_json,
+    read_csv,
+    write_csv,
 )
 
 logger = logging.getLogger(__name__)
 
 NODE_CSV_HEADER = ["id", "kind", "name", "zone", "criticality", "props_json"]
 RELATION_CSV_HEADER = ["src", "dst", "kind", "props_json"]
-EDGE_CSV_HEADER = ["src", "dst", "kind", "riskWeight", "pExploit", "attackCost",
-                   "controlStrength", "protocol"]
 PREDICTION_CSV_HEADER = ["srcId", "dstId", "kind", "confidence"]
 
 VULN_STATUSES = ("ACTIVE", "REJECTED", "RESOLVED")
@@ -189,9 +194,6 @@ class ControlProfileSpec:
     # stored as undirected pairs.
     allowlist: list[tuple[str, str]] = field(default_factory=list)
 
-    def allows(self, a: str, b: str) -> bool:
-        return (a, b) in self.allowlist or (b, a) in self.allowlist
-
 
 @dataclass
 class TestbedSpec:
@@ -200,12 +202,6 @@ class TestbedSpec:
     dataflows: list[Dataflow]
     control_profiles: dict[str, ControlProfileSpec] = field(default_factory=dict)
     cpe_overrides: dict[str, str] = field(default_factory=dict)
-
-    def product(self, name: str) -> TestbedProduct:
-        for p in self.products:
-            if p.name == name:
-                return p
-        raise DanglingReference(f"testbed references unknown product {name!r}")
 
 
 def load_testbed(path: str | Path) -> TestbedSpec:
@@ -389,136 +385,114 @@ def link_products(graph: Graph, testbed: TestbedSpec,
 # CSV loaders
 # ---------------------------------------------------------------------------
 
-def _open_reader(path: str | Path, required: list[str]) -> tuple[csv.DictReader, StringIO]:
-    text = Path(path).read_text(encoding="utf-8")
-    buf = StringIO(text)
-    reader = csv.DictReader(buf)
-    header = reader.fieldnames or []
-    for col in required:
-        if col not in header:
-            raise MissingColumn(f"{path}: missing required column {col!r}")
-    return reader, buf
+class _RowProblem(Exception):
+    """A malformed row: reported as a :class:`RowIssue` and skipped."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
+def _load_rows(reader: Iterable[dict[str, str]],
+               load_row: Callable[[dict[str, str]], Optional[Hashable]]) -> LoadResult:
+    """Feed every data row to ``load_row``, which upserts it and returns its
+    key (None skips the row silently).  Row problems and rejected upserts
+    become row issues; any other ingest error aborts the load, naming its
+    row."""
+    accepted: set[Hashable] = set()
+    issues: list[RowIssue] = []
+    for row_num, row in enumerate(reader, start=1):
+        try:
+            key = load_row(row)
+        except _RowProblem as exc:
+            issues.append(RowIssue(row_num, exc.kind, str(exc)))
+        except GraphError as exc:
+            issues.append(RowIssue(row_num, "InvalidRow", str(exc)))
+        except IngestError as exc:
+            raise type(exc)(f"row {row_num}: {exc}") from None
+        else:
+            if key is not None:
+                accepted.add(key)
+    return LoadResult(len(accepted), issues)
+
+
+def _cell(row: dict[str, str], column: str) -> str:
+    return (row.get(column) or "").strip()
+
+
+def _edge_kind(raw: str) -> EdgeKind:
+    try:
+        return EdgeKind(raw)
+    except ValueError:
+        raise _RowProblem("BadEnum", f"unknown edge kind {raw!r}") from None
+
+
+def _endpoints(graph: Graph, src: str, dst: str) -> tuple[str, str]:
+    for node_id in (src, dst):
+        if not graph.has_node(node_id):
+            raise _RowProblem("DanglingReference",
+                              f"row references unknown node {node_id!r}")
+    return src, dst
+
+
+def _props(raw: str) -> dict[str, str]:
+    try:
+        return props_from_json(raw)
+    except (ValueError, AttributeError):
+        raise _RowProblem("InvalidRow", "unparseable props_json") from None
+
+
+def _upsert_edge(graph: Graph, edge: Edge) -> tuple[str, str, str]:
+    graph.upsert_edge(edge)
+    return edge.key
+
+
+def _node_row(graph: Graph, row: dict[str, str]) -> str:
+    kind_raw = _cell(row, "kind")
+    try:
+        kind = NodeKind(kind_raw)
+    except ValueError:
+        raise _RowProblem("BadEnum", f"unknown node kind {kind_raw!r}") from None
+    props = _props(_cell(row, "props_json"))
+    if name := _cell(row, "name"):
+        props.setdefault("name", name)
+    crit_raw = _cell(row, "criticality")
+    try:
+        criticality = int(crit_raw) if crit_raw else 0
+    except ValueError as exc:
+        raise _RowProblem("InvalidRow", str(exc)) from None
+    return graph.upsert_node(Node(id=_cell(row, "id"), kind=kind, props=props,
+                                  criticality=criticality,
+                                  zone=_cell(row, "zone") or None))
+
+
+def _relation_edge(graph: Graph, row: dict[str, str]) -> Edge:
+    kind = _edge_kind(_cell(row, "kind"))
+    src, dst = _endpoints(graph, _cell(row, "src"), _cell(row, "dst"))
+    return Edge(src, dst, kind, props=_props(_cell(row, "props_json")))
 
 
 def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
     """Load node.csv rows; returns distinct accepted nodes and row issues."""
-    reader, _ = _open_reader(path, NODE_CSV_HEADER)
-    accepted: set[str] = set()
-    issues: list[RowIssue] = []
-    for row_num, row in enumerate(reader, start=1):
-        kind_raw = (row.get("kind") or "").strip()
-        try:
-            kind = NodeKind(kind_raw)
-        except ValueError:
-            issues.append(RowIssue(row_num, "BadEnum", f"unknown node kind {kind_raw!r}"))
-            continue
-        props = {}
-        props_raw = (row.get("props_json") or "").strip()
-        if props_raw:
-            try:
-                props = {str(k): str(v) for k, v in json.loads(props_raw).items()}
-            except (json.JSONDecodeError, AttributeError):
-                issues.append(RowIssue(row_num, "InvalidRow", "unparseable props_json"))
-                continue
-        name = (row.get("name") or "").strip()
-        if name:
-            props.setdefault("name", name)
-        crit_raw = (row.get("criticality") or "").strip()
-        zone = (row.get("zone") or "").strip() or None
-        try:
-            node = Node(
-                id=(row.get("id") or "").strip(),
-                kind=kind,
-                props=props,
-                criticality=int(crit_raw) if crit_raw else 0,
-                zone=zone,
-            )
-            graph.upsert_node(node)
-        except (GraphError, ValueError) as exc:
-            issues.append(RowIssue(row_num, "InvalidRow", str(exc)))
-            continue
-        accepted.add(node.id)
-    return LoadResult(len(accepted), issues)
+    return _load_rows(read_csv(path, NODE_CSV_HEADER), lambda row: _node_row(graph, row))
 
 
 def load_relations(graph: Graph, path: str | Path) -> LoadResult:
     """Load relation.csv rows; dangling references are reported with their
     row number and skipped."""
-    reader, _ = _open_reader(path, RELATION_CSV_HEADER)
-    accepted: set[tuple[str, str, str]] = set()
-    issues: list[RowIssue] = []
-    for row_num, row in enumerate(reader, start=1):
-        kind_raw = (row.get("kind") or "").strip()
-        try:
-            kind = EdgeKind(kind_raw)
-        except ValueError:
-            issues.append(RowIssue(row_num, "BadEnum", f"unknown edge kind {kind_raw!r}"))
-            continue
-        src = (row.get("src") or "").strip()
-        dst = (row.get("dst") or "").strip()
-        if not graph.has_node(src) or not graph.has_node(dst):
-            missing = src if not graph.has_node(src) else dst
-            issues.append(RowIssue(row_num, "DanglingReference",
-                                   f"relation references unknown node {missing!r}"))
-            continue
-        props = {}
-        props_raw = (row.get("props_json") or "").strip()
-        if props_raw:
-            try:
-                props = {str(k): str(v) for k, v in json.loads(props_raw).items()}
-            except (json.JSONDecodeError, AttributeError):
-                issues.append(RowIssue(row_num, "InvalidRow", "unparseable props_json"))
-                continue
-        try:
-            edge = Edge(src, dst, kind, props=props)
-            graph.upsert_edge(edge)
-        except GraphError as exc:
-            issues.append(RowIssue(row_num, "InvalidRow", str(exc)))
-            continue
-        accepted.add(edge.key)
-    return LoadResult(len(accepted), issues)
+    return _load_rows(read_csv(path, RELATION_CSV_HEADER),
+                      lambda row: _upsert_edge(graph, _relation_edge(graph, row)))
 
 
 def load_edge_csv(graph: Graph, path: str | Path) -> LoadResult:
     """Re-ingest the edge-CSV export format (round-trip of view exports)."""
-    reader, _ = _open_reader(path, EDGE_CSV_HEADER)
-    accepted: set[tuple[str, str, str]] = set()
-    issues: list[RowIssue] = []
-    for row_num, row in enumerate(reader, start=1):
-        kind_raw = (row.get("kind") or "").strip()
-        try:
-            kind = EdgeKind(kind_raw)
-        except ValueError:
-            issues.append(RowIssue(row_num, "BadEnum", f"unknown edge kind {kind_raw!r}"))
-            continue
-        src = (row.get("src") or "").strip()
-        dst = (row.get("dst") or "").strip()
-        if not graph.has_node(src) or not graph.has_node(dst):
-            missing = src if not graph.has_node(src) else dst
-            issues.append(RowIssue(row_num, "DanglingReference",
-                                   f"edge references unknown node {missing!r}"))
-            continue
-        risk = None
-        rw = (row.get("riskWeight") or "").strip()
-        if rw:
-            risk = RiskAttributes(
-                control_strength=float(row.get("controlStrength") or 0.0),
-                p_exploit=float(row.get("pExploit") or 0.0),
-                attack_cost=float(row.get("attackCost") or 0.0),
-                risk_weight=float(rw),
-            )
-        props = {}
-        protocol = (row.get("protocol") or "").strip()
-        if protocol:
-            props["protocol"] = protocol
-        try:
-            edge = Edge(src, dst, kind, risk=risk, props=props)
-            graph.upsert_edge(edge)
-        except GraphError as exc:
-            issues.append(RowIssue(row_num, "InvalidRow", str(exc)))
-            continue
-        accepted.add(edge.key)
-    return LoadResult(len(accepted), issues)
+    def load_row(row: dict[str, str]) -> tuple[str, str, str]:
+        kind = _edge_kind(_cell(row, "kind"))
+        src, dst = _endpoints(graph, _cell(row, "src"), _cell(row, "dst"))
+        protocol = _cell(row, "protocol")
+        return _upsert_edge(graph, Edge(src, dst, kind, risk=RiskAttributes.decode(row),
+                                        props={"protocol": protocol} if protocol else {}))
+    return _load_rows(read_csv(path, EDGE_CSV_HEADER), load_row)
 
 
 def import_predictions(graph: Graph, path: str | Path,
@@ -529,39 +503,24 @@ def import_predictions(graph: Graph, path: str | Path,
     confidence outside [0,1]) violates the file contract and raises BadEnum.
     Rows referencing unknown nodes are reported and skipped.
     """
-    reader, _ = _open_reader(path, PREDICTION_CSV_HEADER)
-    accepted: set[tuple[str, str, str]] = set()
-    issues: list[RowIssue] = []
-    for row_num, row in enumerate(reader, start=1):
-        kind_raw = (row.get("kind") or "").strip()
+    def load_row(row: dict[str, str]) -> Optional[tuple[str, str, str]]:
         try:
-            kind = EdgeKind(kind_raw)
-        except ValueError:
-            raise BadEnum(f"row {row_num}: unknown prediction kind {kind_raw!r}") from None
+            kind = _edge_kind(_cell(row, "kind"))
+        except _RowProblem as exc:
+            raise BadEnum(str(exc)) from None
         if kind not in PREDICTION_KINDS:
             raise BadEnum(
-                f"row {row_num}: {kind.value} is not a prediction kind "
+                f"{kind.value} is not a prediction kind "
                 f"(expected one of {sorted(k.value for k in PREDICTION_KINDS)})")
         confidence = float(row.get("confidence") or 0.0)
         if not 0.0 <= confidence <= 1.0:
-            raise BadEnum(f"row {row_num}: confidence {confidence} outside [0,1]")
+            raise BadEnum(f"confidence {confidence} outside [0,1]")
         if confidence < min_confidence:
-            continue
-        src = (row.get("srcId") or "").strip()
-        dst = (row.get("dstId") or "").strip()
-        if not graph.has_node(src) or not graph.has_node(dst):
-            missing = src if not graph.has_node(src) else dst
-            issues.append(RowIssue(row_num, "DanglingReference",
-                                   f"prediction references unknown node {missing!r}"))
-            continue
-        try:
-            edge = Edge(src, dst, kind, props={"confidence": repr(confidence)})
-            graph.upsert_edge(edge)
-        except GraphError as exc:
-            issues.append(RowIssue(row_num, "InvalidRow", str(exc)))
-            continue
-        accepted.add(edge.key)
-    return LoadResult(len(accepted), issues)
+            return None
+        src, dst = _endpoints(graph, _cell(row, "srcId"), _cell(row, "dstId"))
+        return _upsert_edge(graph, Edge(src, dst, kind,
+                                        props={"confidence": repr(confidence)}))
+    return _load_rows(read_csv(path, PREDICTION_CSV_HEADER), load_row)
 
 
 # ---------------------------------------------------------------------------
@@ -570,71 +529,46 @@ def import_predictions(graph: Graph, path: str | Path,
 
 STATE_NODE_FILE = "nodes.csv"
 STATE_EDGE_FILE = "edges.csv"
-_STATE_EDGE_HEADER = ["src", "dst", "kind", "riskWeight", "pExploit", "attackCost",
-                      "controlStrength", "props_json"]
+_STATE_EDGE_HEADER = ["src", "dst", "kind", *RISK_COLUMNS, "props_json"]
 
 
 def write_node_csv(graph: Graph) -> bytes:
     """Serialize every node in the node.csv interchange format, sorted by id."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(NODE_CSV_HEADER)
-    for node in graph.nodes():
-        props = {k: v for k, v in node.props.items() if k != "name"}
-        writer.writerow([
-            node.id,
-            node.kind.value,
-            node.props.get("name", ""),
-            node.zone or "",
-            node.criticality if node.kind is NodeKind.PRODUCT else "",
-            props_to_json(props),
-        ])
-    return buf.getvalue().encode("utf-8")
+    return write_csv(NODE_CSV_HEADER, (
+        [node.id,
+         node.kind.value,
+         node.props.get("name", ""),
+         node.zone or "",
+         node.criticality if node.kind is NodeKind.PRODUCT else "",
+         props_to_json({k: v for k, v in node.props.items() if k != "name"})]
+        for node in graph.nodes()))
 
 
 def save_state(graph: Graph, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / STATE_NODE_FILE).write_bytes(write_node_csv(graph))
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_STATE_EDGE_HEADER)
-    for e in graph.edges():
-        if e.risk is not None:
-            risk_cols = [repr(e.risk.risk_weight), repr(e.risk.p_exploit),
-                         repr(e.risk.attack_cost), repr(e.risk.control_strength)]
-        else:
-            risk_cols = ["", "", "", ""]
-        writer.writerow([e.src, e.dst, e.kind.value] + risk_cols + [props_to_json(e.props)])
-    (directory / STATE_EDGE_FILE).write_text(buf.getvalue(), encoding="utf-8")
+    (directory / STATE_EDGE_FILE).write_bytes(write_csv(_STATE_EDGE_HEADER, (
+        [e.src, e.dst, e.kind.value, *RiskAttributes.encode(e.risk), props_to_json(e.props)]
+        for e in graph.edges())))
 
 
 def load_state(directory: str | Path) -> Graph:
+    """Inverse of :func:`save_state`; any row issue means corrupt state."""
     directory = Path(directory)
     graph = Graph()
-    result = load_nodes(graph, directory / STATE_NODE_FILE)
+    _require_clean_state(directory, load_nodes(graph, directory / STATE_NODE_FILE))
+
+    def load_edge_row(row: dict[str, str]) -> tuple[str, str, str]:
+        edge = _relation_edge(graph, row)
+        edge.risk = RiskAttributes.decode(row)
+        return _upsert_edge(graph, edge)
+    edges = read_csv(directory / STATE_EDGE_FILE, _STATE_EDGE_HEADER)
+    _require_clean_state(directory, _load_rows(edges, load_edge_row))
+    return graph
+
+
+def _require_clean_state(directory: Path, result: LoadResult) -> None:
     if result.issues:
         raise DanglingReference(
             f"corrupt state in {directory}: {result.issues[0].message}")
-    reader, _ = _open_reader(directory / STATE_EDGE_FILE, _STATE_EDGE_HEADER)
-    for row_num, row in enumerate(reader, start=1):
-        kind = EdgeKind((row.get("kind") or "").strip())
-        risk = None
-        rw = (row.get("riskWeight") or "").strip()
-        if rw:
-            risk = RiskAttributes(
-                control_strength=float(row.get("controlStrength") or 0.0),
-                p_exploit=float(row.get("pExploit") or 0.0),
-                attack_cost=float(row.get("attackCost") or 0.0),
-                risk_weight=float(rw),
-            )
-        props_raw = (row.get("props_json") or "").strip()
-        props = {str(k): str(v) for k, v in json.loads(props_raw).items()} if props_raw else {}
-        graph.upsert_edge(Edge(
-            src=(row.get("src") or "").strip(),
-            dst=(row.get("dst") or "").strip(),
-            kind=kind,
-            risk=risk,
-            props=props,
-        ))
-    return graph

@@ -12,17 +12,16 @@ Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientI
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
-from io import StringIO
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from icskg.config import CONTROL_NAMES, ControlOverrides
-from icskg.errors import InvalidProfile, MissingColumn
+from icskg.errors import InvalidProfile
+from icskg.graph import read_csv, write_csv
 from icskg.ingest import ControlProfileSpec, TestbedSpec
 
 LOG_CSV_HEADER = ["timestamp", "src", "dst", "protocol", "authMode",
@@ -297,13 +296,10 @@ def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
 # ---------------------------------------------------------------------------
 
 def records_to_csv(records: list[LogRecord]) -> bytes:
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LOG_CSV_HEADER)
-    for r in records:
-        writer.writerow([r.timestamp, r.src, r.dst, r.protocol, r.auth_mode,
-                         r.security_mode, r.event, r.client_ip])
-    return buf.getvalue().encode("utf-8")
+    return write_csv(LOG_CSV_HEADER, (
+        [r.timestamp, r.src, r.dst, r.protocol, r.auth_mode, r.security_mode,
+         r.event, r.client_ip]
+        for r in records))
 
 
 def write_log_csv(records: list[LogRecord], path: str | Path) -> None:
@@ -311,14 +307,8 @@ def write_log_csv(records: list[LogRecord], path: str | Path) -> None:
 
 
 def load_log_csv(path: str | Path) -> list[LogRecord]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.DictReader(StringIO(text))
-    header = reader.fieldnames or []
-    for col in LOG_CSV_HEADER:
-        if col not in header:
-            raise MissingColumn(f"{path}: missing required column {col!r}")
     records = []
-    for row in reader:
+    for row in read_csv(path, LOG_CSV_HEADER):
         records.append(LogRecord(
             timestamp=row["timestamp"],
             src=row["src"],

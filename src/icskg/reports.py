@@ -6,12 +6,10 @@ byte-identical files (fixed float formatting, no timestamps).
 
 from __future__ import annotations
 
-import csv
-import json
-from io import StringIO
 from typing import Sequence
 
 from icskg.analytics import CommunityReport
+from icskg.graph import write_csv, write_json
 from icskg.scenarios import CentralityRow, PropagationReport, SuiteReport
 
 SCHEMA_VERSION = "1"
@@ -27,35 +25,26 @@ RESIDUAL_COLUMNS = ["product", "zone", "raw", "enriched", "after",
                     "delta", "reductionPct"]
 
 
-def _csv_bytes(columns: Sequence[str], rows: Sequence[Sequence]) -> bytes:
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue().encode("utf-8")
-
-
 def _f(x: float, places: int = 6) -> str:
     return f"{x:.{places}f}"
 
 
 def propagation_csv(rows: Sequence[PropagationReport]) -> bytes:
-    return _csv_bytes(PROPAGATION_COLUMNS, [
+    return write_csv(PROPAGATION_COLUMNS, [
         [r.scenario_id, r.source_label, r.target_label, r.config,
          _f(r.avg_hops, 4), r.min_hops, r.max_hops, r.affected]
         for r in rows])
 
 
 def interproduct_csv(rows: Sequence[dict]) -> bytes:
-    return _csv_bytes(INTERPRODUCT_COLUMNS, [
+    return write_csv(INTERPRODUCT_COLUMNS, [
         [r["source"], r["target"], _f(r["risk"]), _f(r["exploitProb"]),
          _f(r["attackCost"])]
         for r in rows])
 
 
 def centrality_csv(rows: Sequence[CentralityRow]) -> bytes:
-    return _csv_bytes(CENTRALITY_COLUMNS, [
+    return write_csv(CENTRALITY_COLUMNS, [
         [r.node, r.node_type, _f(r.pagerank_before), _f(r.pagerank_after),
          _f(r.delta_pagerank), _f(r.betweenness_before), _f(r.betweenness_after),
          _f(r.delta_betweenness)]
@@ -70,11 +59,11 @@ def communities_csv(report: CommunityReport, key_assets: int = 2) -> bytes:
         # first entries as stable representatives.
         rows.append([c.id, c.size, "|".join(c.members[:key_assets]),
                      _f(c.risk, 4), "Y" if c.cascade else "N"])
-    return _csv_bytes(COMMUNITY_COLUMNS, rows)
+    return write_csv(COMMUNITY_COLUMNS, rows)
 
 
 def residual_csv(rows: Sequence[dict]) -> bytes:
-    return _csv_bytes(RESIDUAL_COLUMNS, [
+    return write_csv(RESIDUAL_COLUMNS, [
         [r["product"], r["zone"], _f(r["raw"], 4), _f(r["enriched"], 4),
          _f(r["after"], 4), _f(r["delta"], 4), r["reductionPct"]]
         for r in rows])
@@ -107,7 +96,7 @@ def suite_json(report: SuiteReport) -> bytes:
             for a in report.aggregates
         ],
     }
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return write_json(payload)
 
 
 def hop_plot_csv(report: SuiteReport) -> bytes:
@@ -129,17 +118,16 @@ def _per_scenario_plot(report: SuiteReport, cell) -> bytes:
     for scenario_id in sorted(by_scenario):
         per = by_scenario[scenario_id]
         rows.append([scenario_id] + [per.get(c, "") for c in configs])
-    return _csv_bytes(["scenario"] + configs, rows)
+    return write_csv(["scenario"] + configs, rows)
 
 
 def mean_ci_csv(report: SuiteReport) -> bytes:
     """Pooled mean path length with 95% interval per configuration."""
-    return _csv_bytes(["config", "meanHops", "ci95Low", "ci95High", "samples"], [
+    return write_csv(["config", "meanHops", "ci95Low", "ci95High", "samples"], [
         [a.config, _f(a.mean_hops, 4), _f(a.ci95_low, 4), _f(a.ci95_high, 4),
          a.sample_count]
         for a in report.aggregates])
 
 
 def rows_json(rows: Sequence[dict]) -> bytes:
-    return (json.dumps(list(rows), indent=2, sort_keys=True, default=float)
-            + "\n").encode("utf-8")
+    return write_json(list(rows))

@@ -24,11 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from icskg.config import Convention, FactorCoefficients, RiskConfig
-from icskg.errors import (
-    DiscontiguousPath,
-    MissingSecuredLogs,
-    NoLogsForPair,
-)
+from icskg.errors import DiscontiguousPath, GraphFinalized, MissingSecuredLogs
 from icskg.graph import (
     Edge,
     EdgeKind,
@@ -139,21 +135,6 @@ def weakness_from_stats(stats: PairStats,
     e = min(1.0, k.e_failed * failed_frac + k.e_audit * audit_frac + k.e_access * a)
     h = min(1.0, k.h_scale * ((1.0 - cert_frac) + insecure_frac + fail_check_frac))
     return ControlFactors(a, c, e, h)
-
-
-def derive_factors(logs: Sequence[LogRecord], pair: tuple[str, str],
-                   coeffs: Optional[FactorCoefficients] = None) -> ControlFactors:
-    """Weakness scores for one communication pair, either direction.
-
-    Raises :class:`NoLogsForPair` when the stream holds no record for the
-    pair; callers fall back to the zone-default presets in that case.
-    """
-    u, v = pair
-    wanted = {(u, v), (v, u)}
-    records = [r for r in logs if (r.src, r.dst) in wanted]
-    if not records:
-        raise NoLogsForPair(f"no log records for pair ({u!r}, {v!r})")
-    return weakness_from_stats(stats_from_records(records), coeffs)
 
 
 class LogIndex:
@@ -319,7 +300,10 @@ def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig,
     links use the union of both endpoints' logs; pairs with no records at
     all fall back to the zone-default presets.  Edges whose target has no
     CVEs score pExploit 0 and riskWeight 0.  Deterministic and idempotent.
+    A finalized graph is immutable and raises :class:`GraphFinalized`.
     """
+    if graph.finalized:
+        raise GraphFinalized("graph is finalized; annotate cannot rescore its edges")
     index = LogIndex(logs)
     count = 0
     for kind in ANNOTATED_KINDS:
@@ -389,11 +373,20 @@ def apply_controls(graph: Graph, controls: ControlProfile,
 # Path and node level metrics
 # ---------------------------------------------------------------------------
 
+def p_exploit_product(edges: Iterable[Edge]) -> float:
+    """Product of pExploit along a walk; an edge without risk attributes
+    counts as unexploitable (0) and the empty walk has probability 1."""
+    prob = 1.0
+    for e in edges:
+        prob *= e.risk.p_exploit if e.risk is not None else 0.0
+    return prob
+
+
 def path_probability(edges: Sequence[Edge]) -> float:
     """Probability of traversing a contiguous multi-hop path (product of
-    per-edge pExploit); the empty path has probability 1."""
-    if not edges:
-        return 1.0
+    per-edge pExploit); the empty path has probability 1.  Raises
+    :class:`DiscontiguousPath` when the edges do not chain or one of them
+    has no risk attributes."""
     for e in edges:
         if e.risk is None:
             raise DiscontiguousPath(
@@ -412,10 +405,7 @@ def path_probability(edges: Sequence[Edge]) -> float:
                 raise DiscontiguousPath(
                     f"edge {e.src}->{e.dst} does not continue from {current!r}")
             current = (ends - {current}).pop() if len(ends) == 2 else current
-    prob = 1.0
-    for e in edges:
-        prob *= e.risk.p_exploit
-    return prob
+    return p_exploit_product(edges)
 
 
 def exposure(view: GraphView, node_id: str) -> float:

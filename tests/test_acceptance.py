@@ -33,12 +33,13 @@ from icskg.graph import Configuration, EdgeKind, Graph
 from icskg.ingest import load_state
 from icskg.risk import (
     ControlFactors,
+    LogIndex,
     control_strength,
-    derive_factors,
     exposure,
     p_exploit,
     path_probability,
     risk_weight,
+    weakness_from_stats,
 )
 from icskg.scenarios import run_suite, load_scenarios
 
@@ -110,7 +111,7 @@ def test_factor_reproduction():
         fail_check_frac=0.01, client_ip_pool_size=10)
     logs = generate(testbed, profile)
     assert sum(1 for r in logs if r.event == "Session") == 10_000
-    factors = derive_factors(logs, ("U", "V"))
+    factors = weakness_from_stats(LogIndex(logs).pair("U", "V"))
     expected = (0.03, 0.04, 0.03, 0.05)
     for got, want in zip(factors.as_tuple(), expected):
         assert abs(got - want) <= 0.015, (got, want)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import numpy as np
@@ -64,11 +66,14 @@ def test_fastrp_empty_view():
 
 
 def test_fastrp_dump_shape():
-    g = comm_graph([("A", "B")])
-    emb = fastrp_embed(original(g), dim=16, seed=1)
-    lines = emb.to_csv().decode().strip().split("\n")
-    assert lines[0].startswith("id,e0,")
-    assert len(lines) == 1 + len(emb.node_ids)
+    # The second id needs CSV quoting: it holds a comma and a double quote.
+    for a in ("A", 'A,"1'):
+        g = comm_graph([(a, "B")])
+        emb = fastrp_embed(original(g), dim=16, seed=1)
+        rows = list(csv.reader(io.StringIO(emb.to_csv().decode())))
+        assert rows[0] == ["id"] + [f"e{i}" for i in range(16)]
+        assert [r[0] for r in rows[1:]] == emb.node_ids == sorted([a, "B"])
+        assert all(len(r) == 17 for r in rows)
 
 
 def test_knn_population_bound():

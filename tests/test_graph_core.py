@@ -202,26 +202,39 @@ def test_export_deterministic():
         assert view.export(fmt) == view.export(fmt)
 
 
-def test_edge_csv_round_trip():
-    g = comm_graph([("A", "B", 0.25, 0.5), ("B", "C", 0.125, 0.25)])
-    payload = g.project_view(Configuration.ORIGINAL).export("edge-csv")
+def test_edge_csv_round_trip(tmp_path):
+    # The second id needs CSV quoting: it holds a comma and a double quote.
+    for a in ("A", 'A,"1'):
+        g = comm_graph([(a, "B", 0.25, 0.5), ("B", "C", 0.125, 0.25)])
+        payload = g.project_view(Configuration.ORIGINAL).export("edge-csv")
 
-    g2 = Graph()
-    for n in "ABC":
-        add_product(g2, n)
-    import tempfile, pathlib
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "edges.csv"
+        g2 = Graph()
+        for n in (a, "B", "C"):
+            add_product(g2, n)
+        path = tmp_path / "edges.csv"
         path.write_bytes(payload)
         result = load_edge_csv(g2, path)
-    assert result.count == 2
-    assert not result.issues
-    assert g2.edge_count() == g.edge_count()
-    for e in g.edges():
-        mirror = g2.edge(e.src, e.dst, e.kind)
-        assert mirror is not None
-        assert mirror.risk.risk_weight == e.risk.risk_weight
-        assert mirror.risk.p_exploit == e.risk.p_exploit
+        assert result.count == 2
+        assert not result.issues
+        assert g2.edge_count() == g.edge_count()
+        for e in g.edges():
+            mirror = g2.edge(e.src, e.dst, e.kind)
+            assert mirror is not None
+            assert mirror.risk.risk_weight == e.risk.risk_weight
+            assert mirror.risk.p_exploit == e.risk.p_exploit
+
+
+def test_risk_cells_round_trip_and_decode_rules():
+    risk = RiskAttributes(control_strength=0.1, p_exploit=1 / 3,
+                          attack_cost=0.7, risk_weight=0.3)
+    columns = ("riskWeight", "pExploit", "attackCost", "controlStrength")
+    cells = RiskAttributes.encode(risk)
+    assert cells == [repr(0.3), repr(1 / 3), repr(0.7), repr(0.1)]
+    assert RiskAttributes.decode(dict(zip(columns, cells))) == risk
+    assert RiskAttributes.encode(None) == ["", "", "", ""]
+    assert RiskAttributes.decode(dict(zip(columns, RiskAttributes.encode(None)))) is None
+    assert RiskAttributes.decode({"riskWeight": "0.5", "pExploit": ""}) == \
+        RiskAttributes(risk_weight=0.5)
 
 
 def test_graphml_well_formed():

@@ -20,6 +20,7 @@ from icskg.ingest import (
     load_nodes,
     load_relations,
     load_state,
+    load_testbed,
     load_testbed_into_graph,
     match_product_cpes,
     preprocess_cves,
@@ -209,13 +210,14 @@ def test_build_dataflow_edges():
     assert build_dataflow_edges(g, testbed) == 0
 
 
-def test_dataflow_unknown_endpoint_rejected():
+def test_dataflow_unknown_endpoint_rejected(tmp_path):
+    spec = write(tmp_path, "testbed.json", """{
+      "zones": ["OT"],
+      "products": [{"name": "A", "vendor": "v", "assetClass": "PLC", "zone": "OT"}],
+      "dataflows": [{"src": "A", "dst": "B", "protocol": "Modbus/TCP"}]
+    }""")
     with pytest.raises(DanglingReference):
-        TestbedSpec(
-            zones=["OT"],
-            products=[TestbedProduct("A", "v", "PLC", "OT", None, [])],
-            dataflows=[],
-        ).product("B")
+        load_testbed(spec)
 
 
 def test_import_predictions_threshold(tmp_path):
@@ -246,10 +248,12 @@ def test_import_predictions_min_zero_and_dangling(tmp_path):
 
 def test_import_predictions_rejects_non_prediction_kind(tmp_path):
     g = Graph()
-    csv_text = ("srcId,dstId,kind,confidence\n"
-                "A,B,COMMUNICATES_WITH,0.9\n")
-    with pytest.raises(BadEnum):
-        import_predictions(g, write(tmp_path, "p.csv", csv_text), 0.0)
+    for kind in ("COMMUNICATES_WITH", "NOT_A_KIND"):
+        csv_text = ("srcId,dstId,kind,confidence\n"
+                    "A,B,HAS_POSSIBLE_CWE,0.1\n"
+                    f"A,B,{kind},0.9\n")
+        with pytest.raises(BadEnum, match="^row 2: "):
+            import_predictions(g, write(tmp_path, "p.csv", csv_text), 0.5)
 
 
 def test_vuln_record_defaults_for_missing_fields():
@@ -309,3 +313,18 @@ def test_state_round_trip(tmp_path):
         (tmp_path / "state2" / "nodes.csv").read_bytes()
     assert (tmp_path / "state" / "edges.csv").read_bytes() == \
         (tmp_path / "state2" / "edges.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad_row", [
+    "PLC_1,MES_1,NOT_A_KIND,,,,,{}",
+    "PLC_1,GHOST,COMMUNICATES_WITH,,,,,{}",
+    "PLC_1,MES_1,COMMUNICATES_WITH,,,,,not-json",
+])
+def test_load_state_rejects_any_bad_edge_row(tmp_path, bad_row):
+    g = Graph()
+    load_testbed_into_graph(g, mini_testbed(), RiskConfig())
+    save_state(g, tmp_path)
+    with (tmp_path / "edges.csv").open("a", encoding="utf-8") as fh:
+        fh.write(bad_row + "\n")
+    with pytest.raises(DanglingReference, match="corrupt state"):
+        load_state(tmp_path)

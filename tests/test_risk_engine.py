@@ -8,7 +8,7 @@ import pytest
 
 from conftest import add_comm, add_product
 from icskg.config import Convention, RiskConfig
-from icskg.errors import DiscontiguousPath, MissingSecuredLogs, NoLogsForPair
+from icskg.errors import DiscontiguousPath, GraphFinalized, MissingSecuredLogs
 from icskg.graph import Configuration, Edge, EdgeKind, Graph, Node, NodeKind
 from icskg.ingest import (
     ControlProfileSpec,
@@ -25,16 +25,17 @@ from icskg.logsynth import ControlProfile, LogRecord, SynthProfile, generate, \
     generate_secured
 from icskg.risk import (
     ControlFactors,
+    LogIndex,
     aggregate_attack_cost,
     annotate,
     apply_controls,
     attack_cost,
     control_strength,
-    derive_factors,
     exposure,
     p_exploit,
     path_probability,
     risk_weight,
+    weakness_from_stats,
 )
 
 
@@ -66,9 +67,13 @@ def build_log_set(sessions=100, anon=3, insecure=0, cert=90, ips=10,
 # Factor derivation
 # ---------------------------------------------------------------------------
 
+def pair_factors(logs: list[LogRecord], u: str, v: str) -> ControlFactors:
+    return weakness_from_stats(LogIndex(logs).pair(u, v))
+
+
 def test_derive_factors_worked_example():
     logs = build_log_set()
-    f = derive_factors(logs, ("A", "B"))
+    f = pair_factors(logs, "A", "B")
     # accessibility: 0.03 + 0.1*0 + 0.001*10
     assert f.a == pytest.approx(0.04, abs=1e-12)
     # config hygiene: 0.02 + 0.1*(1-0.9) + 0.01
@@ -85,7 +90,7 @@ def test_derive_factors_worked_example():
 def test_derive_factors_perfect_hygiene():
     logs = build_log_set(sessions=100, anon=0, insecure=0, cert=100, ips=1,
                          failed=0, audit=0, checks=100, check_fails=0)
-    f = derive_factors(logs, ("A", "B"))
+    f = pair_factors(logs, "A", "B")
     assert f.a == pytest.approx(0.001)   # single client address remains
     assert f.c == pytest.approx(0.0)
     assert f.e == pytest.approx(0.0001)  # accessibility echo term
@@ -95,12 +100,11 @@ def test_derive_factors_perfect_hygiene():
 
 def test_derive_factors_orientation_insensitive():
     logs = build_log_set()
-    assert derive_factors(logs, ("B", "A")) == derive_factors(logs, ("A", "B"))
+    assert pair_factors(logs, "B", "A") == pair_factors(logs, "A", "B")
 
 
 def test_derive_factors_no_logs():
-    with pytest.raises(NoLogsForPair):
-        derive_factors(build_log_set(), ("X", "Y"))
+    assert LogIndex(build_log_set()).pair("X", "Y") is None
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +221,16 @@ def test_annotate_idempotent():
     annotate(g, logs, cfg)
     second = g.edge("A", "B", EdgeKind.COMMUNICATES_WITH).risk.as_dict()
     assert first == second
+
+
+def test_annotate_refuses_finalized_graph():
+    g = two_product_graph()
+    add_comm(g, "B", "A", risk_weight=0.4, p_exploit=0.4)
+    g.finalize()
+    view = g.project_view(Configuration.ORIGINAL)
+    with pytest.raises(GraphFinalized):
+        annotate(g, [], RiskConfig())
+    assert [e.risk.risk_weight for e in view.edges if e.src == "B"] == [0.4]
 
 
 def test_annotate_zone_defaults_without_logs():
