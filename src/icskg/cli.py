@@ -2,9 +2,12 @@
 controls -> simulate -> report, plus export.
 
 Stages persist the graph as CSV state under the output directory, so each
-stage is an independent, idempotent process; ``state.json`` records which
-stages completed and pins seed/convention for the whole run.  Exit codes:
-0 success, 2 input error, 3 stage-order violation, 4 internal invariant
+stage is an independent process.  ``state.json`` records which stages
+completed and pins seed/convention for the whole run; every later command
+checks both and its :data:`PREREQUISITES`.  A stage that writes the graph
+starts from the state without the :data:`EDGE_KINDS` of its own and every
+later stage, so a re-run never inherits downstream edges.  Exit codes: 0
+success, 2 input error, 3 stage-order violation, 4 internal invariant
 violation.
 """
 
@@ -15,6 +18,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -24,6 +28,7 @@ from icskg.config import Convention, RiskConfig
 from icskg.errors import IcskgError, InvariantViolation, StageOrderError
 from icskg.graph import (
     Configuration,
+    EdgeKind,
     Graph,
     GraphView,
     audit_hierarchy,
@@ -35,6 +40,17 @@ logger = logging.getLogger("icskg")
 
 STAGE_ORDER = ["build", "synth-logs", "annotate", "enrich", "controls",
                "simulate", "report"]
+
+# The stages each command after build needs completed before it runs.
+PREREQUISITES = {"synth-logs": ("build",), "annotate": ("build", "synth-logs"),
+                 "enrich": ("annotate",), "controls": ("annotate",),
+                 "simulate": ("annotate",), "report": ("annotate",),
+                 "export": ("build",)}
+# The edge kind each stage adds to the graph state.
+EDGE_KINDS = {"enrich": EdgeKind.HAS_POSSIBLE_COMMUNICATION,
+              "controls": EdgeKind.CONTROLLED_COMMUNICATES_WITH}
+# The stage whose edges each configuration view needs beyond annotate's.
+VIEW_STAGES = {Configuration.ENRICHED: "enrich", Configuration.CONTROLLED: "controls"}
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -64,7 +80,7 @@ class RunConfig:
         paths = {}
         for key, rel in raw.get("paths", {}).items():
             paths[key] = (base / rel).resolve()
-        cfg = cls(
+        return cls(
             base_dir=base,
             paths=paths,
             seed=int(raw.get("seed", 42)),
@@ -74,7 +90,6 @@ class RunConfig:
             prediction_min_confidence=float(raw.get("predictionMinConfidence", 0.5)),
             enrichment=dict(raw.get("enrichment", {})),
         )
-        return cfg
 
     def validate_paths(self) -> None:
         required = ["testbed", "advisories", "nodes", "relations", "scenarios",
@@ -113,61 +128,92 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 class PipelineState:
-    def __init__(self, out_dir: Path) -> None:
+    """The output directory as one stage run sees it: the completed stages
+    recorded in ``state.json`` and the graph state under ``graph/``, with
+    the run's seed, convention and risk config."""
+
+    def __init__(self, cfg: RunConfig, out_dir: Path, stage: str) -> None:
+        self.cfg = cfg
         self.out_dir = out_dir
-        self.path = out_dir / "state.json"
-        if self.path.exists():
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-            self.stages: list[str] = list(raw.get("stages", []))
-            self.seed: Optional[int] = raw.get("seed")
-            self.convention: Optional[str] = raw.get("convention")
-        else:
-            self.stages = []
-            self.seed = None
-            self.convention = None
+        self.graph_dir = out_dir / "graph"
+        self.stage = stage
+        self.stages: list[str] = []
+
+    @classmethod
+    def open(cls, cfg: RunConfig, out_dir: Path, stage: str) -> "PipelineState":
+        """The state for a run of ``stage``: its prerequisites must have
+        completed, and the seed and convention must match those pinned by
+        ``build``."""
+        path = out_dir / "state.json"
+        raw = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        state = cls(cfg, out_dir, stage)
+        state.stages = list(raw.get("stages", []))
+        for needed in PREREQUISITES[stage]:
+            state.require(needed)
+        for key, value in (("seed", cfg.seed), ("convention", state.convention)):
+            if raw.get(key) not in (None, value):
+                raise IcskgError(f"{key} {value!r} differs from the value "
+                                 f"{raw[key]!r} recorded at build time")
+        return state
+
+    @cached_property
+    def risk_cfg(self) -> RiskConfig:
+        return self.cfg.risk_config()
+
+    @property
+    def convention(self) -> str:
+        return self.risk_cfg.convention.value
 
     def require(self, stage: str) -> None:
         if stage not in self.stages:
             raise StageOrderError(f"{stage} stage required")
 
-    def check_consistency(self, seed: int, convention: str) -> None:
-        if self.seed is not None and self.seed != seed:
-            raise IcskgError(
-                f"seed {seed} differs from the value {self.seed} recorded at build time")
-        if self.convention is not None and self.convention != convention:
-            raise IcskgError(
-                f"convention {convention!r} differs from the recorded {self.convention!r}")
+    def upstream(self) -> Graph:
+        """A fresh, mutable copy of the graph state without the edges that
+        this stage and every later stage add, so that a re-run starts from
+        what its prerequisites left."""
+        graph = ingest.load_state(self.graph_dir)
+        later = STAGE_ORDER[STAGE_ORDER.index(self.stage):]
+        graph.remove_edges({EDGE_KINDS[s] for s in later if s in EDGE_KINDS})
+        return graph
 
-    def mark(self, stage: str, seed: int, convention: str) -> None:
-        # Re-running a stage invalidates everything downstream of it: later
-        # artifacts were derived from state this stage just replaced.
-        position = STAGE_ORDER.index(stage)
-        self.stages = [s for s in self.stages
-                       if s in STAGE_ORDER and STAGE_ORDER.index(s) <= position]
-        if stage not in self.stages:
-            self.stages.append(stage)
-        self.stages.sort(key=lambda s: STAGE_ORDER.index(s))
-        self.seed = seed
-        self.convention = convention
-        _write_json(self.path, {
-            "schemaVersion": reports.SCHEMA_VERSION,
-            "stages": self.stages,
-            "seed": seed,
-            "convention": convention,
-        })
+    @cached_property
+    def graph(self) -> Graph:
+        """The finalized graph state, loaded once per stage run."""
+        graph = ingest.load_state(self.graph_dir)
+        graph.finalize()
+        return graph
 
+    def views(self, *configs: Configuration) -> dict[Configuration, GraphView]:
+        """Configuration views of :attr:`graph`; a view needs the stage that
+        adds its edges (:data:`VIEW_STAGES`)."""
+        for config in configs:
+            if config in VIEW_STAGES:
+                self.require(VIEW_STAGES[config])
+        return {config: self.graph.project_view(config, self.risk_cfg.prune_threshold)
+                for config in configs}
 
-def _graph_dir(out_dir: Path) -> Path:
-    return out_dir / "graph"
+    def save(self, graph: Graph) -> None:
+        ingest.save_state(graph, self.graph_dir)
+
+    def mark(self) -> None:
+        """Record this stage as complete and every later one as not run:
+        their artifacts were derived from state this stage just replaced."""
+        position = STAGE_ORDER.index(self.stage)
+        self.stages = [s for s in STAGE_ORDER[:position] if s in self.stages]
+        self.stages.append(self.stage)
+        self.write_artifact("state.json", stages=self.stages, seed=self.cfg.seed,
+                            convention=self.convention)
+
+    def write_artifact(self, name: str, **fields) -> None:
+        """A JSON file in the output directory, stamped with the schema version."""
+        _write(self.out_dir / name,
+               write_json({"schemaVersion": reports.SCHEMA_VERSION, **fields}))
 
 
 def _write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
-
-
-def _write_json(path: Path, payload) -> None:
-    _write(path, write_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +222,10 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool = False) -> int:
     cfg.validate_paths()
-    risk_cfg = cfg.risk_config()
+    state = PipelineState(cfg, out_dir, "build")
     testbed = ingest.load_testbed(cfg.paths["testbed"])
     graph = Graph()
-    product_count = ingest.load_testbed_into_graph(graph, testbed, risk_cfg)
+    product_count = ingest.load_testbed_into_graph(graph, testbed, state.risk_cfg)
     node_result = ingest.load_nodes(graph, cfg.paths["nodes"])
     advisories = ingest.preprocess_cves(ingest.load_advisories(cfg.paths["advisories"]))
     vuln_edges = ingest.link_products(graph, testbed, advisories)
@@ -201,7 +247,6 @@ def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool = False) -> int
         raise InvariantViolation(
             f"hierarchy audit found {len(violations)} violations: {violations[:3]}")
     summary = {
-        "schemaVersion": reports.SCHEMA_VERSION,
         "counts": graph.counts_by_kind(),
         "nodeTotal": graph.node_count(),
         "edgeTotal": graph.edge_count(),
@@ -214,66 +259,53 @@ def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool = False) -> int
     if validate_only:
         print(json.dumps(summary["counts"], sort_keys=True))
         return _EXIT_OK
-    ingest.save_state(graph, _graph_dir(out_dir))
-    _write_json(out_dir / "graph-summary.json", summary)
-    state = PipelineState(out_dir)
-    state.mark("build", cfg.seed, risk_cfg.convention.value)
+    state.save(graph)
+    state.write_artifact("graph-summary.json", **summary)
+    state.mark()
     print(f"build: {graph.node_count()} nodes, {graph.edge_count()} edges")
     return _EXIT_OK
 
 
 def cmd_synth_logs(cfg: RunConfig, out_dir: Path) -> int:
     cfg.validate_paths()
-    state = PipelineState(out_dir)
-    state.require("build")
-    risk_cfg = cfg.risk_config()
-    state.check_consistency(cfg.seed, risk_cfg.convention.value)
+    state = PipelineState.open(cfg, out_dir, "synth-logs")
     testbed = ingest.load_testbed(cfg.paths["testbed"])
     profile = cfg.profile()
     baseline = logsynth.generate(testbed, profile)
-    secured = logsynth.generate_secured(testbed, profile, cfg.controls(testbed, risk_cfg))
+    secured = logsynth.generate_secured(testbed, profile,
+                                        cfg.controls(testbed, state.risk_cfg))
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
     logsynth.write_log_csv(baseline, logs_dir / "baseline.csv")
     logsynth.write_log_csv(secured, logs_dir / "secured.csv")
-    state.mark("synth-logs", cfg.seed, risk_cfg.convention.value)
+    state.mark()
     print(f"synth-logs: {len(baseline)} baseline, {len(secured)} secured records")
     return _EXIT_OK
 
 
 def cmd_annotate(cfg: RunConfig, out_dir: Path) -> int:
-    state = PipelineState(out_dir)
-    state.require("build")
-    state.require("synth-logs")
-    risk_cfg = cfg.risk_config()
-    state.check_consistency(cfg.seed, risk_cfg.convention.value)
-    graph = ingest.load_state(_graph_dir(out_dir))
+    state = PipelineState.open(cfg, out_dir, "annotate")
+    graph = state.upstream()
     logs = logsynth.load_log_csv(out_dir / "logs" / "baseline.csv")
-    count = risk.annotate(graph, logs, risk_cfg)
+    count = risk.annotate(graph, logs, state.risk_cfg)
     missing = audit_risk_completeness(graph)
     if missing:
         raise InvariantViolation(
             f"{len(missing)} communication edges lack risk attributes after annotation")
-    ingest.save_state(graph, _graph_dir(out_dir))
-    _write_json(out_dir / "annotate-report.json", {
-        "schemaVersion": reports.SCHEMA_VERSION,
-        "edgesAnnotated": count,
-        "convention": risk_cfg.convention.value,
-    })
-    state.mark("annotate", cfg.seed, risk_cfg.convention.value)
+    state.save(graph)
+    state.write_artifact("annotate-report.json", edgesAnnotated=count,
+                         convention=state.convention)
+    state.mark()
     print(f"annotate: {count} communication edges scored")
     return _EXIT_OK
 
 
 def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
-    state = PipelineState(out_dir)
-    state.require("annotate")
-    risk_cfg = cfg.risk_config()
-    state.check_consistency(cfg.seed, risk_cfg.convention.value)
-    graph = ingest.load_state(_graph_dir(out_dir))
-    frozen = ingest.load_state(_graph_dir(out_dir))
+    state = PipelineState.open(cfg, out_dir, "enrich")
+    graph = state.upstream()
+    frozen = state.upstream()
     frozen.finalize()
-    view = frozen.project_view(Configuration.ORIGINAL, risk_cfg.prune_threshold)
+    view = frozen.project_view(Configuration.ORIGINAL, state.risk_cfg.prune_threshold)
     dim = int(cfg.enrichment.get("dim", enrich.DEFAULT_DIM))
     weights = tuple(cfg.enrichment.get("iterationWeights",
                                        enrich.DEFAULT_ITERATION_WEIGHTS))
@@ -284,68 +316,41 @@ def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
     for edge in links:
         graph.upsert_edge(edge)
     logs = logsynth.load_log_csv(out_dir / "logs" / "baseline.csv")
-    risk.annotate(graph, logs, risk_cfg)
-    ingest.save_state(graph, _graph_dir(out_dir))
+    risk.annotate(graph, logs, state.risk_cfg)
+    state.save(graph)
     _write(out_dir / "embeddings.csv", emb.to_csv())
-    _write_json(out_dir / "enrich-report.json", {
-        "schemaVersion": reports.SCHEMA_VERSION,
-        "possibleLinks": len(links),
-        "dim": dim,
-        "topK": top_k,
-    })
-    state.mark("enrich", cfg.seed, risk_cfg.convention.value)
+    state.write_artifact("enrich-report.json", possibleLinks=len(links), dim=dim,
+                         topK=top_k)
+    state.mark()
     print(f"enrich: {len(links)} possible-communication links inferred")
     return _EXIT_OK
 
 
-def cmd_controls(cfg: RunConfig, out_dir: Path) -> int:
-    state = PipelineState(out_dir)
-    state.require("annotate")
-    risk_cfg = cfg.risk_config()
-    state.check_consistency(cfg.seed, risk_cfg.convention.value)
-    graph = ingest.load_state(_graph_dir(out_dir))
-    controls = cfg.controls(ingest.load_testbed(cfg.paths["testbed"]), risk_cfg)
+def cmd_controls(cfg: RunConfig, out_dir: Path, profile: Optional[str] = None) -> int:
+    if profile:
+        cfg.control_profile = profile
+    state = PipelineState.open(cfg, out_dir, "controls")
+    graph = state.upstream()
+    controls = cfg.controls(ingest.load_testbed(cfg.paths["testbed"]), state.risk_cfg)
     secured = logsynth.load_log_csv(out_dir / "logs" / "secured.csv")
-    report = risk.apply_controls(graph, controls, secured, risk_cfg)
-    ingest.save_state(graph, _graph_dir(out_dir))
-    _write_json(out_dir / "controls-report.json", {
-        "schemaVersion": reports.SCHEMA_VERSION,
-        "edgesRecomputed": report.edges_recomputed,
-        "edgesPruned": report.edges_pruned,
-        "profile": cfg.control_profile,
-        "controls": sorted(controls.controls),
-    })
-    state.mark("controls", cfg.seed, risk_cfg.convention.value)
+    report = risk.apply_controls(graph, controls, secured, state.risk_cfg)
+    state.save(graph)
+    state.write_artifact("controls-report.json",
+                         edgesRecomputed=report.edges_recomputed,
+                         edgesPruned=report.edges_pruned,
+                         profile=cfg.control_profile,
+                         controls=sorted(controls.controls))
+    state.mark()
     print(f"controls: {report.edges_recomputed} recomputed, "
           f"{report.edges_pruned} below prune threshold")
     return _EXIT_OK
 
 
-def _build_views(graph: Graph, risk_cfg: RiskConfig, state: PipelineState,
-                 wanted: list[Configuration]) -> dict[Configuration, GraphView]:
-    views = {}
-    for config in wanted:
-        if config is Configuration.ENRICHED:
-            state.require("enrich")
-        elif config is Configuration.CONTROLLED:
-            state.require("controls")
-        views[config] = graph.project_view(config, risk_cfg.prune_threshold)
-    return views
-
-
-def cmd_simulate(cfg: RunConfig, out_dir: Path, config_name: str = "all") -> int:
-    state = PipelineState(out_dir)
-    state.require("annotate")
-    risk_cfg = cfg.risk_config()
-    state.check_consistency(cfg.seed, risk_cfg.convention.value)
-    if config_name == "all":
-        wanted = [Configuration.ORIGINAL, Configuration.ENRICHED,
-                  Configuration.CONTROLLED]
-    else:
-        wanted = [Configuration(config_name)]
-    graph = ingest.load_state(_graph_dir(out_dir))
-    graph.finalize()
-    views = _build_views(graph, risk_cfg, state, wanted)
+def cmd_simulate(cfg: RunConfig, out_dir: Path, sim_config: str = "all") -> int:
+    state = PipelineState.open(cfg, out_dir, "simulate")
+    wanted = list(Configuration) if sim_config == "all" \
+        else [Configuration(sim_config)]
+    views = state.views(*wanted)
     catalog = scenarios.load_scenarios(cfg.paths["scenarios"])
     suite = scenarios.run_suite(views, catalog)
     sim_dir = out_dir / "propagation"
@@ -354,7 +359,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, config_name: str = "all") -> int
     _write(sim_dir / "plot_hops.csv", reports.hop_plot_csv(suite))
     _write(sim_dir / "plot_affected.csv", reports.affected_plot_csv(suite))
     _write(sim_dir / "plot_mean_ci.csv", reports.mean_ci_csv(suite))
-    state.mark("simulate", cfg.seed, risk_cfg.convention.value)
+    state.mark()
     for agg in suite.aggregates:
         print(f"simulate[{agg.config}]: mean hops {agg.mean_hops:.3f} "
               f"over {agg.sample_count} paths")
@@ -362,63 +367,57 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, config_name: str = "all") -> int
 
 
 def cmd_report(cfg: RunConfig, out_dir: Path, table: str = "all",
-               top: int = 10, view_name: str = "Enriched") -> int:
-    state = PipelineState(out_dir)
-    state.require("annotate")
-    risk_cfg = cfg.risk_config()
-    state.check_consistency(cfg.seed, risk_cfg.convention.value)
-    graph = ingest.load_state(_graph_dir(out_dir))
-    graph.finalize()
+               top: int = 10, view: str = "Enriched") -> int:
+    state = PipelineState.open(cfg, out_dir, "report")
     rep_dir = out_dir / "reports"
+    original, enriched, controlled = Configuration
 
     def want(name: str) -> bool:
         return table in ("all", name)
 
     if want("interproduct"):
-        view = _build_views(graph, risk_cfg, state, [Configuration(view_name)])
-        rows = analytics.rank_interproduct_risk(view[Configuration(view_name)], top)
+        config = Configuration(view)
+        rows = analytics.rank_interproduct_risk(state.views(config)[config], top)
         _write(rep_dir / "interproduct.csv", reports.interproduct_csv(rows))
         _write(rep_dir / "interproduct.json", reports.rows_json(rows))
     if want("centrality"):
-        views = _build_views(graph, risk_cfg, state,
-                             [Configuration.ORIGINAL, Configuration.ENRICHED])
-        rows = scenarios.centrality_delta(views[Configuration.ORIGINAL],
-                                          views[Configuration.ENRICHED])
+        views = state.views(original, enriched)
+        rows = scenarios.centrality_delta(views[original], views[enriched])
         _write(rep_dir / "centrality.csv", reports.centrality_csv(rows))
     if want("communities"):
-        views = _build_views(graph, risk_cfg, state, [Configuration.ENRICHED])
-        community_report = analytics.louvain(views[Configuration.ENRICHED],
+        community_report = analytics.louvain(state.views(enriched)[enriched],
                                              weighted=False, seed=cfg.seed)
         _write(rep_dir / "communities.csv", reports.communities_csv(community_report))
     if want("residual"):
-        views = _build_views(graph, risk_cfg, state,
-                             [Configuration.ORIGINAL, Configuration.ENRICHED,
-                              Configuration.CONTROLLED])
-        rows = analytics.residual_risk_report(views)
+        rows = analytics.residual_risk_report(state.views(original, enriched, controlled))
         _write(rep_dir / "residual.csv", reports.residual_csv(rows))
         _write(rep_dir / "residual.json", reports.rows_json(rows))
-    state.mark("report", cfg.seed, risk_cfg.convention.value)
+    state.mark()
     print(f"report: tables written to {rep_dir}")
     return _EXIT_OK
 
 
-def cmd_export(cfg: RunConfig, out_dir: Path, view_name: str = "Original",
+def cmd_export(cfg: RunConfig, out_dir: Path, view: str = "Original",
                fmt: str = "all") -> int:
-    state = PipelineState(out_dir)
-    state.require("build")
-    risk_cfg = cfg.risk_config()
-    graph = ingest.load_state(_graph_dir(out_dir))
-    graph.finalize()
-    config = Configuration(view_name)
-    view = _build_views(graph, risk_cfg, state, [config])[config]
+    state = PipelineState.open(cfg, out_dir, "export")
+    config = Configuration(view)
+    projected = state.views(config)[config]
     export_dir = out_dir / "export" / config.value.lower()
     formats = ["dot", "graphml", "edge-csv"] if fmt == "all" else [fmt]
     names = {"dot": "graph.dot", "graphml": "graph.graphml", "edge-csv": "edges.csv"}
     for f in formats:
-        _write(export_dir / names[f], view.export(f))
-    _write(export_dir / "nodes.csv", ingest.write_node_csv(graph))
+        _write(export_dir / names[f], projected.export(f))
+    _write(export_dir / "nodes.csv", ingest.write_node_csv(state.graph))
     print(f"export: {', '.join(formats)} written to {export_dir}")
     return _EXIT_OK
+
+
+# Each subcommand's function: it takes the run config, the output directory
+# and the subcommand's own options as keywords named after their dests.
+COMMANDS = {"build": cmd_build, "synth-logs": cmd_synth_logs,
+            "annotate": cmd_annotate, "enrich": cmd_enrich,
+            "controls": cmd_controls, "simulate": cmd_simulate,
+            "report": cmd_report, "export": cmd_export}
 
 
 # ---------------------------------------------------------------------------
@@ -469,40 +468,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command, out_dir, seed, convention, config_path = (
+        options.pop(key) for key in ("command", "out", "seed", "convention", "config"))
+    config_path = config_path or default_config_path()
     try:
-        config_path = args.config if args.config is not None else default_config_path()
         if not Path(config_path).exists():
             print(f"error: run config not found: {config_path}", file=sys.stderr)
             return _EXIT_INPUT
         cfg = RunConfig.load(Path(config_path))
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.convention is not None:
-            cfg.convention = args.convention
-        out_dir = args.out
-        if args.command == "build":
-            return cmd_build(cfg, out_dir, validate_only=args.validate_only)
-        if args.command == "synth-logs":
-            return cmd_synth_logs(cfg, out_dir)
-        if args.command == "annotate":
-            return cmd_annotate(cfg, out_dir)
-        if args.command == "enrich":
-            return cmd_enrich(cfg, out_dir)
-        if args.command == "controls":
-            if args.profile:
-                cfg.control_profile = args.profile
-            return cmd_controls(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, config_name=args.sim_config)
-        if args.command == "report":
-            return cmd_report(cfg, out_dir, table=args.table, top=args.top,
-                              view_name=args.view)
-        if args.command == "export":
-            return cmd_export(cfg, out_dir, view_name=args.view, fmt=args.fmt)
-        parser.error(f"unknown command {args.command!r}")
-        return _EXIT_INPUT
+        if seed is not None:
+            cfg.seed = seed
+        if convention is not None:
+            cfg.convention = convention
+        return COMMANDS[command](cfg, out_dir, **options)
     except StageOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_STAGE

@@ -188,8 +188,6 @@ class Node:
     props: dict[str, str] = field(default_factory=dict)
     criticality: int = 0
     zone: Optional[str] = None
-    # Dense index assigned at finalize(); analytics index arrays by it.
-    index: int = -1
 
     def validate(self) -> None:
         if not self.id:
@@ -273,10 +271,13 @@ class Graph:
                 f"{edge.kind.value} edges cannot carry risk attributes")
         self._edges[edge.key] = edge
 
+    def remove_edges(self, kinds: set[EdgeKind]) -> None:
+        """Drop every edge of the given kinds."""
+        self._check_mutable()
+        self._edges = {key: e for key, e in self._edges.items() if e.kind not in kinds}
+
     def finalize(self) -> None:
-        """Freeze the graph and assign dense node indexes (sorted by id)."""
-        for i, node_id in enumerate(sorted(self._nodes)):
-            self._nodes[node_id].index = i
+        """Freeze the graph: any later mutation raises :class:`GraphFinalized`."""
         self._finalized = True
 
     def _check_mutable(self) -> None:
@@ -423,19 +424,20 @@ class GraphView:
         raise ValueError(f"unsupported export format {fmt!r}")
 
     def _export_dot(self) -> bytes:
+        q = _dot_quote
         lines = [f"digraph {self.config.value.lower()} {{"]
         for node in self.graph.nodes():
             attrs = [f'kind="{node.kind.value}"']
             if node.zone:
-                attrs.append(f'zone="{node.zone}"')
+                attrs.append(f'zone={q(node.zone)}')
             if node.kind is NodeKind.PRODUCT:
                 attrs.append(f'criticality="{node.criticality}"')
-            lines.append(f'  "{node.id}" [{" ".join(attrs)}];')
+            lines.append(f'  {q(node.id)} [{" ".join(attrs)}];')
         for e in self.edges:
             attrs = [f'kind="{e.kind.value}"']
             if e.risk is not None:
                 attrs.append(f'riskWeight="{e.risk.risk_weight!r}"')
-            lines.append(f'  "{e.src}" -> "{e.dst}" [{" ".join(attrs)}];')
+            lines.append(f'  {q(e.src)} -> {q(e.dst)} [{" ".join(attrs)}];')
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -483,6 +485,11 @@ class GraphView:
             for e in self.edges))
 
 
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 # ---------------------------------------------------------------------------
 # Whole-graph audits used by the invariant test suite
 # ---------------------------------------------------------------------------
@@ -520,20 +527,34 @@ def audit_risk_completeness(graph: Graph) -> list[str]:
 # The on-disk dialect: every CSV and JSON file icskg reads or writes
 # ---------------------------------------------------------------------------
 
+class _Lines(list):
+    """csv.writer target: each row (one write() call) without its CRLF."""
+
+    def write(self, row: str) -> None:
+        self.append(row[:-2])
+
+
 def write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     """Header plus rows as UTF-8 CSV with LF line ends; a field is quoted
-    only when it holds a comma, a double quote or a line feed."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    only when it holds a comma, a double quote, a line feed or a carriage
+    return."""
+    lines = _Lines()
+    # csv.writer quotes a field holding a character of its terminator: CRLF.
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+    lines.append("")
+    text = "\n".join(lines)
+    lines.clear()
+    return text.encode("utf-8")
 
 
 def read_csv(path: str | Path, required: Sequence[str]) -> csv.DictReader:
     """Rows of a UTF-8 CSV file as dicts; a required column missing from the
     header raises :class:`MissingColumn`."""
-    reader = csv.DictReader(StringIO(Path(path).read_text(encoding="utf-8")))
+    # Bytes are decoded without newline translation: csv splits the rows
+    # itself, and a quoted carriage return is part of its field.
+    reader = csv.DictReader(StringIO(Path(path).read_bytes().decode("utf-8")))
     header = reader.fieldnames or []
     for col in required:
         if col not in header:

@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from icskg.config import CONTROL_NAMES, ControlOverrides
 from icskg.errors import InvalidProfile
 from icskg.graph import read_csv, write_csv
-from icskg.ingest import ControlProfileSpec, TestbedSpec
+from icskg.ingest import ControlProfileSpec, Dataflow, TestbedSpec
 
 LOG_CSV_HEADER = ["timestamp", "src", "dst", "protocol", "authMode",
                   "securityMode", "event", "clientIp"]
@@ -257,15 +257,24 @@ def _generate_flow(flow_index: int, src: str, dst: str, protocol: str,
     return records
 
 
-def generate(testbed: TestbedSpec, profile: SynthProfile) -> list[LogRecord]:
-    """Baseline log stream: one sub-stream per dataflow, merged by time."""
-    profile.validate()
+def _merged_flows(testbed: TestbedSpec, profile: SynthProfile,
+                  silent: Callable[[Dataflow], bool]) -> list[LogRecord]:
+    """One sub-stream per dataflow that is not ``silent``, merged by time
+    (ties by flow index, then by position in the flow)."""
     merged: list[tuple[str, int, int, LogRecord]] = []
     for flow_index, flow in enumerate(testbed.dataflows):
+        if silent(flow):
+            continue
         recs = _generate_flow(flow_index, flow.src, flow.dst, flow.protocol, profile)
         merged.extend((r.timestamp, flow_index, i, r) for i, r in enumerate(recs))
     merged.sort(key=lambda t: (t[0], t[1], t[2]))
     return [t[3] for t in merged]
+
+
+def generate(testbed: TestbedSpec, profile: SynthProfile) -> list[LogRecord]:
+    """Baseline log stream: one sub-stream per dataflow, merged by time."""
+    profile.validate()
+    return _merged_flows(testbed, profile, lambda flow: False)
 
 
 def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
@@ -277,18 +286,12 @@ def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
     records at all.  Flow indexes match :func:`generate` so an empty control
     set reproduces the baseline byte-for-byte.
     """
-    secured = controls.secured_profile(profile)
     zones = {p.name: p.zone for p in testbed.products}
     segmented = "NetworkSegmentation" in controls.controls
-    merged: list[tuple[str, int, int, LogRecord]] = []
-    for flow_index, flow in enumerate(testbed.dataflows):
-        if segmented and zones[flow.src] != zones[flow.dst] \
-                and not controls.allows(flow.src, flow.dst):
-            continue
-        recs = _generate_flow(flow_index, flow.src, flow.dst, flow.protocol, secured)
-        merged.extend((r.timestamp, flow_index, i, r) for i, r in enumerate(recs))
-    merged.sort(key=lambda t: (t[0], t[1], t[2]))
-    return [t[3] for t in merged]
+    return _merged_flows(
+        testbed, controls.secured_profile(profile),
+        lambda flow: segmented and zones[flow.src] != zones[flow.dst]
+        and not controls.allows(flow.src, flow.dst))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from icskg.graph import (
     GraphView,
     RiskAttributes,
 )
-from icskg.ingest import CvssSummary, VulnRecord
+from icskg.ingest import CvssSummary
 from icskg.logsynth import ControlProfile, LogRecord
 
 logger = logging.getLogger(__name__)
@@ -229,14 +229,9 @@ class _VulnInfo:
     cvss: CvssSummary
 
 
-def _target_vulns(graph: Graph, product_id: str,
-                  vuln_index: Optional[dict[str, VulnRecord]]) -> list[_VulnInfo]:
+def _target_vulns(graph: Graph, product_id: str) -> list[_VulnInfo]:
     infos = []
     for edge in graph.out_edges(product_id, EdgeKind.HAS_VULNERABILITY):
-        if vuln_index is not None and edge.dst in vuln_index:
-            rec = vuln_index[edge.dst]
-            infos.append(_VulnInfo(rec.epss, rec.cvss))
-            continue
         node = graph.node(edge.dst)
         infos.append(_VulnInfo(
             epss=float(node.props.get("epss", 0.0)),
@@ -275,10 +270,9 @@ def _edge_weakness(graph: Graph, edge: Edge, index: LogIndex,
 
 
 def _score_edge(graph: Graph, edge: Edge, weakness: ControlFactors,
-                config: RiskConfig, vuln_index: Optional[dict[str, VulnRecord]],
-                epss_scale: float = 1.0) -> RiskAttributes:
+                config: RiskConfig, epss_scale: float = 1.0) -> RiskAttributes:
     cs = control_strength(weakness, config.convention)
-    vulns = _target_vulns(graph, edge.dst, vuln_index)
+    vulns = _target_vulns(graph, edge.dst)
     epss_list = [v.epss * epss_scale for v in vulns]
     p = p_exploit(epss_list, cs)
     cost = aggregate_attack_cost([
@@ -292,8 +286,7 @@ def _score_edge(graph: Graph, edge: Edge, weakness: ControlFactors,
 ANNOTATED_KINDS = (EdgeKind.COMMUNICATES_WITH, EdgeKind.HAS_POSSIBLE_COMMUNICATION)
 
 
-def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig,
-             vuln_index: Optional[dict[str, VulnRecord]] = None) -> int:
+def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig) -> int:
     """Attach RiskAttributes to every communication-family edge.
 
     Observed links use their exact pair's log records; inferred possible
@@ -310,7 +303,7 @@ def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig,
         for edge in graph.edges(kind):
             merged = kind is EdgeKind.HAS_POSSIBLE_COMMUNICATION
             weakness = _edge_weakness(graph, edge, index, config, merged)
-            edge.risk = _score_edge(graph, edge, weakness, config, vuln_index)
+            edge.risk = _score_edge(graph, edge, weakness, config)
             count += 1
     return count
 
@@ -323,9 +316,7 @@ class ControlApplicationReport:
 
 def apply_controls(graph: Graph, controls: ControlProfile,
                    secured_logs: Optional[Sequence[LogRecord]],
-                   config: RiskConfig,
-                   vuln_index: Optional[dict[str, VulnRecord]] = None,
-                   ) -> ControlApplicationReport:
+                   config: RiskConfig) -> ControlApplicationReport:
     """Mirror communication edges as CONTROLLED_COMMUNICATES_WITH edges with
     attributes recomputed from the secured logs.
 
@@ -357,7 +348,7 @@ def apply_controls(graph: Graph, controls: ControlProfile,
             else:
                 merged = kind is EdgeKind.HAS_POSSIBLE_COMMUNICATION
                 weakness = _edge_weakness(graph, edge, index, config, merged)
-                risk = _score_edge(graph, edge, weakness, config, vuln_index,
+                risk = _score_edge(graph, edge, weakness, config,
                                    epss_scale=epss_scale)
             mirror = Edge(edge.src, edge.dst, EdgeKind.CONTROLLED_COMMUNICATES_WITH,
                           risk=risk,

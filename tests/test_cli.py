@@ -92,9 +92,11 @@ def test_simulate_original_only_needs_annotate(tmp_path):
 def test_seed_mismatch_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--out", str(out), "build"]) == 0
-    code = main(["--out", str(out), "--seed", "777", "synth-logs"])
-    assert code == 2
-    assert "differs" in capsys.readouterr().err
+    for stage in ("synth-logs", "export"):
+        code = main(["--out", str(out), "--seed", "777", stage])
+        assert code == 2
+        assert "differs" in capsys.readouterr().err
+    assert not (out / "export").exists()
 
 
 def test_rerunning_stage_invalidates_downstream(tmp_path):
@@ -106,6 +108,46 @@ def test_rerunning_stage_invalidates_downstream(tmp_path):
     state = json.loads((out / "state.json").read_text())
     assert state["stages"] == ["build", "synth-logs", "annotate", "enrich"]
     assert main(["--out", str(out), "simulate", "--config", "Controlled"]) == 3
+
+
+def edge_kind_counts(out: Path) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for row in read_csv(out / "graph" / "edges.csv"):
+        counts[row["kind"]] = counts.get(row["kind"], 0) + 1
+    return counts
+
+
+def test_rerun_starts_from_upstream_state(tmp_path, pipeline_out):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    fixture_dir = default_config_path().parent
+    raw = json.loads(default_config_path().read_text())
+    raw["paths"] = {k: str(fixture_dir / v) for k, v in raw["paths"].items()}
+    raw["enrichment"]["topK"] = 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    run = ["--config", str(config), "--out", str(out)]
+
+    # enrich keeps none of the earlier run's links, nor the controls mirrors
+    assert main(run + ["enrich"]) == 0
+    links = json.loads((out / "enrich-report.json").read_text())["possibleLinks"]
+    assert links == 61
+    counts = edge_kind_counts(out)
+    assert counts["HAS_POSSIBLE_COMMUNICATION"] == links
+    assert "CONTROLLED_COMMUNICATES_WITH" not in counts
+
+    # annotate starts from the graph before enrich and controls
+    assert main(run + ["annotate"]) == 0
+    counts = edge_kind_counts(out)
+    assert "HAS_POSSIBLE_COMMUNICATION" not in counts
+    assert "CONTROLLED_COMMUNICATES_WITH" not in counts
+    assert counts["COMMUNICATES_WITH"] == 101
+
+    # controls mirrors exactly the edges it recomputed
+    assert main(run + ["controls"]) == 0
+    report = json.loads((out / "controls-report.json").read_text())
+    assert report["edgesRecomputed"] == 101
+    assert edge_kind_counts(out)["CONTROLLED_COMMUNICATES_WITH"] == 101
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,14 @@ def test_view_projection_is_pure():
 
 
 def test_export_dot_single_edge():
-    g = comm_graph([("A", "B")])
-    dot = g.project_view(Configuration.ORIGINAL).export("dot").decode()
-    assert dot.count("->") == 1
-    assert '"A" -> "B"' in dot
+    # The second id holds a double quote and the third ends in a backslash;
+    # DOT needs both escaped inside a quoted id.
+    for a, quoted in (("A", '"A"'), ('A,"1', r'"A,\"1"'), ("A\\", r'"A\\"')):
+        g = comm_graph([(a, "B")])
+        dot = g.project_view(Configuration.ORIGINAL).export("dot").decode()
+        assert dot.count("->") == 1
+        assert f'  {quoted} -> "B" [' in dot
+        assert f'  {quoted} [kind="Product"' in dot
 
 
 def test_export_deterministic():
@@ -203,8 +207,9 @@ def test_export_deterministic():
 
 
 def test_edge_csv_round_trip(tmp_path):
-    # The second id needs CSV quoting: it holds a comma and a double quote.
-    for a in ("A", 'A,"1'):
+    # The other ids need CSV quoting: a comma and a double quote, a bare
+    # carriage return.
+    for a in ("A", 'A,"1', "A\r1"):
         g = comm_graph([(a, "B", 0.25, 0.5), ("B", "C", 0.125, 0.25)])
         payload = g.project_view(Configuration.ORIGINAL).export("edge-csv")
 
