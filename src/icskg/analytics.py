@@ -2,9 +2,9 @@
 
 All algorithms are read-only, deterministic, and tie-broken lexicographically
 by external node id.  Views are multigraphs (a pair can carry both an
-observed and an inferred link): path finding collapses parallel edges to the
-cheapest one under the active weight policy, while centrality and community
-projections sum parallel edge weights.
+observed and an inferred link): path finding and betweenness collapse
+parallel edges to the cheapest one under the active weight policy, while
+PageRank and community projections sum parallel edge weights.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -62,9 +63,7 @@ class _PathGraph:
     """
 
     def __init__(self, view: GraphView, policy: WeightPolicy) -> None:
-        ids = sorted({n for e in view.edges for n in (e.src, e.dst)}
-                     | set(view.nodes()))
-        self.ids = ids
+        self.ids = ids = view.nodes()
         self.rank = {u: i for i, u in enumerate(ids)}
         best: dict[tuple[int, int], tuple[float, str, Edge]] = {}
         for e in view.edges:
@@ -255,37 +254,27 @@ def pagerank(view: GraphView, damping: float = 0.85, tol: float = 1e-8,
 
 def betweenness(view: GraphView, weighted: bool = False) -> dict[str, float]:
     """Exact betweenness via Brandes accumulation (unnormalized pair counts,
-    each unordered pair counted once)."""
-    nodes = view.nodes()
+    each unordered pair counted once).  Parallel edges collapse as for path
+    finding: hop counts unweighted, the cheapest riskWeight otherwise."""
+    pg = _PathGraph(view, WeightPolicy.RISK_COST if weighted else WeightPolicy.HOP)
+    nodes, adj = pg.ids, pg.adj
     if not nodes:
         raise EmptyGraph("betweenness requires a non-empty view")
-    adj = _weight_adjacency(view, weighted=False)
-    cost: dict[tuple[str, str], float] = {}
-    if weighted:
-        best: dict[frozenset[str], float] = {}
-        for e in view.edges:
-            w = e.risk.risk_weight if e.risk is not None else 0.0
-            pair = e.pair
-            if pair not in best or w < best[pair]:
-                best[pair] = w
-        for pair, w in best.items():
-            u, v = sorted(pair)
-            cost[(u, v)] = w
-            cost[(v, u)] = w
-    score = {u: 0.0 for u in nodes}
-    for s in nodes:
-        sigma = {u: 0.0 for u in nodes}
-        dist = {u: math.inf for u in nodes}
-        preds: dict[str, list[str]] = {u: [] for u in nodes}
+    n = len(nodes)
+    score = [0.0] * n
+    for s in range(n):
+        sigma = [0.0] * n
+        dist = [math.inf] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
         sigma[s] = 1.0
         dist[s] = 0.0
-        order: list[str] = []
+        order: list[int] = []
         if not weighted:
-            queue = [s]
+            queue = deque([s])
             while queue:
-                u = queue.pop(0)
+                u = queue.popleft()
                 order.append(u)
-                for v in sorted(adj.get(u, {})):
+                for v, _ in adj[u]:
                     if dist[v] == math.inf:
                         dist[v] = dist[u] + 1
                         queue.append(v)
@@ -294,30 +283,30 @@ def betweenness(view: GraphView, weighted: bool = False) -> dict[str, float]:
                         preds[v].append(u)
         else:
             heap = [(0.0, s)]
-            done = set()
+            done = [False] * n
             while heap:
                 d, u = heapq.heappop(heap)
-                if u in done:
+                if done[u]:
                     continue
-                done.add(u)
+                done[u] = True
                 order.append(u)
-                for v in sorted(adj.get(u, {})):
-                    nd = d + cost[(u, v)]
+                for v, w in adj[u]:
+                    nd = d + w
                     if nd < dist[v]:
                         dist[v] = nd
                         sigma[v] = sigma[u]
                         preds[v] = [u]
                         heapq.heappush(heap, (nd, v))
-                    elif nd == dist[v] and v not in done:
+                    elif nd == dist[v] and not done[v]:
                         sigma[v] += sigma[u]
                         preds[v].append(u)
-        delta = {u: 0.0 for u in nodes}
+        delta = [0.0] * n
         for u in reversed(order):
             for p in preds[u]:
                 delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
             if u != s:
                 score[u] += delta[u]
-    return {u: score[u] / 2.0 for u in nodes}
+    return {u: score[i] / 2.0 for i, u in enumerate(nodes)}
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +327,6 @@ class CommunityReport:
     communities: list[Community]
     modularity: float
     modularity_trace: list[float]
-
-    def partition(self) -> dict[str, str]:
-        return {m: c.id for c in self.communities for m in c.members}
 
 
 def _modularity(partition: dict[str, int], adj: dict[str, dict[str, float]],

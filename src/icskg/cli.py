@@ -301,15 +301,21 @@ def cmd_annotate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
+    dim = int(cfg.enrichment.get("dim", enrich.DEFAULT_DIM))
+    weights = tuple(cfg.enrichment.get("iterationWeights",
+                                       enrich.DEFAULT_ITERATION_WEIGHTS))
+    top_k = int(cfg.enrichment.get("topK", enrich.DEFAULT_TOP_K))
+    if dim < 1:
+        raise IcskgError(f"enrichment.dim must be at least 1, got {dim}")
+    if not weights:
+        raise IcskgError("enrichment.iterationWeights must not be empty")
+    if top_k < 0:
+        raise IcskgError(f"enrichment.topK must not be negative, got {top_k}")
     state = PipelineState.open(cfg, out_dir, "enrich")
     graph = state.upstream()
     frozen = state.upstream()
     frozen.finalize()
     view = frozen.project_view(Configuration.ORIGINAL, state.risk_cfg.prune_threshold)
-    dim = int(cfg.enrichment.get("dim", enrich.DEFAULT_DIM))
-    weights = tuple(cfg.enrichment.get("iterationWeights",
-                                       enrich.DEFAULT_ITERATION_WEIGHTS))
-    top_k = int(cfg.enrichment.get("topK", enrich.DEFAULT_TOP_K))
     emb = enrich.fastrp_embed(view, dim=dim, iteration_weights=weights,
                               seed=cfg.seed)
     links = enrich.knn_possible_links(emb, view, top_k=top_k)
@@ -368,6 +374,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, sim_config: str = "all") -> int:
 
 def cmd_report(cfg: RunConfig, out_dir: Path, table: str = "all",
                top: int = 10, view: str = "Enriched") -> int:
+    if top < 0:
+        raise IcskgError(f"--top must not be negative, got {top}")
     state = PipelineState.open(cfg, out_dir, "report")
     rep_dir = out_dir / "reports"
     original, enriched, controlled = Configuration

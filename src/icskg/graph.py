@@ -320,13 +320,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def out_edges(self, node_id: str, kind: Optional[EdgeKind] = None) -> list[Edge]:
-        self.node(node_id)
-        out = [e for e in self._edges.values()
-               if e.src == node_id and (kind is None or e.kind is kind)]
-        out.sort(key=lambda e: e.key)
-        return out
-
     def counts_by_kind(self) -> dict[str, dict[str, int]]:
         nodes: dict[str, int] = {}
         for n in self._nodes.values():

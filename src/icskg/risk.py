@@ -21,9 +21,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from icskg.config import Convention, FactorCoefficients, RiskConfig
+from icskg.config import (
+    DEFAULT_F_AC,
+    DEFAULT_F_AV,
+    Convention,
+    FactorCoefficients,
+    RiskConfig,
+)
 from icskg.errors import DiscontiguousPath, GraphFinalized, MissingSecuredLogs
 from icskg.graph import (
     Edge,
@@ -199,9 +205,8 @@ def attack_cost(cvss: CvssSummary, epss: float,
                 f_ac: Optional[dict[str, float]] = None,
                 f_av: Optional[dict[str, float]] = None) -> float:
     """Adversary-effort estimate for a single CVE (unclamped, >= 0)."""
-    cfg = RiskConfig()
-    f_ac = f_ac if f_ac is not None else cfg.f_ac
-    f_av = f_av if f_av is not None else cfg.f_av
+    f_ac = f_ac if f_ac is not None else DEFAULT_F_AC
+    f_av = f_av if f_av is not None else DEFAULT_F_AV
     return cvss.base_score / 10.0 + f_ac[cvss.access_complexity] \
         + f_av[cvss.attack_vector] + epss
 
@@ -220,31 +225,6 @@ def risk_weight(p: float, criticality: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vulnerability lookup
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _VulnInfo:
-    epss: float
-    cvss: CvssSummary
-
-
-def _target_vulns(graph: Graph, product_id: str) -> list[_VulnInfo]:
-    infos = []
-    for edge in graph.out_edges(product_id, EdgeKind.HAS_VULNERABILITY):
-        node = graph.node(edge.dst)
-        infos.append(_VulnInfo(
-            epss=float(node.props.get("epss", 0.0)),
-            cvss=CvssSummary(
-                base_score=float(node.props.get("baseScore", 5.0)),
-                access_complexity=node.props.get("accessComplexity", "Low"),
-                attack_vector=node.props.get("attackVector", "Network"),
-            ),
-        ))
-    return infos
-
-
-# ---------------------------------------------------------------------------
 # Annotation
 # ---------------------------------------------------------------------------
 
@@ -260,30 +240,48 @@ def _zone_weakness(graph: Graph, src: str, dst: str,
     return ControlFactors(*weaker)
 
 
-def _edge_weakness(graph: Graph, edge: Edge, index: LogIndex,
-                   config: RiskConfig, merged: bool) -> ControlFactors:
-    stats = index.merged(edge.src, edge.dst) if merged \
-        else index.pair(edge.src, edge.dst)
+def _communication_stats(graph: Graph, index: LogIndex
+                         ) -> Iterator[tuple[Edge, Optional[PairStats]]]:
+    """Each communication edge with the log statistics it is scored from:
+    the pair's own for an observed link, both endpoints' merged for an
+    inferred one."""
+    for edge in graph.edges(EdgeKind.COMMUNICATES_WITH):
+        yield edge, index.pair(edge.src, edge.dst)
+    for edge in graph.edges(EdgeKind.HAS_POSSIBLE_COMMUNICATION):
+        yield edge, index.merged(edge.src, edge.dst)
+
+
+_Vulns = dict[str, list[tuple[float, CvssSummary]]]
+
+
+def _product_vulns(graph: Graph) -> _Vulns:
+    """(epss, CVSS summary) of each product's CVEs, in CVE id order."""
+    vulns: _Vulns = {}
+    for edge in graph.edges(EdgeKind.HAS_VULNERABILITY):
+        props = graph.node(edge.dst).props
+        vulns.setdefault(edge.src, []).append((
+            float(props.get("epss", 0.0)),
+            CvssSummary(base_score=float(props.get("baseScore", 5.0)),
+                        access_complexity=props.get("accessComplexity", "Low"),
+                        attack_vector=props.get("attackVector", "Network"))))
+    return vulns
+
+
+def _score(graph: Graph, edge: Edge, stats: Optional[PairStats], vulns: _Vulns,
+           config: RiskConfig, epss_scale: float = 1.0) -> RiskAttributes:
     if stats is None or stats.empty:
-        return _zone_weakness(graph, edge.src, edge.dst, config)
-    return weakness_from_stats(stats, config.coefficients)
-
-
-def _score_edge(graph: Graph, edge: Edge, weakness: ControlFactors,
-                config: RiskConfig, epss_scale: float = 1.0) -> RiskAttributes:
+        weakness = _zone_weakness(graph, edge.src, edge.dst, config)
+    else:
+        weakness = weakness_from_stats(stats, config.coefficients)
     cs = control_strength(weakness, config.convention)
-    vulns = _target_vulns(graph, edge.dst)
-    epss_list = [v.epss * epss_scale for v in vulns]
-    p = p_exploit(epss_list, cs)
+    cves = vulns.get(edge.dst, ())
+    p = p_exploit([epss * epss_scale for epss, _ in cves], cs)
     cost = aggregate_attack_cost([
-        attack_cost(v.cvss, v.epss * epss_scale, config.f_ac, config.f_av)
-        for v in vulns])
+        attack_cost(cvss, epss * epss_scale, config.f_ac, config.f_av)
+        for epss, cvss in cves])
     rw = risk_weight(p, graph.node(edge.dst).criticality)
     return RiskAttributes(control_strength=cs, p_exploit=p,
                           attack_cost=cost, risk_weight=rw)
-
-
-ANNOTATED_KINDS = (EdgeKind.COMMUNICATES_WITH, EdgeKind.HAS_POSSIBLE_COMMUNICATION)
 
 
 def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig) -> int:
@@ -297,14 +295,11 @@ def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig) -> int
     """
     if graph.finalized:
         raise GraphFinalized("graph is finalized; annotate cannot rescore its edges")
-    index = LogIndex(logs)
+    vulns = _product_vulns(graph)
     count = 0
-    for kind in ANNOTATED_KINDS:
-        for edge in graph.edges(kind):
-            merged = kind is EdgeKind.HAS_POSSIBLE_COMMUNICATION
-            weakness = _edge_weakness(graph, edge, index, config, merged)
-            edge.risk = _score_edge(graph, edge, weakness, config)
-            count += 1
+    for edge, stats in _communication_stats(graph, LogIndex(logs)):
+        edge.risk = _score(graph, edge, stats, vulns, config)
+        count += 1
     return count
 
 
@@ -328,35 +323,30 @@ def apply_controls(graph: Graph, controls: ControlProfile,
     """
     if secured_logs is None:
         raise MissingSecuredLogs("apply_controls requires a secured log stream")
-    index = LogIndex(secured_logs)
     segmented = "NetworkSegmentation" in controls.controls
     epss_scale = controls.overrides.epss_scale \
         if "PatchManagement" in controls.controls else 1.0
+    vulns = _product_vulns(graph)
     recomputed = 0
     pruned = 0
-    for kind in ANNOTATED_KINDS:
-        for edge in graph.edges(kind):
-            src_zone = graph.node(edge.src).zone
-            dst_zone = graph.node(edge.dst).zone
-            blocked = segmented and src_zone != dst_zone \
-                and not controls.allows(edge.src, edge.dst)
-            if blocked:
-                zero = ControlFactors(0.0, 0.0, 0.0, 0.0)
-                cs = control_strength(zero, config.convention)
-                risk = RiskAttributes(control_strength=cs, p_exploit=0.0,
-                                      attack_cost=0.0, risk_weight=0.0)
-            else:
-                merged = kind is EdgeKind.HAS_POSSIBLE_COMMUNICATION
-                weakness = _edge_weakness(graph, edge, index, config, merged)
-                risk = _score_edge(graph, edge, weakness, config,
-                                   epss_scale=epss_scale)
-            mirror = Edge(edge.src, edge.dst, EdgeKind.CONTROLLED_COMMUNICATES_WITH,
-                          risk=risk,
-                          props={**edge.props, "mirrors": kind.value})
-            graph.upsert_edge(mirror)
-            recomputed += 1
-            if risk.risk_weight < config.prune_threshold:
-                pruned += 1
+    for edge, stats in _communication_stats(graph, LogIndex(secured_logs)):
+        blocked = segmented \
+            and graph.node(edge.src).zone != graph.node(edge.dst).zone \
+            and not controls.allows(edge.src, edge.dst)
+        if blocked:
+            zero = ControlFactors(0.0, 0.0, 0.0, 0.0)
+            cs = control_strength(zero, config.convention)
+            risk = RiskAttributes(control_strength=cs, p_exploit=0.0,
+                                  attack_cost=0.0, risk_weight=0.0)
+        else:
+            risk = _score(graph, edge, stats, vulns, config, epss_scale)
+        mirror = Edge(edge.src, edge.dst, EdgeKind.CONTROLLED_COMMUNICATES_WITH,
+                      risk=risk,
+                      props={**edge.props, "mirrors": edge.kind.value})
+        graph.upsert_edge(mirror)
+        recomputed += 1
+        if risk.risk_weight < config.prune_threshold:
+            pruned += 1
     return ControlApplicationReport(recomputed, pruned)
 
 

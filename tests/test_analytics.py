@@ -4,6 +4,8 @@ oracles, plus the ranking reports."""
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -245,11 +247,30 @@ def test_betweenness_complete_graph_zero():
     assert all(v == 0.0 for v in betweenness(original(g)).values())
 
 
+def random_enriched_view(rng: random.Random, max_nodes: int = 8):
+    """Enriched view of random observed and inferred links; a pair may
+    carry both, each with its own riskWeight."""
+    ids = [f"N{i:02d}" for i in range(rng.randint(2, max_nodes))]
+    g = Graph()
+    for node_id in ids:
+        add_product(g, node_id)
+    for a, b in combinations(ids, 2):
+        for kind in (EdgeKind.COMMUNICATES_WITH, EdgeKind.HAS_POSSIBLE_COMMUNICATION):
+            if rng.random() < 0.35:
+                src, dst = (a, b) if rng.random() < 0.5 else (b, a)
+                add_comm(g, src, dst, risk_weight=rng.uniform(0.01, 0.9), kind=kind)
+    g.finalize()
+    return g.project_view(Configuration.ENRICHED)
+
+
 def test_betweenness_oracle_agreement_random():
     rng = random.Random(555)
-    for _ in range(12):
-        g = random_comm_graph(rng, max_nodes=8)
-        view = original(g)
+    views = [original(random_comm_graph(rng, max_nodes=8)) for _ in range(12)]
+    views += [random_enriched_view(rng) for _ in range(12)]
+    parallel = [pair for view in views
+                for pair, n in Counter(e.pair for e in view.edges).items() if n > 1]
+    assert len(parallel) >= 5
+    for view in views:
         for weighted in (False, True):
             scores = betweenness(view, weighted=weighted)
             oracle = betweenness_oracle(view, weighted=weighted)

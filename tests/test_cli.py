@@ -7,6 +7,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from conftest import PIPELINE_STAGES as STAGES, tree_digest
 from icskg.cli import default_config_path, main
 
@@ -117,16 +119,21 @@ def edge_kind_counts(out: Path) -> dict[str, int]:
     return counts
 
 
-def test_rerun_starts_from_upstream_state(tmp_path, pipeline_out):
-    out = tmp_path / "out"
-    shutil.copytree(pipeline_out, out)
+def fixture_config(tmp_path: Path, **enrichment) -> Path:
+    """A copy of the fixture run config with the given enrichment settings."""
     fixture_dir = default_config_path().parent
     raw = json.loads(default_config_path().read_text())
     raw["paths"] = {k: str(fixture_dir / v) for k, v in raw["paths"].items()}
-    raw["enrichment"]["topK"] = 1
+    raw["enrichment"].update(enrichment)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
-    run = ["--config", str(config), "--out", str(out)]
+    return config
+
+
+def test_rerun_starts_from_upstream_state(tmp_path, pipeline_out):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    run = ["--config", str(fixture_config(tmp_path, topK=1)), "--out", str(out)]
 
     # enrich keeps none of the earlier run's links, nor the controls mirrors
     assert main(run + ["enrich"]) == 0
@@ -194,6 +201,22 @@ def test_report_top_n(tmp_path, pipeline_out):
     assert len(rows) == 5
     risks = [float(r["risk"]) for r in rows]
     assert risks == sorted(risks, reverse=True)
+
+
+@pytest.mark.parametrize("enrichment, argv, setting", [
+    ({}, ["report", "--top", "-3"], "--top"),
+    ({"dim": 0}, ["enrich"], "enrichment.dim"),
+    ({"iterationWeights": []}, ["enrich"], "enrichment.iterationWeights"),
+    ({"topK": -1}, ["enrich"], "enrichment.topK"),
+], ids=["top", "dim", "iterationWeights", "topK"])
+def test_out_of_range_setting_exits_2(tmp_path, pipeline_out, capsys,
+                                      enrichment, argv, setting):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    config = fixture_config(tmp_path, **enrichment)
+    assert main(["--config", str(config), "--out", str(out), *argv]) == 2
+    assert setting in capsys.readouterr().err
+    assert tree_digest(out) == tree_digest(pipeline_out)
 
 
 def test_residual_controlled_not_above_enriched(pipeline_out):

@@ -377,6 +377,29 @@ def test_apply_controls_noop_profile_keeps_attributes():
     assert report.edges_pruned == expected_pruned
 
 
+def test_apply_controls_patch_management_scales_epss():
+    cfg = RiskConfig()
+    g = two_product_graph(epss_list=(0.6, 0.25), criticality=8)
+    g.upsert_node(Node(id="CVE-1", kind=NodeKind.VULNERABILITY,
+                       props={"epss": repr(0.25), "baseScore": "9.8",
+                              "accessComplexity": "High",
+                              "attackVector": "Adjacent"}))
+    logs = build_log_set()
+    controls = ControlProfile(controls={"PatchManagement"})
+    scale = controls.overrides.epss_scale
+    apply_controls(g, controls, logs, cfg)
+    mirror = g.edge("A", "B", EdgeKind.CONTROLLED_COMMUNICATES_WITH)
+    cs = control_strength(pair_factors(logs, "A", "B"), cfg.convention)
+    scaled = [0.6 * scale, 0.25 * scale]
+    expected_p = (1.0 - (1.0 - scaled[0]) * (1.0 - scaled[1])) * (1.0 - cs)
+    expected_cost = ((5.0 / 10 + 0.0 + 0.0 + scaled[0])
+                     + (9.8 / 10 + 0.2 + 0.1 + scaled[1])) / 2
+    assert mirror.risk.control_strength == pytest.approx(cs, abs=1e-12)
+    assert mirror.risk.p_exploit == pytest.approx(expected_p, abs=1e-12)
+    assert mirror.risk.attack_cost == pytest.approx(expected_cost, abs=1e-12)
+    assert mirror.risk.risk_weight == pytest.approx(expected_p * 8 / 10, abs=1e-12)
+
+
 def test_apply_controls_requires_secured_logs():
     cfg = RiskConfig()
     g, testbed = controls_graph(cfg)
