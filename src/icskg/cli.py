@@ -300,17 +300,26 @@ def cmd_annotate(cfg: RunConfig, out_dir: Path) -> int:
     return _EXIT_OK
 
 
+def _enrichment_setting(cfg: RunConfig, key: str, default, read, valid,
+                        requirement: str):
+    """The enrichment setting ``key`` as ``read`` converts it, if ``valid``."""
+    raw = cfg.enrichment.get(key, default)
+    try:
+        if valid(value := read(raw)):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise IcskgError(f"enrichment.{key} must be {requirement}, got {raw!r}")
+
+
 def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
-    dim = int(cfg.enrichment.get("dim", enrich.DEFAULT_DIM))
-    weights = tuple(cfg.enrichment.get("iterationWeights",
-                                       enrich.DEFAULT_ITERATION_WEIGHTS))
-    top_k = int(cfg.enrichment.get("topK", enrich.DEFAULT_TOP_K))
-    if dim < 1:
-        raise IcskgError(f"enrichment.dim must be at least 1, got {dim}")
-    if not weights:
-        raise IcskgError("enrichment.iterationWeights must not be empty")
-    if top_k < 0:
-        raise IcskgError(f"enrichment.topK must not be negative, got {top_k}")
+    dim = _enrichment_setting(cfg, "dim", enrich.DEFAULT_DIM, int,
+                              lambda v: v >= 1, "an integer of at least 1")
+    weights = _enrichment_setting(cfg, "iterationWeights", enrich.DEFAULT_ITERATION_WEIGHTS,
+                                  lambda v: tuple(map(float, v)), bool,
+                                  "a non-empty list of numbers")
+    top_k = _enrichment_setting(cfg, "topK", enrich.DEFAULT_TOP_K, int,
+                                lambda v: v >= 0, "a non-negative integer")
     state = PipelineState.open(cfg, out_dir, "enrich")
     graph = state.upstream()
     frozen = state.upstream()

@@ -375,6 +375,7 @@ class GraphView:
         self.graph = graph
         self.config = config
         self.edges = active
+        self._nodes = [n.id for n in graph.nodes(NodeKind.PRODUCT)]
         self._adj: dict[str, list[tuple[str, Edge]]] = {}
         for e in active:
             self._adj.setdefault(e.src, []).append((e.dst, e))
@@ -386,16 +387,17 @@ class GraphView:
         return len(self.edges)
 
     def nodes(self) -> list[str]:
-        return [n.id for n in self.graph.nodes(NodeKind.PRODUCT)]
+        return list(self._nodes)
 
     def neighbors(self, node_id: str) -> list[tuple[str, Edge]]:
         self.graph.node(node_id)
         return list(self._adj.get(node_id, ()))
 
     def incoming(self, node_id: str) -> list[Edge]:
-        """Active edges stored with ``node_id`` as their target."""
+        """Active edges stored with ``node_id`` as their target, in the order
+        of :attr:`edges`: by source, then kind, as the adjacency is sorted."""
         self.graph.node(node_id)
-        return [e for e in self.edges if e.dst == node_id]
+        return [e for _, e in self._adj.get(node_id, ()) if e.dst == node_id]
 
     # ------------------------------------------------------------------
     # Export

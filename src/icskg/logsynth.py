@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from icskg.config import CONTROL_NAMES, ControlOverrides
-from icskg.errors import InvalidProfile
+from icskg.errors import IngestError, InvalidProfile
 from icskg.graph import read_csv, write_csv
 from icskg.ingest import ControlProfileSpec, Dataflow, TestbedSpec
 
@@ -39,8 +40,9 @@ _BASE_TIME = datetime(2025, 1, 6, 0, 0, 0, tzinfo=timezone.utc)
 _MAX_CHECKS_PER_SESSION = 10.0
 
 
-@dataclass
-class LogRecord:
+class LogRecord(NamedTuple):
+    """One log event: its CSV row, fields in :data:`LOG_CSV_HEADER` order."""
+
     timestamp: str
     src: str
     dst: str
@@ -184,8 +186,7 @@ def _timestamp(offset_seconds: float) -> str:
     return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}Z"
 
 
-def _generate_flow(flow_index: int, src: str, dst: str, protocol: str,
-                   profile: SynthProfile) -> list[LogRecord]:
+def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> list[LogRecord]:
     n = int(round(profile.per_flow_session_rate * profile.duration_hours))
     if n <= 0:
         return []
@@ -237,38 +238,32 @@ def _generate_flow(flow_index: int, src: str, dst: str, protocol: str,
         else:
             sec = "Sign" if sign_only[i] else "SignAndEncrypt"
         ip = f"10.{(flow_index % 250) + 1}.0.{int(ip_assign[i]) + 1}"
-        session_events = 2 + int(boundaries[i + 1] - boundaries[i])
-        step = slot / (session_events + 1)
-
-        records.append(LogRecord(_timestamp(base_t), src, dst, protocol,
-                                 auth, sec, "Session", ip))
         if failed[i]:
             write_event = "FailedWrite"
         elif audit[i]:
             write_event = "AuditWrite"
         else:
             write_event = "Write"
-        records.append(LogRecord(_timestamp(base_t + step), src, dst, protocol,
-                                 auth, sec, write_event, ip))
-        for j, c in enumerate(range(int(boundaries[i]), int(boundaries[i + 1]))):
-            event = "ConfigCheckFail" if check_fail[c] else "ConfigCheckPass"
-            records.append(LogRecord(_timestamp(base_t + step * (j + 2)), src, dst,
-                                     protocol, auth, sec, event, ip))
+        events = ["Session", write_event] + [
+            "ConfigCheckFail" if check_fail[c] else "ConfigCheckPass"
+            for c in range(int(boundaries[i]), int(boundaries[i + 1]))]
+        step = slot / (len(events) + 1)
+        for j, event in enumerate(events):
+            records.append(LogRecord(_timestamp(base_t + step * j), flow.src, flow.dst,
+                                     flow.protocol, auth, sec, event, ip))
     return records
 
 
 def _merged_flows(testbed: TestbedSpec, profile: SynthProfile,
                   silent: Callable[[Dataflow], bool]) -> list[LogRecord]:
-    """One sub-stream per dataflow that is not ``silent``, merged by time
-    (ties by flow index, then by position in the flow)."""
-    merged: list[tuple[str, int, int, LogRecord]] = []
+    """One sub-stream per dataflow that is not ``silent``, merged by time;
+    the sort is stable, so ties keep flow order, then position in the flow."""
+    merged: list[LogRecord] = []
     for flow_index, flow in enumerate(testbed.dataflows):
-        if silent(flow):
-            continue
-        recs = _generate_flow(flow_index, flow.src, flow.dst, flow.protocol, profile)
-        merged.extend((r.timestamp, flow_index, i, r) for i, r in enumerate(recs))
-    merged.sort(key=lambda t: (t[0], t[1], t[2]))
-    return [t[3] for t in merged]
+        if not silent(flow):
+            merged.extend(_generate_flow(flow_index, flow, profile))
+    merged.sort(key=itemgetter(0))
+    return merged
 
 
 def generate(testbed: TestbedSpec, profile: SynthProfile) -> list[LogRecord]:
@@ -299,10 +294,7 @@ def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
 # ---------------------------------------------------------------------------
 
 def records_to_csv(records: list[LogRecord]) -> bytes:
-    return write_csv(LOG_CSV_HEADER, (
-        [r.timestamp, r.src, r.dst, r.protocol, r.auth_mode, r.security_mode,
-         r.event, r.client_ip]
-        for r in records))
+    return write_csv(LOG_CSV_HEADER, records)
 
 
 def write_log_csv(records: list[LogRecord], path: str | Path) -> None:
@@ -310,16 +302,15 @@ def write_log_csv(records: list[LogRecord], path: str | Path) -> None:
 
 
 def load_log_csv(path: str | Path) -> list[LogRecord]:
+    """Records of a log CSV, its columns found by name; a row whose field
+    count differs from the header's raises :class:`IngestError`."""
+    reader = read_csv(path, LOG_CSV_HEADER)
+    width = len(reader.fieldnames)
+    columns = itemgetter(*(reader.fieldnames.index(col) for col in LOG_CSV_HEADER))
     records = []
-    for row in read_csv(path, LOG_CSV_HEADER):
-        records.append(LogRecord(
-            timestamp=row["timestamp"],
-            src=row["src"],
-            dst=row["dst"],
-            protocol=row["protocol"],
-            auth_mode=row["authMode"],
-            security_mode=row["securityMode"],
-            event=row["event"],
-            client_ip=row["clientIp"],
-        ))
+    # Blank lines are skipped and not counted, as csv.DictReader does.
+    for number, row in enumerate(filter(None, reader.reader), start=1):
+        if len(row) != width:
+            raise IngestError(f"{path}: row {number} has {len(row)} fields, not {width}")
+        records.append(LogRecord._make(columns(row)))
     return records

@@ -54,9 +54,8 @@ def centrality_csv(rows: Sequence[CentralityRow]) -> bytes:
 def communities_csv(report: CommunityReport, key_assets: int = 2) -> bytes:
     rows = []
     for c in report.communities:
-        # Key assets: the highest-exposure members are listed in the risk
-        # computation order; members are already sorted by id, so take the
-        # first entries as stable representatives.
+        # Key assets: the first key_assets (two by default) member ids in id
+        # order, as members are sorted by id; they are not ranked by exposure.
         rows.append([c.id, c.size, "|".join(c.members[:key_assets]),
                      _f(c.risk, 4), "Y" if c.cascade else "N"])
     return write_csv(COMMUNITY_COLUMNS, rows)

@@ -20,6 +20,7 @@ and drop out of the Controlled view.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -62,6 +63,10 @@ class ControlFactors:
         return (self.a, self.c, self.e, self.h)
 
 
+_WRITE_EVENTS = {"Write", "FailedWrite", "AuditWrite"}
+_CHECK_EVENTS = {"ConfigCheckPass", "ConfigCheckFail"}
+
+
 @dataclass
 class PairStats:
     """Additive event counts for one communication pair (or a merged set)."""
@@ -93,34 +98,28 @@ class PairStats:
     def empty(self) -> bool:
         return self.sessions == 0 and self.writes == 0 and self.checks == 0
 
-
-_WRITE_EVENTS = {"Write", "FailedWrite", "AuditWrite"}
-_CHECK_EVENTS = {"ConfigCheckPass", "ConfigCheckFail"}
-
-
-def stats_from_records(records: Iterable[LogRecord]) -> PairStats:
-    s = PairStats()
-    for r in records:
-        s.client_ips.add(r.client_ip)
-        if r.event == "Session":
-            s.sessions += 1
+    def count(self, r: LogRecord) -> None:
+        """Add one log event to the counts."""
+        self.client_ips.add(r.client_ip)
+        event = r.event
+        if event == "Session":
+            self.sessions += 1
             if r.auth_mode == "Anonymous":
-                s.anon += 1
+                self.anon += 1
             elif r.auth_mode == "Certificate":
-                s.cert += 1
+                self.cert += 1
             if r.security_mode == "None":
-                s.insecure += 1
-        elif r.event in _WRITE_EVENTS:
-            s.writes += 1
-            if r.event == "FailedWrite":
-                s.failed_writes += 1
-            elif r.event == "AuditWrite":
-                s.audit_writes += 1
-        elif r.event in _CHECK_EVENTS:
-            s.checks += 1
-            if r.event == "ConfigCheckFail":
-                s.check_fails += 1
-    return s
+                self.insecure += 1
+        elif event in _WRITE_EVENTS:
+            self.writes += 1
+            if event == "FailedWrite":
+                self.failed_writes += 1
+            elif event == "AuditWrite":
+                self.audit_writes += 1
+        elif event in _CHECK_EVENTS:
+            self.checks += 1
+            if event == "ConfigCheckFail":
+                self.check_fails += 1
 
 
 def weakness_from_stats(stats: PairStats,
@@ -147,11 +146,10 @@ class LogIndex:
     """Per-pair pre-aggregated statistics for fast edge annotation."""
 
     def __init__(self, logs: Sequence[LogRecord]) -> None:
-        grouped: dict[frozenset[str], list[LogRecord]] = {}
+        counts: defaultdict[frozenset[str], PairStats] = defaultdict(PairStats)
         for r in logs:
-            grouped.setdefault(frozenset((r.src, r.dst)), []).append(r)
-        self._pair_stats: dict[frozenset[str], PairStats] = {
-            pair: stats_from_records(recs) for pair, recs in grouped.items()}
+            counts[frozenset((r.src, r.dst))].count(r)
+        self._pair_stats = dict(counts)
         self._by_endpoint: dict[str, list[frozenset[str]]] = {}
         for pair in sorted(self._pair_stats, key=sorted):
             for endpoint in pair:

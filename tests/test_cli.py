@@ -208,7 +208,11 @@ def test_report_top_n(tmp_path, pipeline_out):
     ({"dim": 0}, ["enrich"], "enrichment.dim"),
     ({"iterationWeights": []}, ["enrich"], "enrichment.iterationWeights"),
     ({"topK": -1}, ["enrich"], "enrichment.topK"),
-], ids=["top", "dim", "iterationWeights", "topK"])
+    ({"iterationWeights": 5}, ["enrich"], "enrichment.iterationWeights"),
+    ({"dim": None}, ["enrich"], "enrichment.dim"),
+    ({"topK": None}, ["enrich"], "enrichment.topK"),
+], ids=["top", "dim", "iterationWeights", "topK", "iterationWeights-number",
+        "dim-null", "topK-null"])
 def test_out_of_range_setting_exits_2(tmp_path, pipeline_out, capsys,
                                       enrichment, argv, setting):
     out = tmp_path / "out"

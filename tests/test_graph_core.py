@@ -122,6 +122,19 @@ def test_original_subset_of_enriched():
         assert original <= enriched
 
 
+def test_view_indexes_match_edge_scans():
+    rng = random.Random(12)
+    for _ in range(20):
+        g = random_comm_graph(rng)
+        products = [n.id for n in g.nodes(NodeKind.PRODUCT)]
+        for config in Configuration:
+            view = g.project_view(config)
+            for node in products:
+                assert view.incoming(node) == [e for e in view.edges if e.dst == node]
+            view.nodes().clear()
+            assert view.nodes() == products
+
+
 def test_controlled_prunes_below_threshold():
     g = Graph()
     add_product(g, "A")

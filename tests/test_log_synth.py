@@ -7,9 +7,11 @@ import math
 import pytest
 
 from icskg.config import ControlOverrides
-from icskg.errors import InvalidProfile
+from icskg.errors import IngestError, InvalidProfile
+from icskg.graph import write_csv
 from icskg.ingest import Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
+    LOG_CSV_HEADER,
     ControlProfile,
     SynthProfile,
     generate,
@@ -18,7 +20,7 @@ from icskg.logsynth import (
     records_to_csv,
     write_log_csv,
 )
-from icskg.risk import stats_from_records
+from icskg.risk import LogIndex
 
 
 def one_flow_testbed() -> TestbedSpec:
@@ -45,9 +47,7 @@ def profile_10k(**overrides) -> SynthProfile:
 def test_rate_fidelity_at_10k_sessions():
     testbed = one_flow_testbed()
     profile = profile_10k()
-    records = [r for r in generate(testbed, profile)
-               if (r.src, r.dst) == ("SRC", "DST")]
-    stats = stats_from_records(records)
+    stats = LogIndex(generate(testbed, profile)).pair("SRC", "DST")
     n = stats.sessions
     assert n == 10_000
 
@@ -109,9 +109,7 @@ def test_access_control_caps_anonymous_sessions():
     testbed = one_flow_testbed()
     profile = profile_10k()
     controls = ControlProfile(controls={"AccessControl"})
-    records = [r for r in generate_secured(testbed, profile, controls)
-               if (r.src, r.dst) == ("SRC", "DST")]
-    stats = stats_from_records(records)
+    stats = LogIndex(generate_secured(testbed, profile, controls)).pair("SRC", "DST")
     assert stats.anon / stats.sessions <= 0.002
     assert stats.cert / stats.sessions >= 0.94
 
@@ -148,8 +146,7 @@ def test_control_dominance_on_factor_rates():
         overrides=ControlOverrides())
 
     def rates(records):
-        stats = stats_from_records(
-            [r for r in records if (r.src, r.dst) == ("SRC", "DST")])
+        stats = LogIndex(records).pair("SRC", "DST")
         n = stats.sessions
         return {
             "anon": stats.anon / n,
@@ -175,3 +172,19 @@ def test_csv_round_trip(tmp_path):
     write_log_csv(records, path)
     loaded = load_log_csv(path)
     assert loaded == records
+    # columns are found by name, so their order in the file is free
+    reordered = tmp_path / "reordered.csv"
+    reordered.write_bytes(write_csv(LOG_CSV_HEADER[::-1], (r[::-1] for r in records)))
+    assert load_log_csv(reordered) == records
+
+
+@pytest.mark.parametrize("width", [3, 9])
+def test_load_log_csv_rejects_ragged_rows(tmp_path, width):
+    records = generate(one_flow_testbed(), SynthProfile(
+        seed=3, duration_hours=1, per_flow_session_rate=30))
+    rows = [list(r) for r in records]
+    rows[1] = (rows[1] + ["extra"])[:width]
+    path = tmp_path / "log.csv"
+    path.write_bytes(write_csv(LOG_CSV_HEADER, rows))
+    with pytest.raises(IngestError, match=f"row 2 has {width} fields"):
+        load_log_csv(path)
