@@ -5,6 +5,10 @@ by external node id.  Views are multigraphs (a pair can carry both an
 observed and an inferred link): path finding and betweenness collapse
 parallel edges to the cheapest one under the active weight policy, while
 PageRank and community projections sum parallel edge weights.
+
+A view builds its path graph once per weight policy, on first use, and keeps
+it for later path searches and betweenness; the graph is rebuilt when an edge
+cost under that policy has changed since.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ class WeightPolicy(Enum):
         p = edge.risk.p_exploit if edge.risk is not None else 0.0
         return -math.log(max(p, _MIN_PROB))
 
+    def edge_costs(self, edges: tuple[Edge, ...]) -> tuple[float, ...]:
+        """:meth:`edge_cost` of each edge, in order."""
+        if self is WeightPolicy.HOP:
+            return (1.0,) * len(edges)
+        return tuple(map(self.edge_cost, edges))
+
 
 @dataclass
 class PathResult:
@@ -59,15 +69,19 @@ class _PathGraph:
 
     Node ids are ranked in sorted order so integer tuple comparisons realize
     lexicographic id tie-breaking; parallel edges collapse to the cheapest
-    one under the policy (ties broken by edge kind name).
+    one under the policy (ties broken by edge kind name).  ``costs`` holds
+    the policy's cost of each edge of ``view.edges``, in that order.
     """
 
-    def __init__(self, view: GraphView, policy: WeightPolicy) -> None:
+    def __init__(self, view: GraphView, policy: WeightPolicy,
+                 costs: tuple[float, ...]) -> None:
         self.ids = ids = view.nodes()
         self.rank = {u: i for i, u in enumerate(ids)}
+        # Unit costs make every route of one length tie, so Hop graphs use
+        # the breadth-first search; the others the heap search.
+        self.search = _bfs_raw if policy is WeightPolicy.HOP else _dijkstra_raw
         best: dict[tuple[int, int], tuple[float, str, Edge]] = {}
-        for e in view.edges:
-            cost = policy.edge_cost(e)
+        for e, cost in zip(view.edges, costs):
             i, j = self.rank[e.src], self.rank[e.dst]
             key = (i, j) if i < j else (j, i)
             cand = (cost, e.kind.value, e)
@@ -75,19 +89,38 @@ class _PathGraph:
                 best[key] = cand
         self.adj: list[list[tuple[int, float]]] = [[] for _ in ids]
         self.edge_for: dict[tuple[int, int], Edge] = {}
+        self.cost_of: dict[tuple[int, int], float] = {}
         for (i, j), (cost, _, edge) in best.items():
             self.adj[i].append((j, cost))
             self.adj[j].append((i, cost))
-            self.edge_for[(i, j)] = edge
-            self.edge_for[(j, i)] = edge
+            self.edge_for[(i, j)] = self.edge_for[(j, i)] = edge
+            self.cost_of[(i, j)] = self.cost_of[(j, i)] = cost
         for lst in self.adj:
             lst.sort()
+        self.nbrs = [frozenset(j for j, _ in lst) for lst in self.adj]
 
     def names(self, path: tuple[int, ...]) -> list[str]:
         return [self.ids[i] for i in path]
 
     def edges_along(self, path: tuple[int, ...]) -> list[Edge]:
         return [self.edge_for[(a, b)] for a, b in zip(path, path[1:])]
+
+
+def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
+    """The view's path graph for ``policy``, built on first use.
+
+    The view keeps one graph per policy together with the edge costs it was
+    built from; when a cost differs now (an edge's risk was reassigned), the
+    graph is rebuilt instead of answering from stale costs.  Threads that
+    build the same entry at once build equal graphs, so either one may be
+    the one kept.
+    """
+    costs = policy.edge_costs(view.edges)
+    built = vars(view).setdefault("_path_graphs", {})
+    entry = built.get(policy)
+    if entry is None or entry[0] != costs:
+        entry = built[policy] = (costs, _PathGraph(view, policy, costs))
+    return entry[1]
 
 
 def _weight_adjacency(view: GraphView, weighted: bool) -> dict[str, dict[str, float]]:
@@ -117,9 +150,11 @@ def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
     """Min-cost path with lexicographic tie-breaking on the node sequence.
 
-    Heap keys are (cost, path) tuples over sorted-id ranks, so among
-    equal-cost routes the lexicographically smallest settles first; with
-    non-negative costs the first pop of ``dst`` is the canonical minimum.
+    The search of RiskCost and MaxLikelihood path graphs (Hop graphs use
+    :func:`_bfs_raw`).  Heap keys are (cost, path) tuples over sorted-id
+    ranks, so among equal-cost routes the lexicographically smallest settles
+    first; with non-negative costs the first pop of ``dst`` is the canonical
+    minimum.  Banned pairs are unordered.
     """
     if src in banned_nodes or dst in banned_nodes:
         return None
@@ -143,13 +178,53 @@ def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
     return None
 
 
+def _bfs_raw(pg: _PathGraph, src: int, dst: int,
+             banned_nodes: frozenset[int] = frozenset(),
+             banned_pairs: frozenset[tuple[int, int]] = frozenset(),
+             ) -> Optional[tuple[float, tuple[int, ...]]]:
+    """Unit-cost twin of :func:`_dijkstra_raw`: same arguments, same result.
+
+    A breadth-first search from ``dst``, one level of nodes at a time,
+    avoids the banned nodes and pairs until it reaches ``src``; the walk from
+    ``src`` then always takes the lowest-rank neighbour one level closer.
+    All shortest routes have the same length, so that walk is the
+    lexicographic minimum the heap search settles first, and
+    ``float(hops)`` equals its sum of unit costs.
+    """
+    if src in banned_nodes or dst in banned_nodes:
+        return None
+    cut: dict[int, set[int]] = {}
+    for a, b in banned_pairs:
+        cut.setdefault(a, set()).add(b)
+        cut.setdefault(b, set()).add(a)
+    nbrs = pg.nbrs
+    seen = {dst, *banned_nodes}
+    levels = [{dst}]                # levels[d]: the nodes d hops from dst
+    while src not in seen:
+        reached = set().union(*[nbrs[u] - cut[u] if u in cut else nbrs[u]
+                                for u in levels[-1]])
+        reached -= seen
+        if not reached:
+            return None
+        seen |= reached
+        levels.append(reached)
+    path = [src]
+    for level in reversed(levels[:-1]):
+        u = path[-1]
+        closer = nbrs[u] & level
+        if u in cut:
+            closer -= cut[u]
+        path.append(min(closer))
+    return float(len(path) - 1), tuple(path)
+
+
 def dijkstra(view: GraphView, src: str, dst: str,
              policy: WeightPolicy = WeightPolicy.RISK_COST) -> Optional[PathResult]:
     """Cheapest path under the policy, or None when dst is unreachable."""
     view.graph.node(src)
     view.graph.node(dst)
-    pg = _PathGraph(view, policy)
-    found = _dijkstra_raw(pg, pg.rank[src], pg.rank[dst])
+    pg = _path_graph(view, policy)
+    found = pg.search(pg, pg.rank[src], pg.rank[dst])
     if found is None:
         return None
     cost, path = found
@@ -171,15 +246,12 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
         raise ValueError("source and target must differ")
     view.graph.node(src)
     view.graph.node(dst)
-    pg = _PathGraph(view, policy)
+    pg = _path_graph(view, policy)
+    search, cost_of = pg.search, pg.cost_of
     s, t = pg.rank[src], pg.rank[dst]
-    first = _dijkstra_raw(pg, s, t)
+    first = search(pg, s, t)
     if first is None:
         return []
-    cost_of: dict[tuple[int, int], float] = {}
-    for i, lst in enumerate(pg.adj):
-        for j, w in lst:
-            cost_of[(i, j)] = w
 
     accepted: list[tuple[float, tuple[int, ...]]] = [first]
     deviation: dict[tuple[int, ...], int] = {first[1]: 0}
@@ -198,9 +270,7 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
                     if nodes[:i + 1] == root and len(nodes) > i + 1:
                         banned_pairs.add((nodes[i], nodes[i + 1]))
                 banned_nodes = frozenset(root[:-1])
-                spur_found = _dijkstra_raw(pg, spur, t,
-                                           banned_nodes=banned_nodes,
-                                           banned_pairs=frozenset(banned_pairs))
+                spur_found = search(pg, spur, t, banned_nodes, frozenset(banned_pairs))
                 if spur_found is not None:
                     spur_cost, spur_nodes = spur_found
                     total_nodes = root[:-1] + spur_nodes
@@ -256,7 +326,7 @@ def betweenness(view: GraphView, weighted: bool = False) -> dict[str, float]:
     """Exact betweenness via Brandes accumulation (unnormalized pair counts,
     each unordered pair counted once).  Parallel edges collapse as for path
     finding: hop counts unweighted, the cheapest riskWeight otherwise."""
-    pg = _PathGraph(view, WeightPolicy.RISK_COST if weighted else WeightPolicy.HOP)
+    pg = _path_graph(view, WeightPolicy.RISK_COST if weighted else WeightPolicy.HOP)
     nodes, adj = pg.ids, pg.adj
     if not nodes:
         raise EmptyGraph("betweenness requires a non-empty view")

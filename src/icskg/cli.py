@@ -300,6 +300,13 @@ def cmd_annotate(cfg: RunConfig, out_dir: Path) -> int:
     return _EXIT_OK
 
 
+def _json_int(raw) -> int:
+    """``raw`` if it is a JSON integer; a boolean or a float is not one."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise TypeError(f"{raw!r} is not an integer")
+    return raw
+
+
 def _enrichment_setting(cfg: RunConfig, key: str, default, read, valid,
                         requirement: str):
     """The enrichment setting ``key`` as ``read`` converts it, if ``valid``."""
@@ -313,12 +320,12 @@ def _enrichment_setting(cfg: RunConfig, key: str, default, read, valid,
 
 
 def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
-    dim = _enrichment_setting(cfg, "dim", enrich.DEFAULT_DIM, int,
+    dim = _enrichment_setting(cfg, "dim", enrich.DEFAULT_DIM, _json_int,
                               lambda v: v >= 1, "an integer of at least 1")
     weights = _enrichment_setting(cfg, "iterationWeights", enrich.DEFAULT_ITERATION_WEIGHTS,
                                   lambda v: tuple(map(float, v)), bool,
                                   "a non-empty list of numbers")
-    top_k = _enrichment_setting(cfg, "topK", enrich.DEFAULT_TOP_K, int,
+    top_k = _enrichment_setting(cfg, "topK", enrich.DEFAULT_TOP_K, _json_int,
                                 lambda v: v >= 0, "a non-negative integer")
     state = PipelineState.open(cfg, out_dir, "enrich")
     graph = state.upstream()

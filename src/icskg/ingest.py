@@ -22,6 +22,7 @@ number and the row is skipped; a missing header column is fatal.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import re
@@ -393,15 +394,24 @@ class _RowProblem(Exception):
         self.kind = kind
 
 
-def _load_rows(reader: Iterable[dict[str, str]],
+def _load_rows(reader: csv.DictReader,
                load_row: Callable[[dict[str, str]], Optional[Hashable]]) -> LoadResult:
     """Feed every data row to ``load_row``, which upserts it and returns its
-    key (None skips the row silently).  Row problems and rejected upserts
-    become row issues; any other ingest error aborts the load, naming its
-    row."""
+    key (None skips the row silently).  A row whose field count differs from
+    the header's, row problems and rejected upserts become row issues; any
+    other ingest error aborts the load, naming its row."""
     accepted: set[Hashable] = set()
     issues: list[RowIssue] = []
+    width, last = len(reader.fieldnames), reader.fieldnames[-1]
     for row_num, row in enumerate(reader, start=1):
+        # DictReader files extra fields under None and fills missing ones
+        # with None, which a parsed field never is.
+        if None in row or row[last] is None:
+            fields = (width + len(row[None]) if None in row
+                      else sum(value is not None for value in row.values()))
+            issues.append(RowIssue(row_num, "InvalidRow",
+                                   f"row {row_num} has {fields} fields, not {width}"))
+            continue
         try:
             key = load_row(row)
         except _RowProblem as exc:

@@ -4,10 +4,14 @@ oracles, plus the ranking reports."""
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     add_comm,
@@ -20,6 +24,9 @@ from conftest import (
 )
 from icskg.analytics import (
     WeightPolicy,
+    _bfs_raw,
+    _dijkstra_raw,
+    _path_graph,
     betweenness,
     dijkstra,
     louvain,
@@ -178,6 +185,97 @@ def test_yen_path_probability_matches_product():
     g = comm_graph([("A", "B", 0.1, 0.5), ("B", "C", 0.1, 0.4)])
     paths = yen_k_shortest(original(g), "A", "C", 5, WeightPolicy.HOP)
     assert paths[0].path_probability == pytest.approx(0.2, abs=1e-12)
+
+
+@st.composite
+def random_graphs(draw, min_nodes: int, max_nodes: int):
+    """A finalized graph of ``N00``, ``N01``, ... (id order is rank order)
+    whose pairs are linked at a drawn density, each link with a random
+    direction and riskWeight."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = Graph()
+    ids = [f"N{i:02d}" for i in range(n)]
+    for node_id in ids:
+        add_product(g, node_id)
+    for a, b in combinations(ids, 2):
+        if rng.random() < density:
+            src, dst = (a, b) if rng.random() < 0.5 else (b, a)
+            add_comm(g, src, dst, risk_weight=rng.choice([0.1, 0.2, 0.3, 0.5]))
+    g.finalize()
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs(2, 40), st.integers(0, 2**32 - 1))
+def test_bfs_search_equals_heap_search_on_hop_graphs(graph, seed):
+    rng = random.Random(seed)
+    pg = _path_graph(original(graph), WeightPolicy.HOP)
+    assert pg.search is _bfs_raw
+    n = len(pg.ids)
+    src, dst = rng.randrange(n), rng.randrange(n)
+    banned_nodes = frozenset(rng.sample(range(n), rng.randint(0, n // 4)))
+    banned_pairs = frozenset((src, v) for v, _ in pg.adj[src] if rng.random() < 0.5)
+    got = _bfs_raw(pg, src, dst, banned_nodes, banned_pairs)
+    assert got == _dijkstra_raw(pg, src, dst, banned_nodes, banned_pairs)
+    if got is not None:
+        assert type(got[0]) is float
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_yen_sees_a_risk_weight_changed_after_a_search(data):
+    g = data.draw(random_graphs(2, 12))
+    view = original(g)
+    src, dst = data.draw(st.lists(st.sampled_from(view.nodes()), min_size=2,
+                                  max_size=2, unique=True))
+    before = yen_k_shortest(view, src, dst, 5, WeightPolicy.RISK_COST)
+    assume(before)
+    first = before[0].nodes
+    edge = next(e for e in view.edges if {e.src, e.dst} == set(first[:2]))
+    edge.risk.risk_weight = data.draw(st.sampled_from([0.0, 0.05, 2.0, 10.0]))
+    fresh = g.project_view(Configuration.ORIGINAL)
+    assert yen_k_shortest(view, src, dst, 5, WeightPolicy.RISK_COST) == \
+        yen_k_shortest(fresh, src, dst, 5, WeightPolicy.RISK_COST)
+
+
+def test_path_graph_built_once_per_view_and_policy():
+    g = comm_graph([("A", "B", 0.1), ("B", "C", 0.2), ("A", "C", 0.5)])
+    view = original(g)
+    hop, risk = _path_graph(view, WeightPolicy.HOP), _path_graph(view, WeightPolicy.RISK_COST)
+    assert hop is not risk
+    assert _path_graph(view, WeightPolicy.HOP) is hop
+    assert _path_graph(view, WeightPolicy.RISK_COST) is risk
+    assert _path_graph(original(g), WeightPolicy.HOP) is not hop
+    view.edges[0].risk.risk_weight = 0.4
+    assert _path_graph(view, WeightPolicy.RISK_COST) is not risk
+    assert _path_graph(view, WeightPolicy.HOP) is hop
+
+
+def test_threads_sharing_a_view_find_the_single_thread_paths():
+    g = random_comm_graph(random.Random(99), max_nodes=12, edge_prob=0.5)
+    ids = original(g).nodes()
+    queries = [(policy, a, b) for policy in POLICIES for a in ids for b in ids if a != b]
+    expected = [yen_k_shortest(original(g), a, b, 5, policy) for policy, a, b in queries]
+    shared = original(g)
+    results = []
+
+    def work():
+        results.append([yen_k_shortest(shared, a, b, 5, policy) for policy, a, b in queries])
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(threads)
 
 
 # ---------------------------------------------------------------------------

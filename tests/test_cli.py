@@ -211,8 +211,10 @@ def test_report_top_n(tmp_path, pipeline_out):
     ({"iterationWeights": 5}, ["enrich"], "enrichment.iterationWeights"),
     ({"dim": None}, ["enrich"], "enrichment.dim"),
     ({"topK": None}, ["enrich"], "enrichment.topK"),
+    ({"dim": 8.7}, ["enrich"], "enrichment.dim"),
+    ({"topK": True}, ["enrich"], "enrichment.topK"),
 ], ids=["top", "dim", "iterationWeights", "topK", "iterationWeights-number",
-        "dim-null", "topK-null"])
+        "dim-null", "topK-null", "dim-float", "topK-bool"])
 def test_out_of_range_setting_exits_2(tmp_path, pipeline_out, capsys,
                                       enrichment, argv, setting):
     out = tmp_path / "out"

@@ -74,6 +74,36 @@ def test_dangling_relation_reported_with_row(tmp_path):
     assert result.issues[0].kind == "DanglingReference"
 
 
+def test_ragged_rows_are_row_issues(tmp_path):
+    g = Graph()
+    load_nodes(g, write(tmp_path, "n.csv", NODE_CSV))
+    csv_text = ("src,dst,kind,props_json\n"
+                "CWE-79,CAPEC-66,HAS_CAPEC,{},x,y\n"
+                "CAPEC-66,T0886,HAS_TECHNIQUE,{}\n"
+                "CAPEC-66,T0886\n")
+    result = load_relations(g, write(tmp_path, "r.csv", csv_text))
+    assert result.count == 1
+    assert [(i.row, i.kind, i.message) for i in result.issues] == [
+        (1, "InvalidRow", "row 1 has 6 fields, not 4"),
+        (3, "InvalidRow", "row 3 has 2 fields, not 4")]
+
+
+@pytest.mark.parametrize("file_name", ["nodes.csv", "edges.csv"])
+def test_load_state_rejects_ragged_rows(tmp_path, file_name):
+    g = Graph()
+    load_testbed_into_graph(g, mini_testbed(), RiskConfig())
+    save_state(g, tmp_path)
+    path = tmp_path / file_name
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, first + ",x,y", *rest]) + "\n", encoding="utf-8")
+    with pytest.raises(DanglingReference, match="corrupt state.*row 1 has"):
+        load_state(tmp_path)
+    short = first.rsplit(",", 2)[0]
+    path.write_text("\n".join([header, short, *rest]) + "\n", encoding="utf-8")
+    with pytest.raises(DanglingReference, match="corrupt state.*row 1 has"):
+        load_state(tmp_path)
+
+
 def test_bad_enum_node_row_skipped(tmp_path):
     g = Graph()
     csv_text = ("id,kind,name,zone,criticality,props_json\n"
