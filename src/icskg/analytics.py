@@ -7,8 +7,9 @@ parallel edges to the cheapest one under the active weight policy, while
 PageRank and community projections sum parallel edge weights.
 
 A view builds its path graph once per weight policy, on first use, and keeps
-it for later path searches and betweenness; the graph is rebuilt when an edge
-cost under that policy has changed since.
+it for every later path search and betweenness call.  A view's edges are a
+tuple of frozen records, so no edge cost can change and the graph is never
+rebuilt.
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ class WeightPolicy(Enum):
         p = edge.risk.p_exploit if edge.risk is not None else 0.0
         return -math.log(max(p, _MIN_PROB))
 
-    def edge_costs(self, edges: tuple[Edge, ...]) -> tuple[float, ...]:
-        """:meth:`edge_cost` of each edge, in order."""
-        if self is WeightPolicy.HOP:
-            return (1.0,) * len(edges)
-        return tuple(map(self.edge_cost, edges))
-
 
 @dataclass
 class PathResult:
@@ -69,22 +64,20 @@ class _PathGraph:
 
     Node ids are ranked in sorted order so integer tuple comparisons realize
     lexicographic id tie-breaking; parallel edges collapse to the cheapest
-    one under the policy (ties broken by edge kind name).  ``costs`` holds
-    the policy's cost of each edge of ``view.edges``, in that order.
+    one under the policy (ties broken by edge kind name).
     """
 
-    def __init__(self, view: GraphView, policy: WeightPolicy,
-                 costs: tuple[float, ...]) -> None:
+    def __init__(self, view: GraphView, policy: WeightPolicy) -> None:
         self.ids = ids = view.nodes()
         self.rank = {u: i for i, u in enumerate(ids)}
         # Unit costs make every route of one length tie, so Hop graphs use
         # the breadth-first search; the others the heap search.
         self.search = _bfs_raw if policy is WeightPolicy.HOP else _dijkstra_raw
         best: dict[tuple[int, int], tuple[float, str, Edge]] = {}
-        for e, cost in zip(view.edges, costs):
+        for e in view.edges:
             i, j = self.rank[e.src], self.rank[e.dst]
             key = (i, j) if i < j else (j, i)
-            cand = (cost, e.kind.value, e)
+            cand = (policy.edge_cost(e), e.kind.value, e)
             if key not in best or (cand[0], cand[1]) < (best[key][0], best[key][1]):
                 best[key] = cand
         self.adj: list[list[tuple[int, float]]] = [[] for _ in ids]
@@ -107,20 +100,16 @@ class _PathGraph:
 
 
 def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
-    """The view's path graph for ``policy``, built on first use.
-
-    The view keeps one graph per policy together with the edge costs it was
-    built from; when a cost differs now (an edge's risk was reassigned), the
-    graph is rebuilt instead of answering from stale costs.  Threads that
-    build the same entry at once build equal graphs, so either one may be
-    the one kept.
+    """The view's path graph for ``policy``, built on first use and kept on
+    the view; its edges are frozen, so the graph is never rebuilt.  Threads
+    that build the same entry at once build equal graphs, so either one may
+    be the one kept.
     """
-    costs = policy.edge_costs(view.edges)
     built = vars(view).setdefault("_path_graphs", {})
-    entry = built.get(policy)
-    if entry is None or entry[0] != costs:
-        entry = built[policy] = (costs, _PathGraph(view, policy, costs))
-    return entry[1]
+    pg = built.get(policy)
+    if pg is None:
+        pg = built[policy] = _PathGraph(view, policy)
+    return pg
 
 
 def _weight_adjacency(view: GraphView, weighted: bool) -> dict[str, dict[str, float]]:

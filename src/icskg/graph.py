@@ -1,9 +1,12 @@
 """In-memory typed property graph with configuration-filtered views.
 
 The graph is built single-writer, then frozen with :meth:`Graph.finalize`.
-After that, any number of :class:`GraphView` projections can be taken and
-queried concurrently; a view is a value-like snapshot of the active
-communication edge set for one configuration:
+Its records (:class:`Node`, :class:`Edge` and :class:`RiskAttributes`) are
+frozen values with read-only ``props``: the build phase replaces a record,
+never changes it, so the graph, its views and every stage can share them.
+After :meth:`Graph.finalize`, any number of :class:`GraphView` projections
+can be taken and queried concurrently; a view is a value-like snapshot of the
+active communication edge set for one configuration:
 
 * ``Original``   - observed COMMUNICATES_WITH links only
 * ``Enriched``   - Original plus inferred HAS_POSSIBLE_COMMUNICATION links
@@ -20,11 +23,12 @@ from __future__ import annotations
 import csv
 import json
 import xml.sax.saxutils as saxutils
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from io import StringIO
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from icskg.errors import (
     GraphFinalized,
@@ -133,7 +137,7 @@ RISK_COLUMNS = ("riskWeight", "pExploit", "attackCost", "controlStrength")
 EDGE_CSV_HEADER = ["src", "dst", "kind", *RISK_COLUMNS, "protocol"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RiskAttributes:
     """Per-edge risk metrics carried by communication-family edges.
 
@@ -181,13 +185,18 @@ class RiskAttributes:
         return cls.from_dict({col: row.get(col) or 0.0 for col in RISK_COLUMNS})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     id: str
     kind: NodeKind
-    props: dict[str, str] = field(default_factory=dict)
+    props: Mapping[str, str] = field(default_factory=dict)
     criticality: int = 0
     zone: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # A read-only copy: neither the caller's dict nor the record can
+        # change the props afterwards.
+        object.__setattr__(self, "props", MappingProxyType(dict(self.props)))
 
     def validate(self) -> None:
         if not self.id:
@@ -202,13 +211,16 @@ class Node:
             raise InvalidNode(f"Product {self.id!r} must carry a zone")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
     src: str
     dst: str
     kind: EdgeKind
     risk: Optional[RiskAttributes] = None
-    props: dict[str, str] = field(default_factory=dict)
+    props: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "props", MappingProxyType(dict(self.props)))
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -235,20 +247,20 @@ class Graph:
     # ------------------------------------------------------------------
 
     def upsert_node(self, node: Node) -> str:
+        """Store the node; an existing node of the same id is replaced by the
+        merge of both: the union of their props (the new value wins), and the
+        new zone and criticality where they are set."""
         self._check_mutable()
         node.validate()
-        existing = self._nodes.get(node.id)
-        if existing is not None:
-            if existing.kind is not node.kind:
+        stored = self._nodes.get(node.id)
+        if stored is not None:
+            if stored.kind is not node.kind:
                 raise KindConflict(
-                    f"node {node.id!r} already exists with kind {existing.kind.value}, "
+                    f"node {node.id!r} already exists with kind {stored.kind.value}, "
                     f"cannot re-upsert as {node.kind.value}")
-            existing.props.update(node.props)
-            if node.zone is not None:
-                existing.zone = node.zone
-            if node.criticality:
-                existing.criticality = node.criticality
-            return existing.id
+            node = replace(node, props={**stored.props, **node.props},
+                           zone=stored.zone if node.zone is None else node.zone,
+                           criticality=node.criticality or stored.criticality)
         self._nodes[node.id] = node
         return node.id
 
@@ -562,8 +574,8 @@ def write_json(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def props_to_json(props: dict[str, str]) -> str:
-    return json.dumps(props, sort_keys=True, separators=(",", ":")) if props else "{}"
+def props_to_json(props: Mapping[str, str]) -> str:
+    return json.dumps(dict(props), sort_keys=True, separators=(",", ":")) if props else "{}"
 
 
 def props_from_json(cell: str) -> dict[str, str]:

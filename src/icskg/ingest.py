@@ -476,10 +476,11 @@ def _node_row(graph: Graph, row: dict[str, str]) -> str:
                                   zone=_cell(row, "zone") or None))
 
 
-def _relation_edge(graph: Graph, row: dict[str, str]) -> Edge:
+def _relation_edge(graph: Graph, row: dict[str, str],
+                   risk: Optional[RiskAttributes] = None) -> Edge:
     kind = _edge_kind(_cell(row, "kind"))
     src, dst = _endpoints(graph, _cell(row, "src"), _cell(row, "dst"))
-    return Edge(src, dst, kind, props=_props(_cell(row, "props_json")))
+    return Edge(src, dst, kind, risk=risk, props=_props(_cell(row, "props_json")))
 
 
 def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
@@ -567,18 +568,15 @@ def load_state(directory: str | Path) -> Graph:
     """Inverse of :func:`save_state`; any row issue means corrupt state."""
     directory = Path(directory)
     graph = Graph()
-    _require_clean_state(directory, load_nodes(graph, directory / STATE_NODE_FILE))
-
-    def load_edge_row(row: dict[str, str]) -> tuple[str, str, str]:
-        edge = _relation_edge(graph, row)
-        edge.risk = RiskAttributes.decode(row)
-        return _upsert_edge(graph, edge)
-    edges = read_csv(directory / STATE_EDGE_FILE, _STATE_EDGE_HEADER)
-    _require_clean_state(directory, _load_rows(edges, load_edge_row))
+    nodes = directory / STATE_NODE_FILE
+    _require_clean_state(nodes, load_nodes(graph, nodes))
+    edges = directory / STATE_EDGE_FILE
+    _require_clean_state(edges, _load_rows(
+        read_csv(edges, _STATE_EDGE_HEADER),
+        lambda row: _upsert_edge(graph, _relation_edge(graph, row, RiskAttributes.decode(row)))))
     return graph
 
 
-def _require_clean_state(directory: Path, result: LoadResult) -> None:
+def _require_clean_state(path: Path, result: LoadResult) -> None:
     if result.issues:
-        raise DanglingReference(
-            f"corrupt state in {directory}: {result.issues[0].message}")
+        raise DanglingReference(f"corrupt state in {path}: {result.issues[0].message}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from icskg.config import (
@@ -31,7 +31,7 @@ from icskg.config import (
     FactorCoefficients,
     RiskConfig,
 )
-from icskg.errors import DiscontiguousPath, GraphFinalized, MissingSecuredLogs
+from icskg.errors import DiscontiguousPath, MissingSecuredLogs
 from icskg.graph import (
     Edge,
     EdgeKind,
@@ -289,14 +289,13 @@ def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig) -> int
     links use the union of both endpoints' logs; pairs with no records at
     all fall back to the zone-default presets.  Edges whose target has no
     CVEs score pExploit 0 and riskWeight 0.  Deterministic and idempotent.
-    A finalized graph is immutable and raises :class:`GraphFinalized`.
+    Each scored edge replaces its unscored one, so a finalized graph raises
+    :class:`GraphFinalized`.
     """
-    if graph.finalized:
-        raise GraphFinalized("graph is finalized; annotate cannot rescore its edges")
     vulns = _product_vulns(graph)
     count = 0
     for edge, stats in _communication_stats(graph, LogIndex(logs)):
-        edge.risk = _score(graph, edge, stats, vulns, config)
+        graph.upsert_edge(replace(edge, risk=_score(graph, edge, stats, vulns, config)))
         count += 1
     return count
 

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from icskg.config import RiskConfig
 from icskg.graph import (
@@ -83,6 +84,26 @@ def random_comm_graph(rng: random.Random, max_nodes: int = 10,
             add_comm(graph, a, b, risk_weight=rw, p_exploit=p, attack_cost=cost)
     graph.finalize()
     return graph
+
+
+@st.composite
+def random_graphs(draw, min_nodes: int, max_nodes: int):
+    """A finalized graph of ``N00``, ``N01``, ... (id order is rank order)
+    whose pairs are linked at a drawn density, each link with a random
+    direction and riskWeight."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = Graph()
+    ids = [f"N{i:02d}" for i in range(n)]
+    for node_id in ids:
+        add_product(g, node_id)
+    for a, b in combinations(ids, 2):
+        if rng.random() < density:
+            src, dst = (a, b) if rng.random() < 0.5 else (b, a)
+            add_comm(g, src, dst, risk_weight=rng.choice([0.1, 0.2, 0.3, 0.5]))
+    g.finalize()
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +345,12 @@ def run_mini_pipeline(testbed, advisories, seed: int = 7,
 
 
 def _clone(graph: Graph) -> Graph:
+    """An unfinalized graph sharing the (frozen) records of ``graph``."""
     out = Graph()
     for node in graph.nodes():
-        out.upsert_node(Node(id=node.id, kind=node.kind, props=dict(node.props),
-                             criticality=node.criticality, zone=node.zone))
+        out.upsert_node(node)
     for e in graph.edges():
-        risk_copy = None
-        if e.risk is not None:
-            risk_copy = RiskAttributes(e.risk.control_strength, e.risk.p_exploit,
-                                       e.risk.attack_cost, e.risk.risk_weight)
-        out.upsert_edge(Edge(e.src, e.dst, e.kind, risk=risk_copy,
-                             props=dict(e.props)))
+        out.upsert_edge(e)
     return out
 
 

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     enumerate_simple_paths,
     pagerank_oracle,
     random_comm_graph,
+    random_graphs,
 )
 from icskg.analytics import (
     WeightPolicy,
@@ -187,26 +189,6 @@ def test_yen_path_probability_matches_product():
     assert paths[0].path_probability == pytest.approx(0.2, abs=1e-12)
 
 
-@st.composite
-def random_graphs(draw, min_nodes: int, max_nodes: int):
-    """A finalized graph of ``N00``, ``N01``, ... (id order is rank order)
-    whose pairs are linked at a drawn density, each link with a random
-    direction and riskWeight."""
-    n = draw(st.integers(min_nodes, max_nodes))
-    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    g = Graph()
-    ids = [f"N{i:02d}" for i in range(n)]
-    for node_id in ids:
-        add_product(g, node_id)
-    for a, b in combinations(ids, 2):
-        if rng.random() < density:
-            src, dst = (a, b) if rng.random() < 0.5 else (b, a)
-            add_comm(g, src, dst, risk_weight=rng.choice([0.1, 0.2, 0.3, 0.5]))
-    g.finalize()
-    return g
-
-
 @settings(max_examples=300, deadline=None)
 @given(random_graphs(2, 40), st.integers(0, 2**32 - 1))
 def test_bfs_search_equals_heap_search_on_hop_graphs(graph, seed):
@@ -234,9 +216,11 @@ def test_yen_sees_a_risk_weight_changed_after_a_search(data):
     assume(before)
     first = before[0].nodes
     edge = next(e for e in view.edges if {e.src, e.dst} == set(first[:2]))
-    edge.risk.risk_weight = data.draw(st.sampled_from([0.0, 0.05, 2.0, 10.0]))
+    weight = data.draw(st.sampled_from([0.0, 0.05, 2.0, 10.0]))
+    with pytest.raises(FrozenInstanceError):
+        edge.risk.risk_weight = weight
     fresh = g.project_view(Configuration.ORIGINAL)
-    assert yen_k_shortest(view, src, dst, 5, WeightPolicy.RISK_COST) == \
+    assert yen_k_shortest(view, src, dst, 5, WeightPolicy.RISK_COST) == before == \
         yen_k_shortest(fresh, src, dst, 5, WeightPolicy.RISK_COST)
 
 
@@ -248,9 +232,12 @@ def test_path_graph_built_once_per_view_and_policy():
     assert _path_graph(view, WeightPolicy.HOP) is hop
     assert _path_graph(view, WeightPolicy.RISK_COST) is risk
     assert _path_graph(original(g), WeightPolicy.HOP) is not hop
-    view.edges[0].risk.risk_weight = 0.4
-    assert _path_graph(view, WeightPolicy.RISK_COST) is not risk
+    hop_costs, risk_costs = dict(hop.cost_of), dict(risk.cost_of)
+    with pytest.raises(FrozenInstanceError):
+        view.edges[0].risk.risk_weight = 0.4
+    assert _path_graph(view, WeightPolicy.RISK_COST) is risk
     assert _path_graph(view, WeightPolicy.HOP) is hop
+    assert (hop.cost_of, risk.cost_of) == (hop_costs, risk_costs)
 
 
 def test_threads_sharing_a_view_find_the_single_thread_paths():

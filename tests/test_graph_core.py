@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import add_comm, add_product, comm_graph, random_comm_graph
+from conftest import add_comm, add_product, comm_graph, random_comm_graph, random_graphs
 from icskg.errors import (
     GraphNotFinalized,
     InvalidCriticality,
@@ -36,6 +39,49 @@ def test_upsert_node_idempotent():
     add_product(g, "PLC_1")
     assert g.node_count() == count
     assert g.node("PLC_1").zone == "OT"
+
+
+def test_upsert_node_merges_by_replacement():
+    g = Graph()
+    g.upsert_node(Node(id="P", kind=NodeKind.PRODUCT, props={"name": "P", "vendor": "A"},
+                       criticality=5, zone="OT"))
+    g.upsert_node(Node(id="Z", kind=NodeKind.ASSET, criticality=3, zone="OT"))
+    before = g.node("P"), g.node("Z")
+    g.upsert_node(Node(id="P", kind=NodeKind.PRODUCT, props={"vendor": "B", "site": "S"},
+                       criticality=0, zone="DMZ"))
+    g.upsert_node(Node(id="Z", kind=NodeKind.ASSET, props={"site": "S"}, criticality=8))
+
+    def state(node):
+        return dict(node.props), node.zone, node.criticality
+    assert [state(n) for n in before] == [({"name": "P", "vendor": "A"}, "OT", 5),
+                                          ({}, "OT", 3)]
+    # props merge with the new value winning; zone and criticality are
+    # replaced only where the new node sets them.
+    assert state(g.node("P")) == ({"name": "P", "vendor": "B", "site": "S"}, "DMZ", 5)
+    assert state(g.node("Z")) == ({"site": "S"}, "OT", 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(2, 12), st.data())
+def test_finalized_graph_records_are_frozen(graph, data):
+    def snapshot():
+        return [repr(graph.project_view(config).edges) for config in Configuration] \
+            + [repr(graph.nodes())]
+    before = snapshot()
+    view = graph.project_view(data.draw(st.sampled_from(list(Configuration))))
+    records = [graph.node(data.draw(st.sampled_from(view.nodes())))]
+    if view.edges:
+        edge = data.draw(st.sampled_from(view.edges))
+        records += [edge, edge.risk]
+    value = data.draw(st.sampled_from([0, 9.0, "x", None]))
+    for record in records:
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, value)
+        if hasattr(record, "props"):
+            with pytest.raises(TypeError):
+                record.props["k"] = "v"
+    assert snapshot() == before
 
 
 def test_criticality_bounds():

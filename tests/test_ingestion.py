@@ -96,11 +96,11 @@ def test_load_state_rejects_ragged_rows(tmp_path, file_name):
     path = tmp_path / file_name
     header, first, *rest = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([header, first + ",x,y", *rest]) + "\n", encoding="utf-8")
-    with pytest.raises(DanglingReference, match="corrupt state.*row 1 has"):
+    with pytest.raises(DanglingReference, match=f"corrupt state in .*{file_name}: row 1 has"):
         load_state(tmp_path)
     short = first.rsplit(",", 2)[0]
     path.write_text("\n".join([header, short, *rest]) + "\n", encoding="utf-8")
-    with pytest.raises(DanglingReference, match="corrupt state.*row 1 has"):
+    with pytest.raises(DanglingReference, match=f"corrupt state in .*{file_name}: row 1 has"):
         load_state(tmp_path)
 
 
