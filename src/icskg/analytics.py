@@ -7,9 +7,10 @@ parallel edges to the cheapest one under the active weight policy, while
 PageRank and community projections sum parallel edge weights.
 
 A view builds its path graph once per weight policy, on first use, and keeps
-it for every later path search and betweenness call.  A view's edges are a
-tuple of frozen records, so no edge cost can change and the graph is never
-rebuilt.
+it in ``view.path_graphs``; views and their edges are frozen, so the graph is
+never rebuilt.  Path searches take banned nodes and ``banned_first``, the
+steps out of the source a Yen spur search excludes: the branches that
+accepted paths already took.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from icskg.errors import EmptyGraph
 from icskg.graph import Configuration, Edge, GraphView
@@ -100,15 +101,14 @@ class _PathGraph:
 
 
 def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
-    """The view's path graph for ``policy``, built on first use and kept on
-    the view; its edges are frozen, so the graph is never rebuilt.  Threads
-    that build the same entry at once build equal graphs, so either one may
-    be the one kept.
+    """The view's path graph for ``policy``, built on first use and kept in
+    ``view.path_graphs``; the view is frozen, so the graph is never rebuilt.
+    Threads that build the same entry at once build equal graphs, so either
+    one may be the one kept.
     """
-    built = vars(view).setdefault("_path_graphs", {})
-    pg = built.get(policy)
+    pg = view.path_graphs.get(policy)
     if pg is None:
-        pg = built[policy] = _PathGraph(view, policy)
+        pg = view.path_graphs[policy] = _PathGraph(view, policy)
     return pg
 
 
@@ -135,15 +135,16 @@ def _make_result(pg: _PathGraph, path: tuple[int, ...], cost: float) -> PathResu
 
 def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
                   banned_nodes: frozenset[int] = frozenset(),
-                  banned_pairs: frozenset[tuple[int, int]] = frozenset(),
+                  banned_first: AbstractSet[int] = frozenset(),
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Min-cost path with lexicographic tie-breaking on the node sequence.
+    """Min-cost path with lexicographic tie-breaking on the node sequence,
+    avoiding ``banned_nodes`` and any first step to ``banned_first``.
 
     The search of RiskCost and MaxLikelihood path graphs (Hop graphs use
     :func:`_bfs_raw`).  Heap keys are (cost, path) tuples over sorted-id
     ranks, so among equal-cost routes the lexicographically smallest settles
     first; with non-negative costs the first pop of ``dst`` is the canonical
-    minimum.  Banned pairs are unordered.
+    minimum.
     """
     if src in banned_nodes or dst in banned_nodes:
         return None
@@ -161,7 +162,7 @@ def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
         for nbr, w in adj[node]:
             if nbr in visited or nbr in banned_nodes:
                 continue
-            if (node, nbr) in banned_pairs or (nbr, node) in banned_pairs:
+            if node == src and nbr in banned_first:
                 continue
             heapq.heappush(heap, (cost + w, path + (nbr,)))
     return None
@@ -169,41 +170,35 @@ def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
 
 def _bfs_raw(pg: _PathGraph, src: int, dst: int,
              banned_nodes: frozenset[int] = frozenset(),
-             banned_pairs: frozenset[tuple[int, int]] = frozenset(),
+             banned_first: AbstractSet[int] = frozenset(),
              ) -> Optional[tuple[float, tuple[int, ...]]]:
     """Unit-cost twin of :func:`_dijkstra_raw`: same arguments, same result.
 
     A breadth-first search from ``dst``, one level of nodes at a time,
-    avoids the banned nodes and pairs until it reaches ``src``; the walk from
-    ``src`` then always takes the lowest-rank neighbour one level closer.
+    avoids the banned nodes and ``src`` until a level holds an allowed first
+    step (a neighbour of ``src`` outside ``banned_first``); the walk from
+    ``src`` then always takes the lowest-rank allowed step one level closer.
     All shortest routes have the same length, so that walk is the
     lexicographic minimum the heap search settles first, and
     ``float(hops)`` equals its sum of unit costs.
     """
     if src in banned_nodes or dst in banned_nodes:
         return None
-    cut: dict[int, set[int]] = {}
-    for a, b in banned_pairs:
-        cut.setdefault(a, set()).add(b)
-        cut.setdefault(b, set()).add(a)
+    if src == dst:
+        return 0.0, (src,)
     nbrs = pg.nbrs
-    seen = {dst, *banned_nodes}
+    first = nbrs[src] - banned_first
+    seen = {src, dst, *banned_nodes}
     levels = [{dst}]                # levels[d]: the nodes d hops from dst
-    while src not in seen:
-        reached = set().union(*[nbrs[u] - cut[u] if u in cut else nbrs[u]
-                                for u in levels[-1]])
-        reached -= seen
+    while first.isdisjoint(levels[-1]):
+        reached = set().union(*[nbrs[u] for u in levels[-1]]) - seen
         if not reached:
             return None
         seen |= reached
         levels.append(reached)
-    path = [src]
+    path = [src, min(first & levels[-1])]
     for level in reversed(levels[:-1]):
-        u = path[-1]
-        closer = nbrs[u] & level
-        if u in cut:
-            closer -= cut[u]
-        path.append(min(closer))
+        path.append(min(nbrs[path[-1]] & level))
     return float(len(path) - 1), tuple(path)
 
 
@@ -228,6 +223,8 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
     Returns an empty list when no route exists.  Spur exploration starts at
     each accepted path's deviation index (Lawler's reduction), which keeps
     the candidate set complete while skipping already-covered prefixes.
+    ``branches`` maps each root prefix of an accepted path to the nodes
+    accepted paths take next, which the root's spur search may not step to.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -244,30 +241,24 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
 
     accepted: list[tuple[float, tuple[int, ...]]] = [first]
     deviation: dict[tuple[int, ...], int] = {first[1]: 0}
+    branches: dict[tuple[int, ...], set[int]] = {}
     candidates: list[tuple[float, tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = {first[1]}
 
     while len(accepted) < k:
-        prev_cost, prev_nodes = accepted[-1]
+        prev_nodes = accepted[-1][1]
         prefix = 0.0
         for i in range(len(prev_nodes) - 1):
+            root = prev_nodes[:i + 1]
+            branches.setdefault(root, set()).add(prev_nodes[i + 1])
             if i >= deviation[prev_nodes]:
-                spur = prev_nodes[i]
-                root = prev_nodes[:i + 1]
-                banned_pairs = set()
-                for _, nodes in accepted:
-                    if nodes[:i + 1] == root and len(nodes) > i + 1:
-                        banned_pairs.add((nodes[i], nodes[i + 1]))
-                banned_nodes = frozenset(root[:-1])
-                spur_found = search(pg, spur, t, banned_nodes, frozenset(banned_pairs))
+                spur_found = search(pg, prev_nodes[i], t, frozenset(root[:-1]), branches[root])
                 if spur_found is not None:
                     spur_cost, spur_nodes = spur_found
                     total_nodes = root[:-1] + spur_nodes
                     if len(set(total_nodes)) == len(total_nodes) \
-                            and total_nodes not in seen:
+                            and total_nodes not in deviation:
                         heapq.heappush(candidates, (prefix + spur_cost, total_nodes))
                         deviation[total_nodes] = i
-                        seen.add(total_nodes)
             prefix += cost_of[(prev_nodes[i], prev_nodes[i + 1])]
         if not candidates:
             break
@@ -487,22 +478,18 @@ def louvain(view: GraphView, weighted: bool = False, seed: int = 0
         level_adj = new_adj
         self_loops = new_loops
 
-    final_partition = {u: node_comm[u] for u in nodes}
     groups2: dict[str, list[str]] = {}
     for u in nodes:
-        groups2.setdefault(final_partition[u], []).append(u)
+        groups2.setdefault(node_comm[u], []).append(u)
     zone_of = {u: view.graph.node(u).zone for u in nodes}
-    member_sets = {c: set(ms) for c, ms in groups2.items()}
     cascade: dict[str, bool] = {c: False for c in groups2}
     for e in view.edges:
         if e.risk is None or e.risk.p_exploit <= 0.5:
             continue
         if zone_of.get(e.src) == zone_of.get(e.dst):
             continue
-        for c, ms in member_sets.items():
-            if e.src in ms and e.dst in ms:
-                cascade[c] = True
-                break
+        if node_comm[e.src] == node_comm[e.dst]:
+            cascade[node_comm[e.src]] = True
     ordered = sorted(groups2.items(), key=lambda kv: (-len(kv[1]), min(kv[1])))
     communities = []
     for i, (c, ms) in enumerate(ordered):

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from icskg import analytics, enrich, ingest, logsynth, reports, risk, scenarios
-from icskg.config import Convention, RiskConfig
+from icskg.config import Convention, RiskConfig, json_int
 from icskg.errors import IcskgError, InvariantViolation, StageOrderError
 from icskg.graph import (
     Configuration,
@@ -83,7 +83,7 @@ class RunConfig:
         return cls(
             base_dir=base,
             paths=paths,
-            seed=int(raw.get("seed", 42)),
+            seed=json_int("seed", raw.get("seed", 42)),
             convention=raw.get("convention"),
             synth_profile=dict(raw.get("synthProfile", {})),
             control_profile=raw.get("controlProfile", "secured"),
@@ -300,33 +300,18 @@ def cmd_annotate(cfg: RunConfig, out_dir: Path) -> int:
     return _EXIT_OK
 
 
-def _json_int(raw) -> int:
-    """``raw`` if it is a JSON integer; a boolean or a float is not one."""
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise TypeError(f"{raw!r} is not an integer")
-    return raw
-
-
-def _enrichment_setting(cfg: RunConfig, key: str, default, read, valid,
-                        requirement: str):
-    """The enrichment setting ``key`` as ``read`` converts it, if ``valid``."""
-    raw = cfg.enrichment.get(key, default)
-    try:
-        if valid(value := read(raw)):
-            return value
-    except (TypeError, ValueError):
-        pass
-    raise IcskgError(f"enrichment.{key} must be {requirement}, got {raw!r}")
-
-
 def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
-    dim = _enrichment_setting(cfg, "dim", enrich.DEFAULT_DIM, _json_int,
-                              lambda v: v >= 1, "an integer of at least 1")
-    weights = _enrichment_setting(cfg, "iterationWeights", enrich.DEFAULT_ITERATION_WEIGHTS,
-                                  lambda v: tuple(map(float, v)), bool,
-                                  "a non-empty list of numbers")
-    top_k = _enrichment_setting(cfg, "topK", enrich.DEFAULT_TOP_K, _json_int,
-                                lambda v: v >= 0, "a non-negative integer")
+    setting = cfg.enrichment.get
+    dim = json_int("enrichment.dim", setting("dim", enrich.DEFAULT_DIM), 1)
+    raw_weights = setting("iterationWeights", enrich.DEFAULT_ITERATION_WEIGHTS)
+    try:
+        weights = tuple(map(float, raw_weights))
+    except (TypeError, ValueError):
+        weights = ()
+    if not weights:
+        raise IcskgError("enrichment.iterationWeights must be a non-empty list of "
+                         f"numbers, got {raw_weights!r}")
+    top_k = json_int("enrichment.topK", setting("topK", enrich.DEFAULT_TOP_K), 0)
     state = PipelineState.open(cfg, out_dir, "enrich")
     graph = state.upstream()
     frozen = state.upstream()

@@ -14,6 +14,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from icskg.errors import IcskgError
+
+
+def json_int(name: str, raw, minimum: int | None = None) -> int:
+    """``raw`` if it is a JSON integer (a boolean or a float is not one) of
+    at least ``minimum``; otherwise :class:`IcskgError` naming ``name``."""
+    if isinstance(raw, bool) or not isinstance(raw, int) \
+            or (minimum is not None and raw < minimum):
+        least = "" if minimum is None else f" of at least {minimum}"
+        raise IcskgError(f"{name} must be an integer{least}, got {raw!r}")
+    return raw
+
 
 class Convention(Enum):
     """How the four log-derived factor scores enter controlStrength.

@@ -25,6 +25,7 @@ import json
 import xml.sax.saxutils as saxutils
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from io import StringIO
 from pathlib import Path
 from types import MappingProxyType
@@ -375,31 +376,42 @@ class Graph:
         return tuple(sorted(selected, key=lambda e: e.key))
 
 
+@dataclass(frozen=True)
 class GraphView:
     """Immutable projection of one configuration's communication edges.
 
     The node universe of a view is every Product node of the base graph;
-    communication edges are traversed as undirected.
+    communication edges are traversed as undirected.  Views of one graph
+    (by identity) with equal configuration and edges are equal.  Product ids
+    and adjacency are built on first use; ``path_graphs`` holds the path
+    graphs :mod:`icskg.analytics` builds, one per weight policy.
     """
 
-    def __init__(self, graph: Graph, config: Configuration,
-                 active: tuple[Edge, ...]) -> None:
-        self.graph = graph
-        self.config = config
-        self.edges = active
-        self._nodes = [n.id for n in graph.nodes(NodeKind.PRODUCT)]
-        self._adj: dict[str, list[tuple[str, Edge]]] = {}
-        for e in active:
-            self._adj.setdefault(e.src, []).append((e.dst, e))
-            self._adj.setdefault(e.dst, []).append((e.src, e))
-        for lst in self._adj.values():
+    graph: Graph
+    config: Configuration
+    edges: tuple[Edge, ...]
+    path_graphs: dict = field(default_factory=dict, init=False, compare=False,
+                              repr=False)
+
+    @cached_property
+    def _ids(self) -> list[str]:
+        return [n.id for n in self.graph.nodes(NodeKind.PRODUCT)]
+
+    @cached_property
+    def _adj(self) -> dict[str, list[tuple[str, Edge]]]:
+        adj: dict[str, list[tuple[str, Edge]]] = {}
+        for e in self.edges:
+            adj.setdefault(e.src, []).append((e.dst, e))
+            adj.setdefault(e.dst, []).append((e.src, e))
+        for lst in adj.values():
             lst.sort(key=lambda t: (t[0], t[1].kind.value))
+        return adj
 
     def edge_count(self) -> int:
         return len(self.edges)
 
     def nodes(self) -> list[str]:
-        return list(self._nodes)
+        return list(self._ids)
 
     def neighbors(self, node_id: str) -> list[tuple[str, Edge]]:
         self.graph.node(node_id)

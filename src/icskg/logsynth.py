@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from icskg.config import CONTROL_NAMES, ControlOverrides
+from icskg.config import CONTROL_NAMES, ControlOverrides, json_int
 from icskg.errors import IngestError, InvalidProfile
 from icskg.graph import read_csv, write_csv
 from icskg.ingest import ControlProfileSpec, Dataflow, TestbedSpec
@@ -114,7 +114,8 @@ class SynthProfile:
         for key, attr in mapping.items():
             if key in raw:
                 value = raw[key]
-                kwargs[attr] = int(value) if attr in ("seed", "client_ip_pool_size") else float(value)
+                kwargs[attr] = json_int(key, value) if attr in ("seed", "client_ip_pool_size") \
+                    else float(value)
         profile = cls(**kwargs)
         profile.validate()
         return profile

@@ -15,6 +15,7 @@ import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from icskg.analytics import WeightPolicy, betweenness, pagerank, yen_k_shortest
+from icskg.config import json_int
 from icskg.errors import SelectorEmpty
 from icskg.graph import Configuration, Graph, GraphView, NodeKind
 
@@ -74,7 +75,7 @@ class Scenario:
             name=raw.get("name", raw["id"]),
             source=Selector.from_dict(raw["source"]),
             target=Selector.from_dict(raw["target"]),
-            k=int(raw.get("k", DEFAULT_K)),
+            k=json_int(f"scenario {raw['id']}: k", raw.get("k", DEFAULT_K), 1),
             policy=WeightPolicy(raw.get("policy", "RiskCost")),
         )
 

@@ -198,9 +198,9 @@ def test_bfs_search_equals_heap_search_on_hop_graphs(graph, seed):
     n = len(pg.ids)
     src, dst = rng.randrange(n), rng.randrange(n)
     banned_nodes = frozenset(rng.sample(range(n), rng.randint(0, n // 4)))
-    banned_pairs = frozenset((src, v) for v, _ in pg.adj[src] if rng.random() < 0.5)
-    got = _bfs_raw(pg, src, dst, banned_nodes, banned_pairs)
-    assert got == _dijkstra_raw(pg, src, dst, banned_nodes, banned_pairs)
+    banned_first = frozenset(v for v, _ in pg.adj[src] if rng.random() < 0.5)
+    got = _bfs_raw(pg, src, dst, banned_nodes, banned_first)
+    assert got == _dijkstra_raw(pg, src, dst, banned_nodes, banned_first)
     if got is not None:
         assert type(got[0]) is float
 
@@ -238,6 +238,19 @@ def test_path_graph_built_once_per_view_and_policy():
     assert _path_graph(view, WeightPolicy.RISK_COST) is risk
     assert _path_graph(view, WeightPolicy.HOP) is hop
     assert (hop.cost_of, risk.cost_of) == (hop_costs, risk_costs)
+
+
+def test_view_attributes_cannot_be_rebound():
+    g = comm_graph([("A", "B", 0.1), ("B", "C", 0.2), ("A", "C", 0.5)])
+    view = original(g)
+    before = yen_k_shortest(view, "A", "C", 3, WeightPolicy.HOP)
+    assert [p.nodes for p in before] == [["A", "C"], ["A", "B", "C"]]
+    for name, value in (("edges", view.edges[:1]), ("config", Configuration.ENRICHED),
+                        ("graph", Graph())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(view, name, value)
+    assert yen_k_shortest(view, "A", "C", 3, WeightPolicy.HOP) == before == \
+        yen_k_shortest(original(g), "A", "C", 3, WeightPolicy.HOP)
 
 
 def test_threads_sharing_a_view_find_the_single_thread_paths():

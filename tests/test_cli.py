@@ -225,6 +225,41 @@ def test_out_of_range_setting_exits_2(tmp_path, pipeline_out, capsys,
     assert tree_digest(out) == tree_digest(pipeline_out)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 8.7), ("seed", True), ("seed", "7"),
+    ("k", 2.5), ("k", True), ("k", "3"), ("k", 0),
+    ("clientIpPoolSize", 2.5),
+], ids=["seed-float", "seed-bool", "seed-string", "k-float", "k-bool", "k-string",
+        "k-zero", "clientIpPoolSize-float"])
+def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, key, value):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    if key == "seed":
+        # A fresh output tree: against an existing state any other seed
+        # already exits 2 as a mismatch.
+        raw["seed"] = value
+        stage, out, needle = "build", tmp_path / "fresh", "seed must be"
+    else:
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        if key == "k":
+            catalog = json.loads(Path(raw["paths"]["scenarios"]).read_text())
+            catalog[0]["k"] = value
+            raw["paths"]["scenarios"] = str(tmp_path / "scenarios.json")
+            Path(raw["paths"]["scenarios"]).write_text(json.dumps(catalog))
+            stage, needle = "simulate", "scenario S01: k must be"
+        else:
+            raw["synthProfile"][key] = value
+            stage, needle = "synth-logs", f"{key} must be"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["--config", str(config), "--out", str(out), stage]) == 2
+    assert needle in capsys.readouterr().err
+    if key == "seed":
+        assert not out.exists()
+    else:
+        assert tree_digest(out) == tree_digest(pipeline_out)
+
+
 def test_residual_controlled_not_above_enriched(pipeline_out):
     for row in read_csv(pipeline_out / "reports" / "residual.csv"):
         assert float(row["after"]) <= float(row["enriched"]) + 1e-9

@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import FrozenInstanceError, fields
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add_comm, add_product, comm_graph, random_comm_graph, random_graphs
+from conftest import (
+    _clone,
+    add_comm,
+    add_product,
+    comm_graph,
+    random_comm_graph,
+    random_graphs,
+)
+from icskg.analytics import betweenness
 from icskg.errors import (
     GraphNotFinalized,
     InvalidCriticality,
@@ -179,6 +188,25 @@ def test_view_indexes_match_edge_scans():
                 assert view.incoming(node) == [e for e in view.edges if e.dst == node]
             view.nodes().clear()
             assert view.nodes() == products
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(2, 12), st.lists(
+    st.tuples(st.sampled_from(list(Configuration)),
+              st.sampled_from([0.05, 0.15, 0.25, 0.4, 0.6])), min_size=2, max_size=8))
+def test_views_compare_by_configuration_and_edges(graph, projections):
+    views = [graph.project_view(config, threshold) for config, threshold in projections]
+    for view in views[::2]:
+        betweenness(view)       # a cached path graph takes no part in equality
+    for (key_a, a), (key_b, b) in combinations(zip(projections, views), 2):
+        if key_a == key_b:
+            assert a == b
+        assert (a == b) == (a.config is b.config and a.edges == b.edges)
+    twin = _clone(graph)
+    twin.finalize()
+    for (config, threshold), view in zip(projections, views):
+        other = twin.project_view(config, threshold)
+        assert other.edges == view.edges and other != view
 
 
 def test_controlled_prunes_below_threshold():
