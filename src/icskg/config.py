@@ -10,6 +10,7 @@ convention and the prune threshold.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -25,6 +26,16 @@ def json_int(name: str, raw, minimum: int | None = None) -> int:
         least = "" if minimum is None else f" of at least {minimum}"
         raise IcskgError(f"{name} must be an integer{least}, got {raw!r}")
     return raw
+
+
+def json_number(name: str, raw) -> float:
+    """``raw`` as a float if it is a finite JSON number (an integer or a
+    float, not a boolean); otherwise :class:`IcskgError` naming ``name``."""
+    # NaN fails the comparison, and an integer compares exactly.
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
+            or not abs(raw) <= sys.float_info.max:
+        raise IcskgError(f"{name} must be a finite number, got {raw!r}")
+    return float(raw)
 
 
 class Convention(Enum):
@@ -150,24 +161,26 @@ class RiskConfig:
         if "convention" in raw:
             cfg.convention = Convention(raw["convention"].lower())
         if "pruneThreshold" in raw:
-            cfg.prune_threshold = float(raw["pruneThreshold"])
+            cfg.prune_threshold = json_number("pruneThreshold", raw["pruneThreshold"])
         coeffs = raw.get("factorCoefficients", {})
         for name, value in coeffs.items():
             if not hasattr(cfg.coefficients, name):
                 raise KeyError(f"unknown factor coefficient {name!r}")
-            setattr(cfg.coefficients, name, float(value))
+            setattr(cfg.coefficients, name, json_number(f"factorCoefficients.{name}", value))
         if "fAC" in raw:
-            cfg.f_ac = {k: float(v) for k, v in raw["fAC"].items()}
+            cfg.f_ac = {k: json_number(f"fAC.{k}", v) for k, v in raw["fAC"].items()}
         if "fAV" in raw:
-            cfg.f_av = {k: float(v) for k, v in raw["fAV"].items()}
+            cfg.f_av = {k: json_number(f"fAV.{k}", v) for k, v in raw["fAV"].items()}
         if "criticalityDefaults" in raw:
-            cfg.criticality_defaults = {k: int(v) for k, v in raw["criticalityDefaults"].items()}
+            cfg.criticality_defaults = {k: json_int(f"criticalityDefaults.{k}", v)
+                                        for k, v in raw["criticalityDefaults"].items()}
         if "zoneDefaultWeakness" in raw:
             cfg.zone_default_weakness = {
-                k: tuple(float(x) for x in v) for k, v in raw["zoneDefaultWeakness"].items()}
+                k: tuple(json_number(f"zoneDefaultWeakness.{k}", x) for x in v)
+                for k, v in raw["zoneDefaultWeakness"].items()}
         overrides = raw.get("controlOverrides", {})
         for name, value in overrides.items():
             if not hasattr(cfg.control_overrides, name):
                 raise KeyError(f"unknown control override {name!r}")
-            setattr(cfg.control_overrides, name, float(value))
+            setattr(cfg.control_overrides, name, json_number(f"controlOverrides.{name}", value))
         return cfg

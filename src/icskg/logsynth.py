@@ -5,7 +5,11 @@ baseline profile and for a secured profile derived from an enabled control
 set.  Event-class rates are met by exact quota counts (round(n * rate))
 assigned to sessions through a counter-based Philox stream keyed by
 (seed, flow index), so a fixed seed yields byte-identical output on every
-platform and per-flow generation can run in any order.
+platform and per-flow generation can run in any order.  Each flow is built
+column-wise: its event offsets, timestamps and categorical fields are numpy
+arrays, turned into records in one pass.  Timestamps count from
+2025-01-06T00:00:00Z, rounded half-even to the microsecond and then
+truncated to the millisecond.
 
 Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientIp``
 """
@@ -13,14 +17,14 @@ Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientI
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from icskg.config import CONTROL_NAMES, ControlOverrides, json_int
+from icskg.config import CONTROL_NAMES, ControlOverrides, json_int, json_number
 from icskg.errors import IngestError, InvalidProfile
 from icskg.graph import read_csv, write_csv
 from icskg.ingest import ControlProfileSpec, Dataflow, TestbedSpec
@@ -33,7 +37,10 @@ SECURITY_MODES = ("None", "Sign", "SignAndEncrypt")
 EVENTS = ("Read", "Write", "FailedWrite", "AuditWrite", "Session",
           "ConfigCheckPass", "ConfigCheckFail")
 
-_BASE_TIME = datetime(2025, 1, 6, 0, 0, 0, tzinfo=timezone.utc)
+_AUTH_MODES, _SECURITY_MODES, _EVENTS = (
+    np.array(names, dtype=object) for names in (AUTH_MODES, SECURITY_MODES, EVENTS))
+
+_BASE_MS = np.datetime64("2025-01-06T00:00:00", "ms")
 
 # Per-session config checks are capped to keep streams bounded when
 # misconfigRate far exceeds failCheckFrac.
@@ -92,8 +99,10 @@ class SynthProfile:
                     "misconfigRate / failCheckFrac exceeds the per-session check cap")
         if self.duration_hours < 0 or self.per_flow_session_rate < 0:
             raise InvalidProfile("duration and session rate must be non-negative")
-        if self.client_ip_pool_size < 1:
-            raise InvalidProfile("clientIpPoolSize must be >= 1")
+        if not 1 <= self.client_ip_pool_size <= 254:
+            # The pool is the host part of 10.<flow>.0.<k>.
+            raise InvalidProfile(
+                f"clientIpPoolSize must be between 1 and 254, got {self.client_ip_pool_size}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthProfile":
@@ -115,7 +124,7 @@ class SynthProfile:
             if key in raw:
                 value = raw[key]
                 kwargs[attr] = json_int(key, value) if attr in ("seed", "client_ip_pool_size") \
-                    else float(value)
+                    else json_number(key, value)
         profile = cls(**kwargs)
         profile.validate()
         return profile
@@ -182,9 +191,15 @@ def _quota_flags(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return flags
 
 
-def _timestamp(offset_seconds: float) -> str:
-    t = _BASE_TIME + timedelta(seconds=offset_seconds)
-    return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}Z"
+def _timestamps(offsets: np.ndarray) -> list[str]:
+    """The log timestamps of offsets in seconds from 2025-01-06T00:00:00Z:
+    each offset rounded half-even to the microsecond, as ``timedelta``
+    rounds it, then truncated to the millisecond."""
+    whole = np.floor(offsets)
+    micros = whole.astype(np.int64) * 1_000_000 \
+        + np.rint((offsets - whole) * 1e6).astype(np.int64)
+    return np.datetime_as_string(_BASE_MS + micros // 1000, unit="ms",
+                                 timezone="UTC").tolist()
 
 
 def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> list[LogRecord]:
@@ -225,34 +240,24 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> li
                               int(round(total_checks * profile.fail_check_frac)), rng) \
         if total_checks else np.zeros(0, dtype=bool)
 
-    records: list[LogRecord] = []
-    for i in range(n):
-        base_t = i * slot
-        if anon[i]:
-            auth = "Anonymous"
-        elif cert[i]:
-            auth = "Certificate"
-        else:
-            auth = "Password"
-        if insecure[i]:
-            sec = "None"
-        else:
-            sec = "Sign" if sign_only[i] else "SignAndEncrypt"
-        ip = f"10.{(flow_index % 250) + 1}.0.{int(ip_assign[i]) + 1}"
-        if failed[i]:
-            write_event = "FailedWrite"
-        elif audit[i]:
-            write_event = "AuditWrite"
-        else:
-            write_event = "Write"
-        events = ["Session", write_event] + [
-            "ConfigCheckFail" if check_fail[c] else "ConfigCheckPass"
-            for c in range(int(boundaries[i]), int(boundaries[i + 1]))]
-        step = slot / (len(events) + 1)
-        for j, event in enumerate(events):
-            records.append(LogRecord(_timestamp(base_t + step * j), flow.src, flow.dst,
-                                     flow.protocol, auth, sec, event, ip))
-    return records
+    # Session i holds a Session event, its write and its config checks,
+    # event j of them at i*slot + slot/(count+1)*j.  The categorical codes
+    # index AUTH_MODES, SECURITY_MODES and EVENTS.
+    counts = np.diff(boundaries) + 2
+    session = np.repeat(np.arange(n), counts)
+    position = np.arange(len(session)) - np.repeat(np.cumsum(counts) - counts, counts)
+    offsets = session * slot + (slot / (counts + 1))[session] * position
+    event = np.where(failed, 2, np.where(audit, 3, 1))[session]
+    event[position == 0] = 4
+    event[position >= 2] = np.where(check_fail, 6, 5)
+    ips = np.array([f"10.{(flow_index % 250) + 1}.0.{k + 1}"
+                    for k in range(profile.client_ip_pool_size)], dtype=object)
+    return list(map(
+        LogRecord, _timestamps(offsets),
+        repeat(flow.src), repeat(flow.dst), repeat(flow.protocol),
+        _AUTH_MODES[np.where(anon, 0, np.where(cert, 2, 1))[session]].tolist(),
+        _SECURITY_MODES[np.where(insecure, 0, np.where(sign_only, 1, 2))[session]].tolist(),
+        _EVENTS[event].tolist(), ips[ip_assign[session]].tolist()))
 
 
 def _merged_flows(testbed: TestbedSpec, profile: SynthProfile,

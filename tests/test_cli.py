@@ -260,6 +260,35 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
         assert tree_digest(out) == tree_digest(pipeline_out)
 
 
+@pytest.mark.parametrize("key, value, stage, needle", [
+    ("durationHours", True, "synth-logs", "durationHours must be a finite number"),
+    ("durationHours", "8", "synth-logs", "durationHours must be a finite number"),
+    ("durationHours", float("inf"), "synth-logs", "durationHours must be a finite number"),
+    ("clientIpPoolSize", 300, "synth-logs", "clientIpPoolSize must be between 1 and 254"),
+    ("PLC", 8.7, "annotate", "criticalityDefaults.PLC must be an integer"),
+    ("HMI", True, "annotate", "criticalityDefaults.HMI must be an integer"),
+], ids=["durationHours-bool", "durationHours-string", "durationHours-infinity",
+        "clientIpPoolSize-300", "criticalityDefaults-float", "criticalityDefaults-bool"])
+def test_numeric_setting_must_be_in_range(tmp_path, pipeline_out, capsys,
+                                          key, value, stage, needle):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    if stage == "synth-logs":
+        raw["synthProfile"][key] = value
+    else:
+        risk = json.loads(Path(raw["paths"]["riskConfig"]).read_text())
+        risk["criticalityDefaults"][key] = value
+        raw["paths"]["riskConfig"] = str(tmp_path / "risk_config.json")
+        Path(raw["paths"]["riskConfig"]).write_text(json.dumps(risk))
+    config = tmp_path / "config.json"
+    # json writes infinity as Infinity, which json.loads reads back.
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    assert main(["--config", str(config), "--out", str(out), stage]) == 2
+    assert needle in capsys.readouterr().err
+    assert tree_digest(out) == tree_digest(pipeline_out)
+
+
 def test_residual_controlled_not_above_enriched(pipeline_out):
     for row in read_csv(pipeline_out / "reports" / "residual.csv"):
         assert float(row["after"]) <= float(row["enriched"]) + 1e-9

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icskg.config import ControlOverrides
 from icskg.errors import IngestError, InvalidProfile
@@ -13,7 +17,12 @@ from icskg.ingest import Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
     LOG_CSV_HEADER,
     ControlProfile,
+    LogRecord,
     SynthProfile,
+    _flow_rng,
+    _generate_flow,
+    _quota_flags,
+    _timestamps,
     generate,
     generate_secured,
     load_log_csv,
@@ -188,3 +197,122 @@ def test_load_log_csv_rejects_ragged_rows(tmp_path, width):
     path.write_bytes(write_csv(LOG_CSV_HEADER, rows))
     with pytest.raises(IngestError, match=f"row 2 has {width} fields"):
         load_log_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Column-wise generation against the per-session reference
+# ---------------------------------------------------------------------------
+
+_BASE_TIME = datetime(2025, 1, 6, tzinfo=timezone.utc)
+
+
+def reference_timestamp(offset_seconds: float) -> str:
+    t = _BASE_TIME + timedelta(seconds=offset_seconds)
+    return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}Z"
+
+
+def reference_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> list[LogRecord]:
+    """One flow's records built session by session, with the same draws
+    from the flow's random stream as :func:`_generate_flow`."""
+    n = int(round(profile.per_flow_session_rate * profile.duration_hours))
+    if n <= 0:
+        return []
+    rng = _flow_rng(profile.seed, flow_index)
+    slot = profile.duration_hours * 3600.0 / n
+
+    anon = _quota_flags(n, int(round(n * profile.anon_frac)), rng)
+    cert_count = min(int(round(n * profile.cert_frac)), n - int(anon.sum()))
+    cert = np.zeros(n, dtype=bool)
+    cert[rng.permutation(np.flatnonzero(~anon))[:cert_count]] = True
+    insecure = _quota_flags(n, int(round(n * profile.insecure_mode_frac)), rng)
+    sign_only = _quota_flags(n, n // 2, rng)
+    ip_assign = np.arange(n) % profile.client_ip_pool_size
+    rng.shuffle(ip_assign)
+    failed = _quota_flags(n, int(round(n * profile.failed_write_frac)), rng)
+    audit_count = min(int(round(n * profile.audit_write_frac)), n - int(failed.sum()))
+    audit = np.zeros(n, dtype=bool)
+    audit[rng.permutation(np.flatnonzero(~failed))[:audit_count]] = True
+    checks_per_session = profile.misconfig_rate / profile.fail_check_frac \
+        if profile.fail_check_frac > 0.0 else 1.0
+    boundaries = np.floor(np.arange(n + 1) * checks_per_session).astype(np.int64)
+    total_checks = int(boundaries[-1])
+    check_fail = _quota_flags(total_checks,
+                              int(round(total_checks * profile.fail_check_frac)), rng) \
+        if total_checks else np.zeros(0, dtype=bool)
+
+    records = []
+    for i in range(n):
+        auth = "Anonymous" if anon[i] else "Certificate" if cert[i] else "Password"
+        sec = "None" if insecure[i] else "Sign" if sign_only[i] else "SignAndEncrypt"
+        ip = f"10.{(flow_index % 250) + 1}.0.{int(ip_assign[i]) + 1}"
+        write = "FailedWrite" if failed[i] else "AuditWrite" if audit[i] else "Write"
+        events = ["Session", write] + [
+            "ConfigCheckFail" if check_fail[c] else "ConfigCheckPass"
+            for c in range(int(boundaries[i]), int(boundaries[i + 1]))]
+        step = slot / (len(events) + 1)
+        for j, event in enumerate(events):
+            records.append(LogRecord(reference_timestamp(i * slot + step * j), flow.src,
+                                     flow.dst, flow.protocol, auth, sec, event, ip))
+    return records
+
+
+def _near(centres, width: float):
+    return st.builds(lambda c, d: max(c + d, 0.0), centres, st.floats(-width, width))
+
+
+_SECONDS = st.integers(0, 10**7)
+# Days after the 2025-01-06 start that begin February, March, April and May.
+_MONTH_STARTS = st.sampled_from([26, 54, 85, 115])
+
+OFFSETS = st.one_of(
+    st.floats(0.0, 1e7),
+    # a half-microsecond: the rounding tie and its neighbours
+    _near(st.builds(lambda s, us: s + (us + 0.5) / 1e6, _SECONDS, st.integers(0, 999_999)), 1e-6),
+    # exact ties: k/128 s is k * 7812.5 us
+    st.builds(lambda s, k: s + k / 128, _SECONDS, st.integers(0, 127)),
+    # the half-microsecond below a millisecond boundary, to within a few ulps
+    _near(st.builds(lambda s, ms: s + (ms - 0.0005) / 1000, _SECONDS, st.integers(1, 1000)), 1e-8),
+    # millisecond boundaries, and .9995 s where rounding to the millisecond differs
+    _near(st.builds(lambda s, ms: s + ms / 1000, _SECONDS, st.integers(0, 999)), 1e-6),
+    _near(_SECONDS.map(lambda s: s + 0.9995), 1e-6),
+    # the end of a day, and of a month
+    _near(st.integers(1, 115).map(lambda day: day * 86400.0), 1e-3),
+    _near(_MONTH_STARTS.map(lambda day: day * 86400.0), 1e-3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(OFFSETS, min_size=1, max_size=40))
+def test_timestamps_round_as_timedelta_does(offsets):
+    assert _timestamps(np.array(offsets)) == [reference_timestamp(x) for x in offsets]
+
+
+@st.composite
+def valid_profiles(draw) -> SynthProfile:
+    fail_check = draw(st.just(0.0) | st.floats(0.001, 1.0))
+    misconfig = draw(st.floats(0.0, min(1.0, 9.99 * fail_check)))
+    anon = draw(st.floats(0.0, 1.0))
+    failed = draw(st.floats(0.0, 1.0))
+    duration = draw(st.floats(0.0, 72.0))
+    profile = SynthProfile(
+        seed=draw(st.integers(0, 2**63 - 1)),
+        duration_hours=duration,
+        per_flow_session_rate=draw(st.floats(0.0, 2000.0 / max(duration, 1.0))),
+        anon_frac=anon,
+        insecure_mode_frac=draw(st.floats(0.0, 1.0)),
+        cert_frac=draw(st.floats(0.0, 1.0 - anon)),
+        misconfig_rate=misconfig,
+        failed_write_frac=failed,
+        audit_write_frac=draw(st.floats(0.0, 1.0 - failed)),
+        fail_check_frac=fail_check,
+        client_ip_pool_size=draw(st.integers(1, 254)),
+    )
+    profile.validate()
+    return profile
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_profiles(), st.integers(0, 1000))
+def test_generate_flow_equals_per_session_reference(profile, flow_index):
+    flow = Dataflow("SRC", "DST", "OPC_UA")
+    assert _generate_flow(flow_index, flow, profile) == reference_flow(flow_index, flow, profile)
