@@ -202,19 +202,6 @@ def _bfs_raw(pg: _PathGraph, src: int, dst: int,
     return float(len(path) - 1), tuple(path)
 
 
-def dijkstra(view: GraphView, src: str, dst: str,
-             policy: WeightPolicy = WeightPolicy.RISK_COST) -> Optional[PathResult]:
-    """Cheapest path under the policy, or None when dst is unreachable."""
-    view.graph.node(src)
-    view.graph.node(dst)
-    pg = _path_graph(view, policy)
-    found = pg.search(pg, pg.rank[src], pg.rank[dst])
-    if found is None:
-        return None
-    cost, path = found
-    return _make_result(pg, path, cost)
-
-
 def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
                    policy: WeightPolicy = WeightPolicy.RISK_COST
                    ) -> list[PathResult]:
@@ -272,9 +259,15 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
 # Centralities
 # ---------------------------------------------------------------------------
 
-def pagerank(view: GraphView, damping: float = 0.85, tol: float = 1e-8,
-             weighted: bool = False, max_iter: int = 1000) -> dict[str, float]:
-    """Power iteration with uniform teleportation over all view nodes.
+_DAMPING = 0.85
+_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 1000
+
+
+def pagerank(view: GraphView, weighted: bool = False) -> dict[str, float]:
+    """Power iteration with uniform teleportation over all view nodes:
+    damping 0.85, until the L1 change falls below 1e-8 or after 1000
+    iterations.
 
     Nodes with no (or zero-weight) attachments contribute their rank mass
     uniformly, the standard dangling-node treatment; scores sum to 1.
@@ -286,7 +279,7 @@ def pagerank(view: GraphView, damping: float = 0.85, tol: float = 1e-8,
     n = len(nodes)
     out_weight = {u: sum(adj.get(u, {}).values()) for u in nodes}
     rank = {u: 1.0 / n for u in nodes}
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITERATIONS):
         dangling = sum(rank[u] for u in nodes if out_weight[u] == 0.0)
         nxt = {}
         for v in nodes:
@@ -294,10 +287,10 @@ def pagerank(view: GraphView, damping: float = 0.85, tol: float = 1e-8,
             for u, w in adj.get(v, {}).items():
                 if out_weight[u] > 0.0:
                     incoming += rank[u] * w / out_weight[u]
-            nxt[v] = (1.0 - damping) / n + damping * (incoming + dangling / n)
+            nxt[v] = (1.0 - _DAMPING) / n + _DAMPING * (incoming + dangling / n)
         delta = sum(abs(nxt[u] - rank[u]) for u in nodes)
         rank = nxt
-        if delta < tol:
+        if delta < _TOLERANCE:
             break
     return {u: rank[u] for u in nodes}
 

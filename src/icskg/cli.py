@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from icskg import analytics, enrich, ingest, logsynth, reports, risk, scenarios
-from icskg.config import Convention, RiskConfig, json_int
+from icskg.config import Convention, RiskConfig, json_int, json_number
 from icskg.errors import IcskgError, InvariantViolation, StageOrderError
 from icskg.graph import (
     Configuration,
@@ -87,7 +87,8 @@ class RunConfig:
             convention=raw.get("convention"),
             synth_profile=dict(raw.get("synthProfile", {})),
             control_profile=raw.get("controlProfile", "secured"),
-            prediction_min_confidence=float(raw.get("predictionMinConfidence", 0.5)),
+            prediction_min_confidence=json_number(
+                "predictionMinConfidence", raw.get("predictionMinConfidence", 0.5)),
             enrichment=dict(raw.get("enrichment", {})),
         )
 
@@ -105,7 +106,7 @@ class RunConfig:
     def risk_config(self) -> RiskConfig:
         cfg = RiskConfig.from_json(self.paths["riskConfig"])
         if self.convention:
-            cfg.convention = Convention(self.convention.lower())
+            cfg.convention = Convention.from_setting("convention", self.convention)
         return cfg
 
     def profile(self) -> logsynth.SynthProfile:

@@ -38,6 +38,14 @@ def json_number(name: str, raw) -> float:
     return float(raw)
 
 
+def json_object(name: str, raw) -> dict:
+    """``raw`` if it is a JSON object; otherwise :class:`IcskgError` naming
+    ``name``."""
+    if not isinstance(raw, dict):
+        raise IcskgError(f"{name} must be a JSON object, got {raw!r}")
+    return raw
+
+
 class Convention(Enum):
     """How the four log-derived factor scores enter controlStrength.
 
@@ -48,6 +56,15 @@ class Convention(Enum):
 
     LITERAL = "literal"
     COMPLEMENT = "complement"
+
+    @classmethod
+    def from_setting(cls, name: str, raw) -> "Convention":
+        """The convention ``raw`` names, ``"literal"`` or ``"complement"``;
+        any other value raises :class:`IcskgError` naming ``name``."""
+        for convention in cls:
+            if raw == convention.value:
+                return convention
+        raise IcskgError(f'{name} must be "literal" or "complement", got {raw!r}')
 
 
 # Cost encodings for CVSS access complexity and attack vector categories.
@@ -157,28 +174,38 @@ class RiskConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RiskConfig":
+        """The settings of a risk config document; a value of the wrong JSON
+        type or shape raises :class:`IcskgError` naming its setting."""
+        raw = json_object("riskConfig", raw)
         cfg = cls()
         if "convention" in raw:
-            cfg.convention = Convention(raw["convention"].lower())
+            cfg.convention = Convention.from_setting("convention", raw["convention"])
         if "pruneThreshold" in raw:
             cfg.prune_threshold = json_number("pruneThreshold", raw["pruneThreshold"])
-        coeffs = raw.get("factorCoefficients", {})
+        coeffs = json_object("factorCoefficients", raw.get("factorCoefficients", {}))
         for name, value in coeffs.items():
             if not hasattr(cfg.coefficients, name):
                 raise KeyError(f"unknown factor coefficient {name!r}")
             setattr(cfg.coefficients, name, json_number(f"factorCoefficients.{name}", value))
         if "fAC" in raw:
-            cfg.f_ac = {k: json_number(f"fAC.{k}", v) for k, v in raw["fAC"].items()}
+            cfg.f_ac = {k: json_number(f"fAC.{k}", v)
+                        for k, v in json_object("fAC", raw["fAC"]).items()}
         if "fAV" in raw:
-            cfg.f_av = {k: json_number(f"fAV.{k}", v) for k, v in raw["fAV"].items()}
+            cfg.f_av = {k: json_number(f"fAV.{k}", v)
+                        for k, v in json_object("fAV", raw["fAV"]).items()}
         if "criticalityDefaults" in raw:
+            table = json_object("criticalityDefaults", raw["criticalityDefaults"])
             cfg.criticality_defaults = {k: json_int(f"criticalityDefaults.{k}", v)
-                                        for k, v in raw["criticalityDefaults"].items()}
+                                        for k, v in table.items()}
         if "zoneDefaultWeakness" in raw:
-            cfg.zone_default_weakness = {
-                k: tuple(json_number(f"zoneDefaultWeakness.{k}", x) for x in v)
-                for k, v in raw["zoneDefaultWeakness"].items()}
-        overrides = raw.get("controlOverrides", {})
+            cfg.zone_default_weakness = {}
+            table = json_object("zoneDefaultWeakness", raw["zoneDefaultWeakness"])
+            for zone, values in table.items():
+                name = f"zoneDefaultWeakness.{zone}"
+                if not isinstance(values, list) or len(values) != 4:
+                    raise IcskgError(f"{name} must be a list of four numbers, got {values!r}")
+                cfg.zone_default_weakness[zone] = tuple(json_number(name, x) for x in values)
+        overrides = json_object("controlOverrides", raw.get("controlOverrides", {}))
         for name, value in overrides.items():
             if not hasattr(cfg.control_overrides, name):
                 raise KeyError(f"unknown control override {name!r}")

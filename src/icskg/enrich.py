@@ -31,9 +31,6 @@ class EmbeddingMatrix:
     iteration_weights: tuple[float, ...]
     seed: int
 
-    def vector(self, node_id: str) -> np.ndarray:
-        return self.vectors[self.node_ids.index(node_id)]
-
     def to_csv(self) -> bytes:
         return write_csv(["id"] + [f"e{i}" for i in range(self.dim)], (
             [node_id] + [f"{x:.8f}" for x in row]

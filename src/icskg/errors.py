@@ -70,22 +70,6 @@ class DanglingReference(IngestError):
 
 
 # ---------------------------------------------------------------------------
-# Risk engine
-# ---------------------------------------------------------------------------
-
-class RiskError(IcskgError):
-    pass
-
-
-class MissingSecuredLogs(RiskError):
-    pass
-
-
-class DiscontiguousPath(RiskError):
-    """Edge list does not form a contiguous walk."""
-
-
-# ---------------------------------------------------------------------------
 # Log synthesis
 # ---------------------------------------------------------------------------
 

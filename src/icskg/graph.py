@@ -29,7 +29,7 @@ from functools import cached_property
 from io import StringIO
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from icskg.errors import (
     GraphFinalized,
@@ -301,10 +301,6 @@ class Graph:
     # Queries (allowed in both phases)
     # ------------------------------------------------------------------
 
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
-
     def node(self, node_id: str) -> Node:
         try:
             return self._nodes[node_id]
@@ -383,8 +379,8 @@ class GraphView:
     The node universe of a view is every Product node of the base graph;
     communication edges are traversed as undirected.  Views of one graph
     (by identity) with equal configuration and edges are equal.  Product ids
-    and adjacency are built on first use; ``path_graphs`` holds the path
-    graphs :mod:`icskg.analytics` builds, one per weight policy.
+    and the in-edge index are built on first use; ``path_graphs`` holds the
+    path graphs :mod:`icskg.analytics` builds, one per weight policy.
     """
 
     graph: Graph
@@ -398,30 +394,20 @@ class GraphView:
         return [n.id for n in self.graph.nodes(NodeKind.PRODUCT)]
 
     @cached_property
-    def _adj(self) -> dict[str, list[tuple[str, Edge]]]:
-        adj: dict[str, list[tuple[str, Edge]]] = {}
+    def _in_edges(self) -> dict[str, list[Edge]]:
+        index: dict[str, list[Edge]] = {}
         for e in self.edges:
-            adj.setdefault(e.src, []).append((e.dst, e))
-            adj.setdefault(e.dst, []).append((e.src, e))
-        for lst in adj.values():
-            lst.sort(key=lambda t: (t[0], t[1].kind.value))
-        return adj
-
-    def edge_count(self) -> int:
-        return len(self.edges)
+            index.setdefault(e.dst, []).append(e)
+        return index
 
     def nodes(self) -> list[str]:
         return list(self._ids)
 
-    def neighbors(self, node_id: str) -> list[tuple[str, Edge]]:
-        self.graph.node(node_id)
-        return list(self._adj.get(node_id, ()))
-
     def incoming(self, node_id: str) -> list[Edge]:
         """Active edges stored with ``node_id`` as their target, in the order
-        of :attr:`edges`: by source, then kind, as the adjacency is sorted."""
+        of :attr:`edges`: by source, then kind."""
         self.graph.node(node_id)
-        return [e for _, e in self._adj.get(node_id, ()) if e.dst == node_id]
+        return list(self._in_edges.get(node_id, ()))
 
     # ------------------------------------------------------------------
     # Export
@@ -433,12 +419,11 @@ class GraphView:
         Nodes are emitted sorted by id and edges sorted by (src, dst, kind);
         ``edge-csv`` round-trips through :func:`icskg.ingest.load_edge_csv`.
         """
-        fmt = fmt.lower()
         if fmt == "dot":
             return self._export_dot()
         if fmt == "graphml":
             return self._export_graphml()
-        if fmt in ("edge-csv", "csv"):
+        if fmt == "edge-csv":
             return self._export_edge_csv()
         raise ValueError(f"unsupported export format {fmt!r}")
 
@@ -568,17 +553,19 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     return text.encode("utf-8")
 
 
-def read_csv(path: str | Path, required: Sequence[str]) -> csv.DictReader:
-    """Rows of a UTF-8 CSV file as dicts; a required column missing from the
-    header raises :class:`MissingColumn`."""
+def read_csv(path: str | Path, required: Sequence[str]
+             ) -> tuple[list[str], Iterator[list[str]]]:
+    """The header and the data rows of a UTF-8 CSV file, each row its list
+    of fields; blank lines are skipped and not counted.  A required column
+    missing from the header raises :class:`MissingColumn`."""
     # Bytes are decoded without newline translation: csv splits the rows
     # itself, and a quoted carriage return is part of its field.
-    reader = csv.DictReader(StringIO(Path(path).read_bytes().decode("utf-8")))
-    header = reader.fieldnames or []
+    reader = csv.reader(StringIO(Path(path).read_bytes().decode("utf-8")))
+    header = next(reader, [])
     for col in required:
         if col not in header:
             raise MissingColumn(f"{path}: missing required column {col!r}")
-    return reader
+    return header, filter(None, reader)
 
 
 def write_json(payload) -> bytes:

@@ -22,7 +22,6 @@ number and the row is skipped; a missing header column is fatal.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Optional
 
-from icskg.config import RiskConfig
+from icskg.config import RiskConfig, json_int, json_number
 from icskg.errors import (
     BadEnum,
     DanglingReference,
@@ -119,8 +118,8 @@ class VulnRecord:
             raise BadEnum(f"accessComplexity {ac!r} for {raw.get('cveId')!r}")
         if av not in ("Network", "Adjacent", "Local", "Physical"):
             raise BadEnum(f"attackVector {av!r} for {raw.get('cveId')!r}")
-        epss = float(epss)
-        base = float(base)
+        epss = json_number(f"advisory {raw.get('cveId')!r}: epss", epss)
+        base = json_number(f"advisory {raw.get('cveId')!r}: cvss.baseScore", base)
         if not 0.0 <= epss <= 1.0:
             raise BadEnum(f"EPSS {epss} for {raw.get('cveId')!r} outside [0,1]")
         if not 0.0 <= base <= 10.0:
@@ -216,7 +215,8 @@ def load_testbed(path: str | Path) -> TestbedSpec:
             vendor=p.get("vendor", ""),
             asset_class=p.get("assetClass", ""),
             zone=p["zone"],
-            criticality=int(crit) if crit is not None else None,
+            criticality=None if crit is None
+            else json_int(f"product {p['name']!r}: criticality", crit),
             protocols=list(p.get("protocols", [])),
         ))
     names = {p.name for p in products}
@@ -394,26 +394,23 @@ class _RowProblem(Exception):
         self.kind = kind
 
 
-def _load_rows(reader: csv.DictReader,
+def _load_rows(header: list[str], rows: Iterable[list[str]],
                load_row: Callable[[dict[str, str]], Optional[Hashable]]) -> LoadResult:
-    """Feed every data row to ``load_row``, which upserts it and returns its
-    key (None skips the row silently).  A row whose field count differs from
-    the header's, row problems and rejected upserts become row issues; any
-    other ingest error aborts the load, naming its row."""
+    """Feed every data row, as a dict keyed by the header, to ``load_row``,
+    which upserts it and returns its key (None skips the row silently).  A
+    row whose field count differs from the header's, row problems and
+    rejected upserts become row issues; any other ingest error aborts the
+    load, naming its row."""
     accepted: set[Hashable] = set()
     issues: list[RowIssue] = []
-    width, last = len(reader.fieldnames), reader.fieldnames[-1]
-    for row_num, row in enumerate(reader, start=1):
-        # DictReader files extra fields under None and fills missing ones
-        # with None, which a parsed field never is.
-        if None in row or row[last] is None:
-            fields = (width + len(row[None]) if None in row
-                      else sum(value is not None for value in row.values()))
+    width = len(header)
+    for row_num, fields in enumerate(rows, start=1):
+        if len(fields) != width:
             issues.append(RowIssue(row_num, "InvalidRow",
-                                   f"row {row_num} has {fields} fields, not {width}"))
+                                   f"row {row_num} has {len(fields)} fields, not {width}"))
             continue
         try:
-            key = load_row(row)
+            key = load_row(dict(zip(header, fields)))
         except _RowProblem as exc:
             issues.append(RowIssue(row_num, exc.kind, str(exc)))
         except GraphError as exc:
@@ -485,13 +482,13 @@ def _relation_edge(graph: Graph, row: dict[str, str],
 
 def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
     """Load node.csv rows; returns distinct accepted nodes and row issues."""
-    return _load_rows(read_csv(path, NODE_CSV_HEADER), lambda row: _node_row(graph, row))
+    return _load_rows(*read_csv(path, NODE_CSV_HEADER), lambda row: _node_row(graph, row))
 
 
 def load_relations(graph: Graph, path: str | Path) -> LoadResult:
     """Load relation.csv rows; dangling references are reported with their
     row number and skipped."""
-    return _load_rows(read_csv(path, RELATION_CSV_HEADER),
+    return _load_rows(*read_csv(path, RELATION_CSV_HEADER),
                       lambda row: _upsert_edge(graph, _relation_edge(graph, row)))
 
 
@@ -503,7 +500,7 @@ def load_edge_csv(graph: Graph, path: str | Path) -> LoadResult:
         protocol = _cell(row, "protocol")
         return _upsert_edge(graph, Edge(src, dst, kind, risk=RiskAttributes.decode(row),
                                         props={"protocol": protocol} if protocol else {}))
-    return _load_rows(read_csv(path, EDGE_CSV_HEADER), load_row)
+    return _load_rows(*read_csv(path, EDGE_CSV_HEADER), load_row)
 
 
 def import_predictions(graph: Graph, path: str | Path,
@@ -531,7 +528,7 @@ def import_predictions(graph: Graph, path: str | Path,
         src, dst = _endpoints(graph, _cell(row, "srcId"), _cell(row, "dstId"))
         return _upsert_edge(graph, Edge(src, dst, kind,
                                         props={"confidence": repr(confidence)}))
-    return _load_rows(read_csv(path, PREDICTION_CSV_HEADER), load_row)
+    return _load_rows(*read_csv(path, PREDICTION_CSV_HEADER), load_row)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +569,7 @@ def load_state(directory: str | Path) -> Graph:
     _require_clean_state(nodes, load_nodes(graph, nodes))
     edges = directory / STATE_EDGE_FILE
     _require_clean_state(edges, _load_rows(
-        read_csv(edges, _STATE_EDGE_HEADER),
+        *read_csv(edges, _STATE_EDGE_HEADER),
         lambda row: _upsert_edge(graph, _relation_edge(graph, row, RiskAttributes.decode(row)))))
     return graph
 

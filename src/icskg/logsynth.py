@@ -310,12 +310,11 @@ def write_log_csv(records: list[LogRecord], path: str | Path) -> None:
 def load_log_csv(path: str | Path) -> list[LogRecord]:
     """Records of a log CSV, its columns found by name; a row whose field
     count differs from the header's raises :class:`IngestError`."""
-    reader = read_csv(path, LOG_CSV_HEADER)
-    width = len(reader.fieldnames)
-    columns = itemgetter(*(reader.fieldnames.index(col) for col in LOG_CSV_HEADER))
+    header, rows = read_csv(path, LOG_CSV_HEADER)
+    width = len(header)
+    columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER))
     records = []
-    # Blank lines are skipped and not counted, as csv.DictReader does.
-    for number, row in enumerate(filter(None, reader.reader), start=1):
+    for number, row in enumerate(rows, start=1):
         if len(row) != width:
             raise IngestError(f"{path}: row {number} has {len(row)} fields, not {width}")
         records.append(LogRecord._make(columns(row)))

@@ -51,12 +51,12 @@ def centrality_csv(rows: Sequence[CentralityRow]) -> bytes:
         for r in rows])
 
 
-def communities_csv(report: CommunityReport, key_assets: int = 2) -> bytes:
+def communities_csv(report: CommunityReport) -> bytes:
     rows = []
     for c in report.communities:
-        # Key assets: the first key_assets (two by default) member ids in id
-        # order, as members are sorted by id; they are not ranked by exposure.
-        rows.append([c.id, c.size, "|".join(c.members[:key_assets]),
+        # Key assets: the first two member ids in id order, as members are
+        # sorted by id; they are not ranked by exposure.
+        rows.append([c.id, c.size, "|".join(c.members[:2]),
                      _f(c.risk, 4), "Y" if c.cascade else "N"])
     return write_csv(COMMUNITY_COLUMNS, rows)
 

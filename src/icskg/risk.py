@@ -24,14 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
-from icskg.config import (
-    DEFAULT_F_AC,
-    DEFAULT_F_AV,
-    Convention,
-    FactorCoefficients,
-    RiskConfig,
-)
-from icskg.errors import DiscontiguousPath, MissingSecuredLogs
+from icskg.config import Convention, FactorCoefficients, RiskConfig
 from icskg.graph import (
     Edge,
     EdgeKind,
@@ -199,12 +192,10 @@ def p_exploit(epss_list: Sequence[float], cs: float) -> float:
     return min(1.0, max(0.0, aggregated * (1.0 - cs)))
 
 
-def attack_cost(cvss: CvssSummary, epss: float,
-                f_ac: Optional[dict[str, float]] = None,
-                f_av: Optional[dict[str, float]] = None) -> float:
-    """Adversary-effort estimate for a single CVE (unclamped, >= 0)."""
-    f_ac = f_ac if f_ac is not None else DEFAULT_F_AC
-    f_av = f_av if f_av is not None else DEFAULT_F_AV
+def attack_cost(cvss: CvssSummary, epss: float, f_ac: dict[str, float],
+                f_av: dict[str, float]) -> float:
+    """Adversary-effort estimate for a single CVE (unclamped, >= 0) under
+    the access-complexity and attack-vector cost encodings."""
     return cvss.base_score / 10.0 + f_ac[cvss.access_complexity] \
         + f_av[cvss.attack_vector] + epss
 
@@ -307,7 +298,7 @@ class ControlApplicationReport:
 
 
 def apply_controls(graph: Graph, controls: ControlProfile,
-                   secured_logs: Optional[Sequence[LogRecord]],
+                   secured_logs: Sequence[LogRecord],
                    config: RiskConfig) -> ControlApplicationReport:
     """Mirror communication edges as CONTROLLED_COMMUNICATES_WITH edges with
     attributes recomputed from the secured logs.
@@ -318,8 +309,6 @@ def apply_controls(graph: Graph, controls: ControlProfile,
     EPSS input is scaled down before aggregation.  Mirrors below the prune
     threshold are counted in ``edges_pruned``.
     """
-    if secured_logs is None:
-        raise MissingSecuredLogs("apply_controls requires a secured log stream")
     segmented = "NetworkSegmentation" in controls.controls
     epss_scale = controls.overrides.epss_scale \
         if "PatchManagement" in controls.controls else 1.0
@@ -352,38 +341,13 @@ def apply_controls(graph: Graph, controls: ControlProfile,
 # ---------------------------------------------------------------------------
 
 def p_exploit_product(edges: Iterable[Edge]) -> float:
-    """Product of pExploit along a walk; an edge without risk attributes
-    counts as unexploitable (0) and the empty walk has probability 1."""
+    """Path probability: the product of pExploit along a walk.  An edge
+    without risk attributes counts as unexploitable (0) and the empty walk
+    has probability 1."""
     prob = 1.0
     for e in edges:
         prob *= e.risk.p_exploit if e.risk is not None else 0.0
     return prob
-
-
-def path_probability(edges: Sequence[Edge]) -> float:
-    """Probability of traversing a contiguous multi-hop path (product of
-    per-edge pExploit); the empty path has probability 1.  Raises
-    :class:`DiscontiguousPath` when the edges do not chain or one of them
-    has no risk attributes."""
-    for e in edges:
-        if e.risk is None:
-            raise DiscontiguousPath(
-                f"edge {e.src}->{e.dst} has no risk attributes")
-    if len(edges) > 1:
-        first_ends = {edges[0].src, edges[0].dst}
-        second_ends = {edges[1].src, edges[1].dst}
-        shared = first_ends & second_ends
-        if not shared:
-            raise DiscontiguousPath("first two edges do not touch")
-        start_candidates = first_ends - shared
-        current = start_candidates.pop() if start_candidates else edges[0].src
-        for e in edges:
-            ends = {e.src, e.dst}
-            if current not in ends:
-                raise DiscontiguousPath(
-                    f"edge {e.src}->{e.dst} does not continue from {current!r}")
-            current = (ends - {current}).pop() if len(ends) == 2 else current
-    return p_exploit_product(edges)
 
 
 def exposure(view: GraphView, node_id: str) -> float:

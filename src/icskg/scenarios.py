@@ -156,10 +156,6 @@ class SuiteReport:
     rows: list[PropagationReport]
     aggregates: list[ConfigAggregate]
 
-    def scenario_mean_avg_hops(self, config: Configuration) -> float:
-        avgs = [r.avg_hops for r in self.rows if r.config == config.value]
-        return sum(avgs) / len(avgs) if avgs else 0.0
-
 
 def run_suite(views: dict[Configuration, GraphView],
               scenarios: list[Scenario]) -> SuiteReport:
@@ -205,14 +201,13 @@ class CentralityRow:
     delta_betweenness: float
 
 
-def centrality_delta(view_before: GraphView, view_after: GraphView,
-                     weighted: bool = False) -> list[CentralityRow]:
-    """Per-node PageRank and betweenness before/after enrichment, sorted by
-    |PageRank delta| descending; every node appears exactly once."""
-    pr_before = pagerank(view_before, weighted=weighted)
-    pr_after = pagerank(view_after, weighted=weighted)
-    bt_before = betweenness(view_before, weighted=weighted)
-    bt_after = betweenness(view_after, weighted=weighted)
+def centrality_delta(view_before: GraphView, view_after: GraphView) -> list[CentralityRow]:
+    """Per-node unweighted PageRank and betweenness before/after enrichment,
+    sorted by |PageRank delta| descending; every node appears exactly once."""
+    pr_before = pagerank(view_before)
+    pr_after = pagerank(view_after)
+    bt_before = betweenness(view_before)
+    bt_after = betweenness(view_after)
     rows = []
     for node in view_before.nodes():
         info = view_before.graph.node(node)

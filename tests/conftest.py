@@ -150,6 +150,10 @@ def enumerate_simple_paths(view, src: str, dst: str, policy) -> list[tuple[float
 
 def bfs_min_hops(view, src: str, dst: str) -> float:
     """Plain BFS hop distance over the view, inf when unreachable."""
+    adj: dict[str, set[str]] = {}
+    for e in view.edges:
+        adj.setdefault(e.src, set()).add(e.dst)
+        adj.setdefault(e.dst, set()).add(e.src)
     frontier = [src]
     seen = {src}
     depth = 0
@@ -158,7 +162,7 @@ def bfs_min_hops(view, src: str, dst: str) -> float:
             return depth
         nxt = []
         for node in frontier:
-            for nbr, _ in view.neighbors(node):
+            for nbr in adj.get(node, ()):
                 if nbr not in seen:
                     seen.add(nbr)
                     nxt.append(nbr)

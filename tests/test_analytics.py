@@ -30,7 +30,6 @@ from icskg.analytics import (
     _dijkstra_raw,
     _path_graph,
     betweenness,
-    dijkstra,
     louvain,
     pagerank,
     rank_interproduct_risk,
@@ -48,12 +47,13 @@ def original(graph):
 
 
 # ---------------------------------------------------------------------------
-# Dijkstra
+# Single cheapest path: Yen with k = 1, whose one search is Dijkstra's
+# (a breadth-first search under Hop)
 # ---------------------------------------------------------------------------
 
 def test_dijkstra_single_edge():
     g = comm_graph([("A", "B", 0.3, 0.5)])
-    result = dijkstra(original(g), "A", "B", WeightPolicy.HOP)
+    [result] = yen_k_shortest(original(g), "A", "B", 1, WeightPolicy.HOP)
     assert result.nodes == ["A", "B"]
     assert result.hop_count == 1
     assert result.path_probability == 0.5
@@ -62,14 +62,14 @@ def test_dijkstra_single_edge():
 def test_dijkstra_prefers_cheaper_route():
     g = comm_graph([("A", "B", 0.1), ("B", "D", 0.2),   # cost 0.3
                     ("A", "C", 0.3), ("C", "D", 0.2)])  # cost 0.5
-    result = dijkstra(original(g), "A", "D", WeightPolicy.RISK_COST)
+    [result] = yen_k_shortest(original(g), "A", "D", 1, WeightPolicy.RISK_COST)
     assert result.nodes == ["A", "B", "D"]
     assert result.total_cost == pytest.approx(0.3)
 
 
 def test_dijkstra_unreachable():
     g = comm_graph([("A", "B"), ("C", "D")])
-    assert dijkstra(original(g), "A", "D") is None
+    assert yen_k_shortest(original(g), "A", "D", 1) == []
 
 
 def test_dijkstra_matches_enumeration_all_policies():
@@ -81,13 +81,13 @@ def test_dijkstra_matches_enumeration_all_policies():
         src, dst = rng.sample(nodes, 2)
         for policy in POLICIES:
             expected = enumerate_simple_paths(view, src, dst, policy)
-            got = dijkstra(view, src, dst, policy)
+            got = yen_k_shortest(view, src, dst, 1, policy)
             if not expected:
-                assert got is None
+                assert got == []
                 continue
             cost, path = expected[0]
-            assert got.nodes == list(path)
-            assert got.total_cost == pytest.approx(cost, abs=1e-9)
+            assert got[0].nodes == list(path)
+            assert got[0].total_cost == pytest.approx(cost, abs=1e-9)
 
 
 def test_max_likelihood_maximizes_path_probability():
@@ -97,10 +97,10 @@ def test_max_likelihood_maximizes_path_probability():
         view = original(g)
         nodes = view.nodes()
         src, dst = rng.sample(nodes, 2)
-        result = dijkstra(view, src, dst, WeightPolicy.MAX_LIKELIHOOD)
+        paths = yen_k_shortest(view, src, dst, 1, WeightPolicy.MAX_LIKELIHOOD)
         all_paths = enumerate_simple_paths(view, src, dst, WeightPolicy.HOP)
         if not all_paths:
-            assert result is None
+            assert paths == []
             continue
 
         def prob(path):
@@ -113,7 +113,7 @@ def test_max_likelihood_maximizes_path_probability():
             return total
 
         best = max(prob(p) for _, p in all_paths)
-        assert prob(tuple(result.nodes)) == pytest.approx(best, rel=1e-9)
+        assert prob(tuple(paths[0].nodes)) == pytest.approx(best, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +139,6 @@ def test_yen_rejects_bad_arguments():
         yen_k_shortest(original(g), "A", "B", 0)
     with pytest.raises(ValueError):
         yen_k_shortest(original(g), "A", "A", 3)
-
-
-def test_yen_first_path_equals_dijkstra():
-    rng = random.Random(4321)
-    for _ in range(50):
-        g = random_comm_graph(rng, max_nodes=9)
-        view = original(g)
-        src, dst = rng.sample(view.nodes(), 2)
-        for policy in POLICIES:
-            best = dijkstra(view, src, dst, policy)
-            paths = yen_k_shortest(view, src, dst, 1, policy)
-            if best is None:
-                assert paths == []
-            else:
-                assert paths[0].nodes == best.nodes
-                assert paths[0].total_cost == pytest.approx(best.total_cost, abs=1e-9)
 
 
 def test_yen_matches_enumeration_exactly():

@@ -261,24 +261,52 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
 
 
 @pytest.mark.parametrize("key, value, stage, needle", [
-    ("durationHours", True, "synth-logs", "durationHours must be a finite number"),
-    ("durationHours", "8", "synth-logs", "durationHours must be a finite number"),
-    ("durationHours", float("inf"), "synth-logs", "durationHours must be a finite number"),
-    ("clientIpPoolSize", 300, "synth-logs", "clientIpPoolSize must be between 1 and 254"),
-    ("PLC", 8.7, "annotate", "criticalityDefaults.PLC must be an integer"),
-    ("HMI", True, "annotate", "criticalityDefaults.HMI must be an integer"),
+    ("synthProfile.durationHours", True, "synth-logs",
+     "durationHours must be a finite number"),
+    ("synthProfile.durationHours", "8", "synth-logs",
+     "durationHours must be a finite number"),
+    ("synthProfile.durationHours", float("inf"), "synth-logs",
+     "durationHours must be a finite number"),
+    ("synthProfile.clientIpPoolSize", 300, "synth-logs",
+     "clientIpPoolSize must be between 1 and 254"),
+    ("riskConfig.criticalityDefaults.PLC", 8.7, "annotate",
+     "criticalityDefaults.PLC must be an integer"),
+    ("riskConfig.criticalityDefaults.HMI", True, "annotate",
+     "criticalityDefaults.HMI must be an integer"),
+    ("predictionMinConfidence", True, "build",
+     "predictionMinConfidence must be a finite number"),
+    ("predictionMinConfidence", "0.5", "build",
+     "predictionMinConfidence must be a finite number"),
+    ("predictionMinConfidence", float("inf"), "build",
+     "predictionMinConfidence must be a finite number"),
+    ("riskConfig.zoneDefaultWeakness", {"DMZ": 0.5}, "annotate",
+     "zoneDefaultWeakness.DMZ must be a list of four numbers"),
+    ("riskConfig.zoneDefaultWeakness.DMZ", [0.1, 0.2], "annotate",
+     "zoneDefaultWeakness.DMZ must be a list of four numbers"),
+    ("riskConfig.fAC", [1], "annotate", "fAC must be a JSON object"),
+    ("riskConfig.convention", 5, "annotate",
+     'convention must be "literal" or "complement"'),
 ], ids=["durationHours-bool", "durationHours-string", "durationHours-infinity",
-        "clientIpPoolSize-300", "criticalityDefaults-float", "criticalityDefaults-bool"])
+        "clientIpPoolSize-300", "criticalityDefaults-float", "criticalityDefaults-bool",
+        "predictionMinConfidence-bool", "predictionMinConfidence-string",
+        "predictionMinConfidence-infinity", "zoneDefaultWeakness-number",
+        "zoneDefaultWeakness-two-numbers", "fAC-list", "convention-number"])
 def test_numeric_setting_must_be_in_range(tmp_path, pipeline_out, capsys,
                                           key, value, stage, needle):
+    # ``key`` is a dotted path into the run config, or into its risk config
+    # file when it starts with ``riskConfig``.
     raw = json.loads(fixture_config(tmp_path).read_text())
-    if stage == "synth-logs":
-        raw["synthProfile"][key] = value
-    else:
-        risk = json.loads(Path(raw["paths"]["riskConfig"]).read_text())
-        risk["criticalityDefaults"][key] = value
+    document, (*parents, name) = raw, key.split(".")
+    if parents[:1] == ["riskConfig"]:
+        document = json.loads(Path(raw["paths"]["riskConfig"]).read_text())
         raw["paths"]["riskConfig"] = str(tmp_path / "risk_config.json")
-        Path(raw["paths"]["riskConfig"]).write_text(json.dumps(risk))
+        parents = parents[1:]
+    table = document
+    for parent in parents:
+        table = table[parent]
+    table[name] = value
+    if document is not raw:
+        Path(raw["paths"]["riskConfig"]).write_text(json.dumps(document))
     config = tmp_path / "config.json"
     # json writes infinity as Infinity, which json.loads reads back.
     config.write_text(json.dumps(raw))
@@ -304,12 +332,16 @@ def test_enriched_never_lengthens_fixture_distances(pipeline_out):
     enriched = graph.project_view(Configuration.ENRICHED)
 
     def distances(view, src):
+        adj: dict[str, set[str]] = {}
+        for e in view.edges:
+            adj.setdefault(e.src, set()).add(e.dst)
+            adj.setdefault(e.dst, set()).add(e.src)
         dist = {src: 0}
         frontier = [src]
         while frontier:
             nxt = []
             for node in frontier:
-                for nbr, _ in view.neighbors(node):
+                for nbr in adj.get(node, ()):
                     if nbr not in dist:
                         dist[nbr] = dist[node] + 1
                         nxt.append(nbr)

@@ -18,7 +18,7 @@ from conftest import (
     random_comm_graph,
     random_graphs,
 )
-from icskg.analytics import betweenness
+from icskg.analytics import WeightPolicy, betweenness, yen_k_shortest
 from icskg.errors import (
     GraphNotFinalized,
     InvalidCriticality,
@@ -164,8 +164,8 @@ def test_view_edge_sets():
     add_comm(g, "A", "C", kind=EdgeKind.HAS_POSSIBLE_COMMUNICATION)
     add_comm(g, "B", "D", kind=EdgeKind.HAS_POSSIBLE_COMMUNICATION)
     g.finalize()
-    assert g.project_view(Configuration.ORIGINAL).edge_count() == 3
-    assert g.project_view(Configuration.ENRICHED).edge_count() == 5
+    assert len(g.project_view(Configuration.ORIGINAL).edges) == 3
+    assert len(g.project_view(Configuration.ENRICHED).edges) == 5
 
 
 def test_original_subset_of_enriched():
@@ -241,7 +241,7 @@ def test_empty_graph_views():
     g = Graph()
     g.finalize()
     for config in Configuration:
-        assert g.project_view(config).edge_count() == 0
+        assert g.project_view(config).edges == ()
 
 
 def test_neighbors_undirected_and_pruned():
@@ -252,19 +252,22 @@ def test_neighbors_undirected_and_pruned():
     add_comm(g, "A", "B", risk_weight=0.04, kind=EdgeKind.CONTROLLED_COMMUNICATES_WITH)
     g.finalize()
     original = g.project_view(Configuration.ORIGINAL)
-    assert [n for n, _ in original.neighbors("B")] == ["A"]
-    assert [n for n, _ in original.neighbors("A")] == ["B"]
+    assert [e.src for e in original.incoming("B")] == ["A"]
+    assert original.incoming("A") == []
+    # A path may run against the stored direction of its edges.
+    paths = yen_k_shortest(original, "B", "A", 1, WeightPolicy.HOP)
+    assert [p.nodes for p in paths] == [["B", "A"]]
     controlled = g.project_view(Configuration.CONTROLLED)
-    assert controlled.neighbors("A") == []
+    assert controlled.incoming("B") == []
     with pytest.raises(UnknownNode):
-        original.neighbors("missing")
+        original.incoming("missing")
 
 
 def test_isolated_node_neighbors_empty():
     g = Graph()
     add_product(g, "L")
     g.finalize()
-    assert g.project_view(Configuration.ORIGINAL).neighbors("L") == []
+    assert g.project_view(Configuration.ORIGINAL).incoming("L") == []
 
 
 def test_view_projection_is_pure():

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from icskg.config import RiskConfig
-from icskg.errors import BadEnum, DanglingReference, MissingColumn
+from icskg.errors import BadEnum, DanglingReference, IcskgError, MissingColumn
 from icskg.graph import EdgeKind, Graph, Node, NodeKind, audit_hierarchy
 from icskg.ingest import (
     Dataflow,
@@ -249,6 +250,25 @@ def test_dataflow_unknown_endpoint_rejected(tmp_path):
     }""")
     with pytest.raises(DanglingReference):
         load_testbed(spec)
+
+
+@pytest.mark.parametrize("value", [8.7, True, "9"])
+def test_testbed_criticality_must_be_json_integer(tmp_path, value):
+    spec = write(tmp_path, "testbed.json", json.dumps({
+        "zones": ["OT"],
+        "products": [{"name": "A", "vendor": "v", "assetClass": "PLC", "zone": "OT",
+                      "criticality": value}]}))
+    with pytest.raises(IcskgError, match="product 'A': criticality must be an integer"):
+        load_testbed(spec)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epss", "0.5"), ("epss", True), ("baseScore", "7.5"), ("baseScore", True)])
+def test_advisory_numbers_must_be_json_numbers(key, value):
+    raw = {"cveId": "CVE-1", "epss": 0.5, "cvss": {"baseScore": 7.5}}
+    (raw["cvss"] if key == "baseScore" else raw)[key] = value
+    with pytest.raises(IcskgError, match=f"advisory 'CVE-1': .*{key} must be a finite number"):
+        VulnRecord.from_dict(raw)
 
 
 def test_import_predictions_threshold(tmp_path):

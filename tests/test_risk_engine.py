@@ -8,7 +8,8 @@ import pytest
 
 from conftest import add_comm, add_product
 from icskg.config import Convention, RiskConfig
-from icskg.errors import DiscontiguousPath, GraphFinalized, MissingSecuredLogs
+from icskg.analytics import WeightPolicy, yen_k_shortest
+from icskg.errors import GraphFinalized
 from icskg.graph import Configuration, Edge, EdgeKind, Graph, Node, NodeKind
 from icskg.ingest import (
     ControlProfileSpec,
@@ -33,7 +34,7 @@ from icskg.risk import (
     control_strength,
     exposure,
     p_exploit,
-    path_probability,
+    p_exploit_product,
     risk_weight,
     weakness_from_stats,
 )
@@ -144,11 +145,13 @@ def test_p_exploit_aggregation_monotone():
 
 
 def test_attack_cost_zero_case():
-    assert attack_cost(CvssSummary(0.0, "Low", "Network"), 0.0) == 0.0
+    cfg = RiskConfig()
+    assert attack_cost(CvssSummary(0.0, "Low", "Network"), 0.0, cfg.f_ac, cfg.f_av) == 0.0
 
 
 def test_attack_cost_default_mapping():
-    cost = attack_cost(CvssSummary(5.0, "High", "Local"), 0.1)
+    cfg = RiskConfig()
+    cost = attack_cost(CvssSummary(5.0, "High", "Local"), 0.1, cfg.f_ac, cfg.f_av)
     assert cost == pytest.approx(1.0, abs=1e-12)
 
 
@@ -400,13 +403,6 @@ def test_apply_controls_patch_management_scales_epss():
     assert mirror.risk.risk_weight == pytest.approx(expected_p * 8 / 10, abs=1e-12)
 
 
-def test_apply_controls_requires_secured_logs():
-    cfg = RiskConfig()
-    g, testbed = controls_graph(cfg)
-    with pytest.raises(MissingSecuredLogs):
-        apply_controls(g, ControlProfile(controls=set()), None, cfg)
-
-
 def test_apply_controls_empty_graph():
     cfg = RiskConfig()
     g = Graph()
@@ -435,28 +431,22 @@ def test_path_probability():
         add_product(g, n)
     e1 = add_comm(g, "A", "B", p_exploit=0.5)
     e2 = add_comm(g, "B", "C", p_exploit=0.5)
-    assert path_probability([e1]) == 0.5
-    assert path_probability([e1, e2]) == pytest.approx(0.25, abs=1e-12)
-    assert path_probability([]) == 1.0
+    assert p_exploit_product([e1]) == 0.5
+    assert p_exploit_product([e1, e2]) == pytest.approx(0.25, abs=1e-12)
+    assert p_exploit_product([]) == 1.0
 
 
 def test_path_probability_handles_undirected_chains():
     g = Graph()
     for n in "ABC":
         add_product(g, n)
-    e1 = add_comm(g, "B", "A", p_exploit=0.4)   # stored direction reversed
-    e2 = add_comm(g, "B", "C", p_exploit=0.5)
-    assert path_probability([e1, e2]) == pytest.approx(0.2, abs=1e-12)
-
-
-def test_path_probability_discontiguous():
-    g = Graph()
-    for n in "ABCD":
-        add_product(g, n)
-    e1 = add_comm(g, "A", "B", p_exploit=0.5)
-    e2 = add_comm(g, "C", "D", p_exploit=0.5)
-    with pytest.raises(DiscontiguousPath):
-        path_probability([e1, e2])
+    add_comm(g, "B", "A", p_exploit=0.4)   # stored direction reversed
+    add_comm(g, "B", "C", p_exploit=0.5)
+    g.finalize()
+    view = g.project_view(Configuration.ORIGINAL)
+    [path] = yen_k_shortest(view, "A", "C", 1, WeightPolicy.HOP)
+    assert path.nodes == ["A", "B", "C"]
+    assert path.path_probability == pytest.approx(0.2, abs=1e-12)
 
 
 def test_path_probability_concatenation_scales():
@@ -465,9 +455,9 @@ def test_path_probability_concatenation_scales():
         add_product(g, n)
     edges = [add_comm(g, a, b, p_exploit=p) for a, b, p in
              [("A", "B", 0.9), ("B", "C", 0.8), ("C", "D", 0.7), ("D", "E", 0.6)]]
-    whole = path_probability(edges)
+    whole = p_exploit_product(edges)
     assert whole == pytest.approx(
-        path_probability(edges[:2]) * path_probability(edges[2:]), abs=1e-12)
+        p_exploit_product(edges[:2]) * p_exploit_product(edges[2:]), abs=1e-12)
 
 
 def test_exposure_sums_incoming():

@@ -92,7 +92,7 @@ def measure(cells: int, work: Path) -> dict:
         "cells": cells,
         "products": sizes["products"],
         "scenarios": sizes["scenarios"],
-        "view_edges": {c.value: views[c].edge_count() for c in Configuration},
+        "view_edges": {c.value: len(views[c].edges) for c in Configuration},
         "yen_calls": yen_calls,
         "yen_s": timed(lambda: scenarios.run_suite(state.views(*Configuration), catalog)),
         "betweenness_calls": 4,
