@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from icskg import analytics, enrich, ingest, logsynth, reports, risk, scenarios
-from icskg.config import Convention, RiskConfig, json_int, json_number
+from icskg.config import Convention, RiskConfig, json_int, json_number, json_object
 from icskg.errors import IcskgError, InvariantViolation, StageOrderError
 from icskg.graph import (
     Configuration,
@@ -75,21 +75,23 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: Path) -> "RunConfig":
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json_object("run config", json.loads(path.read_text(encoding="utf-8")))
         base = path.parent
         paths = {}
-        for key, rel in raw.get("paths", {}).items():
+        for key, rel in json_object("paths", raw.get("paths", {})).items():
+            if not isinstance(rel, str):
+                raise IcskgError(f"paths.{key} must be a string, got {rel!r}")
             paths[key] = (base / rel).resolve()
         return cls(
             base_dir=base,
             paths=paths,
             seed=json_int("seed", raw.get("seed", 42)),
             convention=raw.get("convention"),
-            synth_profile=dict(raw.get("synthProfile", {})),
+            synth_profile=dict(json_object("synthProfile", raw.get("synthProfile", {}))),
             control_profile=raw.get("controlProfile", "secured"),
             prediction_min_confidence=json_number(
                 "predictionMinConfidence", raw.get("predictionMinConfidence", 0.5)),
-            enrichment=dict(raw.get("enrichment", {})),
+            enrichment=dict(json_object("enrichment", raw.get("enrichment", {}))),
         )
 
     def validate_paths(self) -> None:

@@ -553,6 +553,13 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     return text.encode("utf-8")
 
 
+def csv_line(fields: Sequence[str]) -> str:
+    """One row as :func:`write_csv` writes it, without its line end."""
+    line = _Lines()
+    csv.writer(line, lineterminator="\r\n").writerow(fields)
+    return line[0]
+
+
 def read_csv(path: str | Path, required: Sequence[str]
              ) -> tuple[list[str], Iterator[list[str]]]:
     """The header and the data rows of a UTF-8 CSV file, each row its list
@@ -560,11 +567,17 @@ def read_csv(path: str | Path, required: Sequence[str]
     missing from the header raises :class:`MissingColumn`."""
     # Bytes are decoded without newline translation: csv splits the rows
     # itself, and a quoted carriage return is part of its field.
-    reader = csv.reader(StringIO(Path(path).read_bytes().decode("utf-8")))
+    return parse_csv(Path(path).read_bytes().decode("utf-8"), path, required)
+
+
+def parse_csv(text: str, source: str | Path, required: Sequence[str]
+              ) -> tuple[list[str], Iterator[list[str]]]:
+    """:func:`read_csv` of the text of the file ``source``."""
+    reader = csv.reader(StringIO(text))
     header = next(reader, [])
     for col in required:
         if col not in header:
-            raise MissingColumn(f"{path}: missing required column {col!r}")
+            raise MissingColumn(f"{source}: missing required column {col!r}")
     return header, filter(None, reader)
 
 

@@ -124,12 +124,16 @@ class VulnRecord:
             raise BadEnum(f"EPSS {epss} for {raw.get('cveId')!r} outside [0,1]")
         if not 0.0 <= base <= 10.0:
             raise BadEnum(f"CVSS base {base} for {raw.get('cveId')!r} outside [0,10]")
+        kev = raw.get("kev", False)
+        if not isinstance(kev, bool):
+            raise IngestError(
+                f"advisory {raw.get('cveId')!r}: kev must be true or false, got {kev!r}")
         return cls(
             cve_id=raw["cveId"],
             description=raw.get("description", ""),
             status=status,
             epss=epss,
-            kev=bool(raw.get("kev", False)),
+            kev=kev,
             cvss=CvssSummary(base, ac, av),
             vendor_statements=list(raw.get("vendorStatements", [])),
             cpes=list(raw.get("cpes", [])),

@@ -6,58 +6,48 @@ set.  Event-class rates are met by exact quota counts (round(n * rate))
 assigned to sessions through a counter-based Philox stream keyed by
 (seed, flow index), so a fixed seed yields byte-identical output on every
 platform and per-flow generation can run in any order.  Each flow is built
-column-wise: its event offsets, timestamps and categorical fields are numpy
-arrays, turned into records in one pass.  Timestamps count from
-2025-01-06T00:00:00Z, rounded half-even to the microsecond and then
-truncated to the millisecond.
+column-wise: its event offsets and categorical fields are numpy arrays, and
+its CSV lines are joined from them, the text after the timestamp built once
+per distinct row.  Timestamps count from 2025-01-06T00:00:00Z, rounded
+half-even to the microsecond and then truncated to the millisecond.
 
 Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientIp``
+
+A log CSV is read as a fold: each distinct row less its timestamp is
+counted, and the counts go into a :class:`~icskg.risk.LogIndex`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from icskg.config import CONTROL_NAMES, ControlOverrides, json_int, json_number
 from icskg.errors import IngestError, InvalidProfile
-from icskg.graph import read_csv, write_csv
+from icskg.graph import csv_line, parse_csv
 from icskg.ingest import ControlProfileSpec, Dataflow, TestbedSpec
+from icskg.risk import LogIndex
 
 LOG_CSV_HEADER = ["timestamp", "src", "dst", "protocol", "authMode",
                   "securityMode", "event", "clientIp"]
+_HEADER_LINE = ",".join(LOG_CSV_HEADER)
 
 AUTH_MODES = ("Anonymous", "Password", "Certificate")
 SECURITY_MODES = ("None", "Sign", "SignAndEncrypt")
 EVENTS = ("Read", "Write", "FailedWrite", "AuditWrite", "Session",
           "ConfigCheckPass", "ConfigCheckFail")
 
-_AUTH_MODES, _SECURITY_MODES, _EVENTS = (
-    np.array(names, dtype=object) for names in (AUTH_MODES, SECURITY_MODES, EVENTS))
-
 _BASE_MS = np.datetime64("2025-01-06T00:00:00", "ms")
 
 # Per-session config checks are capped to keep streams bounded when
 # misconfigRate far exceeds failCheckFrac.
 _MAX_CHECKS_PER_SESSION = 10.0
-
-
-class LogRecord(NamedTuple):
-    """One log event: its CSV row, fields in :data:`LOG_CSV_HEADER` order."""
-
-    timestamp: str
-    src: str
-    dst: str
-    protocol: str
-    auth_mode: str
-    security_mode: str
-    event: str
-    client_ip: str
 
 
 @dataclass
@@ -191,21 +181,30 @@ def _quota_flags(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return flags
 
 
-def _timestamps(offsets: np.ndarray) -> list[str]:
-    """The log timestamps of offsets in seconds from 2025-01-06T00:00:00Z:
-    each offset rounded half-even to the microsecond, as ``timedelta``
-    rounds it, then truncated to the millisecond."""
+def _milliseconds(offsets: np.ndarray) -> np.ndarray:
+    """Offsets in seconds from the log start as whole milliseconds: each
+    rounded half-even to the microsecond, as ``timedelta`` rounds it, then
+    truncated to the millisecond."""
     whole = np.floor(offsets)
     micros = whole.astype(np.int64) * 1_000_000 \
         + np.rint((offsets - whole) * 1e6).astype(np.int64)
-    return np.datetime_as_string(_BASE_MS + micros // 1000, unit="ms",
-                                 timezone="UTC").tolist()
+    return micros // 1000
 
 
-def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> list[LogRecord]:
+def _timestamps(ms: np.ndarray) -> np.ndarray:
+    """The log timestamps of millisecond offsets from 2025-01-06T00:00:00Z,
+    as an object array of strings."""
+    return np.datetime_as_string(_BASE_MS + ms, unit="ms",
+                                 timezone="UTC").astype(object)
+
+
+def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One flow's events in order: their millisecond offsets, and their CSV
+    line tails (each row's text after the timestamp) as an object array."""
     n = int(round(profile.per_flow_session_rate * profile.duration_hours))
     if n <= 0:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)
     rng = _flow_rng(profile.seed, flow_index)
     duration_s = profile.duration_hours * 3600.0
     slot = duration_s / n
@@ -250,36 +249,45 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> li
     event = np.where(failed, 2, np.where(audit, 3, 1))[session]
     event[position == 0] = 4
     event[position >= 2] = np.where(check_fail, 6, 5)
-    ips = np.array([f"10.{(flow_index % 250) + 1}.0.{k + 1}"
-                    for k in range(profile.client_ip_pool_size)], dtype=object)
-    return list(map(
-        LogRecord, _timestamps(offsets),
-        repeat(flow.src), repeat(flow.dst), repeat(flow.protocol),
-        _AUTH_MODES[np.where(anon, 0, np.where(cert, 2, 1))[session]].tolist(),
-        _SECURITY_MODES[np.where(insecure, 0, np.where(sign_only, 1, 2))[session]].tolist(),
-        _EVENTS[event].tolist(), ips[ip_assign[session]].tolist()))
+    auth = np.where(anon, 0, np.where(cert, 2, 1))[session]
+    security = np.where(insecure, 0, np.where(sign_only, 1, 2))[session]
+    # Each distinct (auth mode, security mode, event, client IP) of the
+    # flow gets its tail built once.  The vocabularies and the IPs never
+    # need quoting; the flow's endpoints and protocol are quoted once.
+    shape = (len(AUTH_MODES), len(SECURITY_MODES), len(EVENTS), profile.client_ip_pool_size)
+    codes, inverse = np.unique(np.ravel_multi_index(
+        (auth, security, event, ip_assign[session]), shape), return_inverse=True)
+    prefix = "," + csv_line((flow.src, flow.dst, flow.protocol))
+    network = f"10.{(flow_index % 250) + 1}.0."
+    tails = np.array([
+        f"{prefix},{AUTH_MODES[a]},{SECURITY_MODES[s]},{EVENTS[e]},{network}{k + 1}"
+        for a, s, e, k in zip(*np.unravel_index(codes, shape))], dtype=object)
+    return _milliseconds(offsets), tails[inverse]
 
 
 def _merged_flows(testbed: TestbedSpec, profile: SynthProfile,
-                  silent: Callable[[Dataflow], bool]) -> list[LogRecord]:
-    """One sub-stream per dataflow that is not ``silent``, merged by time;
-    the sort is stable, so ties keep flow order, then position in the flow."""
-    merged: list[LogRecord] = []
-    for flow_index, flow in enumerate(testbed.dataflows):
-        if not silent(flow):
-            merged.extend(_generate_flow(flow_index, flow, profile))
-    merged.sort(key=itemgetter(0))
-    return merged
+                  silent: Callable[[Dataflow], bool]) -> list[str]:
+    """The CSV lines of one sub-stream per dataflow that is not ``silent``,
+    merged by time; the sort is stable, so ties keep flow order, then
+    position in the flow."""
+    flows = [_generate_flow(flow_index, flow, profile)
+             for flow_index, flow in enumerate(testbed.dataflows) if not silent(flow)]
+    if not flows:
+        return []
+    ms, tails = (np.concatenate(column) for column in zip(*flows))
+    order = np.argsort(ms, kind="stable")
+    return (_timestamps(ms[order]) + tails[order]).tolist()
 
 
-def generate(testbed: TestbedSpec, profile: SynthProfile) -> list[LogRecord]:
-    """Baseline log stream: one sub-stream per dataflow, merged by time."""
+def generate(testbed: TestbedSpec, profile: SynthProfile) -> list[str]:
+    """Baseline log stream: one sub-stream per dataflow, merged by time,
+    as the CSV data lines (without line ends) of its records."""
     profile.validate()
     return _merged_flows(testbed, profile, lambda flow: False)
 
 
 def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
-                     controls: ControlProfile) -> list[LogRecord]:
+                     controls: ControlProfile) -> list[str]:
     """Secured log stream reflecting the enabled controls.
 
     Rate overrides are applied before generation; with NetworkSegmentation
@@ -299,23 +307,42 @@ def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def records_to_csv(records: list[LogRecord]) -> bytes:
-    return write_csv(LOG_CSV_HEADER, records)
+def write_log_csv(lines: Sequence[str], path: str | Path) -> None:
+    """Write a log CSV: the header, then the lines of :func:`generate`,
+    each ending in LF."""
+    Path(path).write_bytes("\n".join([_HEADER_LINE, *lines, ""]).encode("utf-8"))
 
 
-def write_log_csv(records: list[LogRecord], path: str | Path) -> None:
-    Path(path).write_bytes(records_to_csv(records))
+def load_log_csv(path: str | Path) -> LogIndex:
+    """The per-pair statistics of a log CSV: each distinct row, less its
+    timestamp, counted and folded into a :class:`~icskg.risk.LogIndex`.
+
+    Columns are found by name.  A row whose field count differs from the
+    header's raises :class:`IngestError`.
+    """
+    text = Path(path).read_bytes().decode("utf-8")
+    lines = text.split("\n")
+    width = len(LOG_CSV_HEADER)
+    if lines[0] == _HEADER_LINE and '"' not in text and "\r" not in text:
+        # Nothing is quoted, so a line's fields are its comma-separated
+        # parts, in header order.
+        data = [line for line in islice(lines, 1, None) if line]
+        tails = Counter(line.partition(",")[2] for line in data)
+        rows = {tuple(tail.split(",")): n for tail, n in tails.items()}
+        if any(len(row) != width - 1 for row in rows):
+            _check_widths(path, (line.split(",") for line in data), width)
+    else:
+        header, records = parse_csv(text, path, LOG_CSV_HEADER)
+        records = list(records)
+        _check_widths(path, records, len(header))
+        columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
+        rows = Counter(map(columns, records))
+    return LogIndex(rows)
 
 
-def load_log_csv(path: str | Path) -> list[LogRecord]:
-    """Records of a log CSV, its columns found by name; a row whose field
-    count differs from the header's raises :class:`IngestError`."""
-    header, rows = read_csv(path, LOG_CSV_HEADER)
-    width = len(header)
-    columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER))
-    records = []
+def _check_widths(path: str | Path, rows: Iterable[Sequence[str]], width: int) -> None:
+    """Raise :class:`IngestError` at the first row that has not ``width``
+    fields; rows count from 1 after the header, blank lines skipped."""
     for number, row in enumerate(rows, start=1):
         if len(row) != width:
             raise IngestError(f"{path}: row {number} has {len(row)} fields, not {width}")
-        records.append(LogRecord._make(columns(row)))
-    return records

@@ -3,7 +3,7 @@
 The scoring chain per communication edge (u, v):
 
 1. derive four weakness fractions (accessibility, configuration hygiene,
-   exploitability, hardening residual) from the pair's log records;
+   exploitability, hardening residual) from the pair's log event counts;
 2. controlStrength = product of the four factor scores (raw weaknesses under
    the Literal convention, their complements under Complement);
 3. pExploit = (1 - prod(1 - epss_i)) * (1 - controlStrength) over the target
@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from icskg.config import Convention, FactorCoefficients, RiskConfig
 from icskg.graph import (
@@ -33,7 +33,9 @@ from icskg.graph import (
     RiskAttributes,
 )
 from icskg.ingest import CvssSummary
-from icskg.logsynth import ControlProfile, LogRecord
+
+if TYPE_CHECKING:
+    from icskg.logsynth import ControlProfile
 
 logger = logging.getLogger(__name__)
 
@@ -91,28 +93,29 @@ class PairStats:
     def empty(self) -> bool:
         return self.sessions == 0 and self.writes == 0 and self.checks == 0
 
-    def count(self, r: LogRecord) -> None:
-        """Add one log event to the counts."""
-        self.client_ips.add(r.client_ip)
-        event = r.event
+    def count(self, row: Sequence[str], n: int) -> None:
+        """Add ``n`` log events of one row: its fields after the timestamp,
+        (src, dst, protocol, authMode, securityMode, event, clientIp)."""
+        _, _, _, auth_mode, security_mode, event, client_ip = row
+        self.client_ips.add(client_ip)
         if event == "Session":
-            self.sessions += 1
-            if r.auth_mode == "Anonymous":
-                self.anon += 1
-            elif r.auth_mode == "Certificate":
-                self.cert += 1
-            if r.security_mode == "None":
-                self.insecure += 1
+            self.sessions += n
+            if auth_mode == "Anonymous":
+                self.anon += n
+            elif auth_mode == "Certificate":
+                self.cert += n
+            if security_mode == "None":
+                self.insecure += n
         elif event in _WRITE_EVENTS:
-            self.writes += 1
+            self.writes += n
             if event == "FailedWrite":
-                self.failed_writes += 1
+                self.failed_writes += n
             elif event == "AuditWrite":
-                self.audit_writes += 1
+                self.audit_writes += n
         elif event in _CHECK_EVENTS:
-            self.checks += 1
+            self.checks += n
             if event == "ConfigCheckFail":
-                self.check_fails += 1
+                self.check_fails += n
 
 
 def weakness_from_stats(stats: PairStats,
@@ -136,23 +139,32 @@ def weakness_from_stats(stats: PairStats,
 
 
 class LogIndex:
-    """Per-pair pre-aggregated statistics for fast edge annotation."""
+    """Per-pair event counts of a log, folded from its distinct rows.
 
-    def __init__(self, logs: Sequence[LogRecord]) -> None:
+    ``rows`` maps each distinct row less its timestamp, as
+    :meth:`PairStats.count` takes it, to the number of times it occurs;
+    ``len()`` of the index is the number of rows folded.
+    """
+
+    def __init__(self, rows: Mapping[tuple[str, ...], int]) -> None:
         counts: defaultdict[frozenset[str], PairStats] = defaultdict(PairStats)
-        for r in logs:
-            counts[frozenset((r.src, r.dst))].count(r)
+        for row, n in rows.items():
+            counts[frozenset(row[:2])].count(row, n)
+        self._rows = sum(rows.values())
         self._pair_stats = dict(counts)
         self._by_endpoint: dict[str, list[frozenset[str]]] = {}
         for pair in sorted(self._pair_stats, key=sorted):
             for endpoint in pair:
                 self._by_endpoint.setdefault(endpoint, []).append(pair)
 
+    def __len__(self) -> int:
+        return self._rows
+
     def pair(self, u: str, v: str) -> Optional[PairStats]:
         return self._pair_stats.get(frozenset((u, v)))
 
     def merged(self, u: str, v: str) -> Optional[PairStats]:
-        """Union of all records touching either endpoint (for inferred links)."""
+        """Union of all events touching either endpoint (for inferred links)."""
         pairs = set(self._by_endpoint.get(u, ())) | set(self._by_endpoint.get(v, ()))
         if not pairs:
             return None
@@ -273,11 +285,11 @@ def _score(graph: Graph, edge: Edge, stats: Optional[PairStats], vulns: _Vulns,
                           attack_cost=cost, risk_weight=rw)
 
 
-def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig) -> int:
+def annotate(graph: Graph, logs: LogIndex, config: RiskConfig) -> int:
     """Attach RiskAttributes to every communication-family edge.
 
-    Observed links use their exact pair's log records; inferred possible
-    links use the union of both endpoints' logs; pairs with no records at
+    Observed links use their exact pair's log events; inferred possible
+    links use the union of both endpoints' logs; pairs with no events at
     all fall back to the zone-default presets.  Edges whose target has no
     CVEs score pExploit 0 and riskWeight 0.  Deterministic and idempotent.
     Each scored edge replaces its unscored one, so a finalized graph raises
@@ -285,7 +297,7 @@ def annotate(graph: Graph, logs: Sequence[LogRecord], config: RiskConfig) -> int
     """
     vulns = _product_vulns(graph)
     count = 0
-    for edge, stats in _communication_stats(graph, LogIndex(logs)):
+    for edge, stats in _communication_stats(graph, logs):
         graph.upsert_edge(replace(edge, risk=_score(graph, edge, stats, vulns, config)))
         count += 1
     return count
@@ -298,7 +310,7 @@ class ControlApplicationReport:
 
 
 def apply_controls(graph: Graph, controls: ControlProfile,
-                   secured_logs: Sequence[LogRecord],
+                   secured_logs: LogIndex,
                    config: RiskConfig) -> ControlApplicationReport:
     """Mirror communication edges as CONTROLLED_COMMUNICATES_WITH edges with
     attributes recomputed from the secured logs.
@@ -315,7 +327,7 @@ def apply_controls(graph: Graph, controls: ControlProfile,
     vulns = _product_vulns(graph)
     recomputed = 0
     pruned = 0
-    for edge, stats in _communication_stats(graph, LogIndex(secured_logs)):
+    for edge, stats in _communication_stats(graph, secured_logs):
         blocked = segmented \
             and graph.node(edge.src).zone != graph.node(edge.dst).zone \
             and not controls.allows(edge.src, edge.dst)

@@ -7,8 +7,10 @@ matrix power iteration, betweenness counts shortest paths by brute force.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +27,7 @@ from icskg.graph import (
     NodeKind,
     RiskAttributes,
 )
+from icskg.risk import LogIndex
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +312,12 @@ def random_testbed(rng: random.Random):
     return testbed, advisories
 
 
+def log_index(lines: list[str]) -> LogIndex:
+    """The :class:`LogIndex` of log CSV data lines, as ``logsynth.generate``
+    returns them, read with ``csv.reader``."""
+    return LogIndex(Counter(tuple(row[1:]) for row in csv.reader(lines)))
+
+
 def run_mini_pipeline(testbed, advisories, seed: int = 7,
                       risk_config: RiskConfig | None = None):
     """In-memory build -> logs -> annotate -> enrich -> controls -> views."""
@@ -330,7 +339,8 @@ def run_mini_pipeline(testbed, advisories, seed: int = 7,
         testbed.control_profiles["secured"], cfg.control_overrides)
     secured = logsynth.generate_secured(testbed, profile, controls)
 
-    risk.annotate(graph, baseline, cfg)
+    baseline_index, secured_index = log_index(baseline), log_index(secured)
+    risk.annotate(graph, baseline_index, cfg)
 
     frozen = _clone(graph)
     frozen.finalize()
@@ -338,8 +348,8 @@ def run_mini_pipeline(testbed, advisories, seed: int = 7,
     emb = enrich.fastrp_embed(original, dim=32, seed=seed)
     for edge in enrich.knn_possible_links(emb, original, top_k=3):
         graph.upsert_edge(edge)
-    risk.annotate(graph, baseline, cfg)
-    risk.apply_controls(graph, controls, secured, cfg)
+    risk.annotate(graph, baseline_index, cfg)
+    risk.apply_controls(graph, controls, secured_index, cfg)
     graph.finalize()
     views = {
         config: graph.project_view(config, cfg.prune_threshold)

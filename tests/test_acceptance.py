@@ -22,6 +22,7 @@ from conftest import (
     betweenness_oracle,
     comm_graph,
     enumerate_simple_paths,
+    log_index,
     pagerank_oracle,
     random_comm_graph,
     random_testbed,
@@ -34,7 +35,6 @@ from icskg.graph import Configuration, EdgeKind, Graph
 from icskg.ingest import load_state
 from icskg.risk import (
     ControlFactors,
-    LogIndex,
     control_strength,
     exposure,
     p_exploit,
@@ -112,9 +112,9 @@ def test_factor_reproduction():
         anon_frac=0.03, insecure_mode_frac=0.005, cert_frac=0.90,
         misconfig_rate=0.02, failed_write_frac=0.05, audit_write_frac=0.01,
         fail_check_frac=0.01, client_ip_pool_size=10)
-    logs = generate(testbed, profile)
-    assert sum(1 for r in logs if r.event == "Session") == 10_000
-    factors = weakness_from_stats(LogIndex(logs).pair("U", "V"))
+    stats = log_index(generate(testbed, profile)).pair("U", "V")
+    assert stats.sessions == 10_000
+    factors = weakness_from_stats(stats)
     expected = (0.03, 0.04, 0.03, 0.05)
     for got, want in zip(factors.as_tuple(), expected):
         assert abs(got - want) <= 0.015, (got, want)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -315,6 +316,62 @@ def test_numeric_setting_must_be_in_range(tmp_path, pipeline_out, capsys,
     assert main(["--config", str(config), "--out", str(out), stage]) == 2
     assert needle in capsys.readouterr().err
     assert tree_digest(out) == tree_digest(pipeline_out)
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("synthProfile", 5, "synthProfile must be a JSON object"),
+    ("enrichment", "x", "enrichment must be a JSON object"),
+    ("paths", [], "paths must be a JSON object"),
+    ("paths.testbed", 5, "paths.testbed must be a string"),
+    (None, [], "run config must be a JSON object"),
+], ids=["synthProfile-number", "enrichment-string", "paths-list", "paths-testbed-number",
+        "document-list"])
+def test_run_config_sections_must_be_objects(tmp_path, pipeline_out, capsys,
+                                             key, value, needle):
+    # ``key`` is a dotted path into the run config; None replaces all of it.
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    if key is None:
+        raw = value
+    else:
+        *parents, name = key.split(".")
+        table = raw
+        for parent in parents:
+            table = table[parent]
+        table[name] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    assert main(["--config", str(config), "--out", str(out), "build", "--validate-only"]) == 2
+    assert needle in capsys.readouterr().err
+    assert tree_digest(out) == tree_digest(pipeline_out)
+
+
+def test_advisory_kev_must_be_json_boolean(tmp_path, capsys):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    advisories = json.loads(Path(raw["paths"]["advisories"]).read_text())
+    advisories[0]["kev"] = "false"
+    raw["paths"]["advisories"] = str(tmp_path / "advisories.json")
+    Path(raw["paths"]["advisories"]).write_text(json.dumps(advisories))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "build"]) == 2
+    assert "kev must be true or false, got 'false'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The fixture's log CSVs at its config seed 42, as the row-by-row csv.writer
+# path wrote them.
+FIXTURE_LOG_SHA256 = {
+    "baseline.csv": "150b5c2066aa11597bb7cfafebc462a4d1feca691adecde370cb9d7b160e2e6f",
+    "secured.csv": "7f9921f259cbabeee4eaa411fcb14af257ade27041663cf1fb65e7ee82c376d8",
+}
+
+
+def test_fixture_log_bytes_are_pinned(pipeline_out):
+    assert {name: hashlib.sha256((pipeline_out / "logs" / name).read_bytes()).hexdigest()
+            for name in FIXTURE_LOG_SHA256} == FIXTURE_LOG_SHA256
 
 
 def test_residual_controlled_not_above_enriched(pipeline_out):

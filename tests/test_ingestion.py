@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from icskg.config import RiskConfig
-from icskg.errors import BadEnum, DanglingReference, IcskgError, MissingColumn
+from icskg.errors import BadEnum, DanglingReference, IcskgError, IngestError, MissingColumn
 from icskg.graph import EdgeKind, Graph, Node, NodeKind, audit_hierarchy
 from icskg.ingest import (
     Dataflow,
@@ -271,6 +271,13 @@ def test_advisory_numbers_must_be_json_numbers(key, value):
         VulnRecord.from_dict(raw)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_advisory_kev_must_be_json_boolean(value):
+    with pytest.raises(IngestError,
+                       match=f"advisory 'CVE-1': kev must be true or false, got {value!r}"):
+        VulnRecord.from_dict({"cveId": "CVE-1", "kev": value})
+
+
 def test_import_predictions_threshold(tmp_path):
     g = Graph()
     g.upsert_node(Node(id="CVE-1", kind=NodeKind.VULNERABILITY))
@@ -311,6 +318,7 @@ def test_vuln_record_defaults_for_missing_fields():
     rec = VulnRecord.from_dict({"cveId": "CVE-77", "status": "ACTIVE"})
     assert rec.epss == 0.0
     assert rec.cvss.base_score == 5.0
+    assert rec.kev is False
 
 
 def test_vuln_record_rejects_bad_values():

@@ -1,15 +1,19 @@
-"""Deterministic log generation: rate fidelity, control effects, determinism."""
+"""Deterministic log generation: rate fidelity, control effects, determinism;
+the log CSV written as joined lines and read as a fold."""
 
 from __future__ import annotations
 
 import math
 from datetime import datetime, timedelta, timezone
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import log_index
 from icskg.config import ControlOverrides
 from icskg.errors import IngestError, InvalidProfile
 from icskg.graph import write_csv
@@ -17,19 +21,18 @@ from icskg.ingest import Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
     LOG_CSV_HEADER,
     ControlProfile,
-    LogRecord,
     SynthProfile,
     _flow_rng,
     _generate_flow,
+    _milliseconds,
     _quota_flags,
     _timestamps,
     generate,
     generate_secured,
     load_log_csv,
-    records_to_csv,
     write_log_csv,
 )
-from icskg.risk import LogIndex
+from icskg.risk import PairStats
 
 
 def one_flow_testbed() -> TestbedSpec:
@@ -56,7 +59,7 @@ def profile_10k(**overrides) -> SynthProfile:
 def test_rate_fidelity_at_10k_sessions():
     testbed = one_flow_testbed()
     profile = profile_10k()
-    stats = LogIndex(generate(testbed, profile)).pair("SRC", "DST")
+    stats = log_index(generate(testbed, profile)).pair("SRC", "DST")
     n = stats.sessions
     assert n == 10_000
 
@@ -85,19 +88,19 @@ def test_zero_rate_empty_log():
 def test_determinism_byte_identical():
     testbed = one_flow_testbed()
     profile = SynthProfile(seed=11, duration_hours=3, per_flow_session_rate=40)
-    first = records_to_csv(generate(testbed, profile))
-    second = records_to_csv(generate(testbed, profile))
+    first = generate(testbed, profile)
+    second = generate(testbed, profile)
     assert first == second
-    other_seed = records_to_csv(generate(testbed, SynthProfile(
-        seed=12, duration_hours=3, per_flow_session_rate=40)))
+    other_seed = generate(testbed, SynthProfile(
+        seed=12, duration_hours=3, per_flow_session_rate=40))
     assert other_seed != first
 
 
 def test_timestamps_monotone_per_file():
     testbed = one_flow_testbed()
-    records = generate(testbed, SynthProfile(seed=2, duration_hours=2,
-                                             per_flow_session_rate=50))
-    stamps = [r.timestamp for r in records]
+    lines = generate(testbed, SynthProfile(seed=2, duration_hours=2,
+                                           per_flow_session_rate=50))
+    stamps = [line.split(",")[0] for line in lines]
     assert stamps == sorted(stamps)
 
 
@@ -118,7 +121,7 @@ def test_access_control_caps_anonymous_sessions():
     testbed = one_flow_testbed()
     profile = profile_10k()
     controls = ControlProfile(controls={"AccessControl"})
-    stats = LogIndex(generate_secured(testbed, profile, controls)).pair("SRC", "DST")
+    stats = log_index(generate_secured(testbed, profile, controls)).pair("SRC", "DST")
     assert stats.anon / stats.sessions <= 0.002
     assert stats.cert / stats.sessions >= 0.94
 
@@ -128,22 +131,22 @@ def test_segmentation_drops_cross_zone_flows():
     profile = SynthProfile(seed=5, duration_hours=2, per_flow_session_rate=50)
     controls = ControlProfile(controls={"NetworkSegmentation"})
     secured = generate_secured(testbed, profile, controls)
-    pairs = {(r.src, r.dst) for r in secured}
+    pairs = {tuple(line.split(",")[1:3]) for line in secured}
     assert ("SRC", "DST") not in pairs      # DMZ -> OT, not allowlisted
     assert ("OT_A", "DST") in pairs         # same zone, untouched
 
     allow = ControlProfile(controls={"NetworkSegmentation"},
                            allowlist=[("SRC", "DST")])
-    kept = {(r.src, r.dst) for r in generate_secured(testbed, profile, allow)}
+    kept = {tuple(line.split(",")[1:3])
+            for line in generate_secured(testbed, profile, allow)}
     assert ("SRC", "DST") in kept
 
 
 def test_no_controls_identical_to_baseline():
     testbed = one_flow_testbed()
     profile = SynthProfile(seed=8, duration_hours=2, per_flow_session_rate=50)
-    baseline = records_to_csv(generate(testbed, profile))
-    secured = records_to_csv(generate_secured(testbed, profile,
-                                              ControlProfile(controls=set())))
+    baseline = generate(testbed, profile)
+    secured = generate_secured(testbed, profile, ControlProfile(controls=set()))
     assert baseline == secured
 
 
@@ -154,8 +157,8 @@ def test_control_dominance_on_factor_rates():
         controls={"AccessControl", "ConfigHardening", "IDS"},
         overrides=ControlOverrides())
 
-    def rates(records):
-        stats = LogIndex(records).pair("SRC", "DST")
+    def rates(lines):
+        stats = log_index(lines).pair("SRC", "DST")
         n = stats.sessions
         return {
             "anon": stats.anon / n,
@@ -173,30 +176,92 @@ def test_control_dominance_on_factor_rates():
         assert sec[key] <= base[key] + 1e-9, key
 
 
+# ---------------------------------------------------------------------------
+# The log CSV: written as joined lines, read as a fold
+# ---------------------------------------------------------------------------
+
+def count_row(stats: PairStats, row) -> None:
+    """One log row (timestamp first) added to ``stats`` event by event: the
+    per-record count the fold replaced, kept as its oracle."""
+    _, _, _, _, auth_mode, security_mode, event, client_ip = row
+    stats.client_ips.add(client_ip)
+    if event == "Session":
+        stats.sessions += 1
+        if auth_mode == "Anonymous":
+            stats.anon += 1
+        elif auth_mode == "Certificate":
+            stats.cert += 1
+        if security_mode == "None":
+            stats.insecure += 1
+    elif event in ("Write", "FailedWrite", "AuditWrite"):
+        stats.writes += 1
+        if event == "FailedWrite":
+            stats.failed_writes += 1
+        elif event == "AuditWrite":
+            stats.audit_writes += 1
+    elif event in ("ConfigCheckPass", "ConfigCheckFail"):
+        stats.checks += 1
+        if event == "ConfigCheckFail":
+            stats.check_fails += 1
+
+
+def assert_folds_rows(index, rows) -> None:
+    """``index`` holds ``rows`` (timestamp first): its row count, and its
+    pair and merged statistics for every two endpoints, counted row by row."""
+    assert len(index) == len(rows)
+    endpoints = sorted({endpoint for row in rows for endpoint in row[1:3]} | {"absent"})
+    for u in endpoints:
+        for v in endpoints:
+            pair, merged = PairStats(), PairStats()
+            for row in rows:
+                if {row[1], row[2]} == {u, v}:
+                    count_row(pair, row)
+                if {row[1], row[2]} & {u, v}:
+                    count_row(merged, row)
+            # Every row names a client, so a pair with rows has clients.
+            assert index.pair(u, v) == (pair if pair.client_ips else None)
+            assert index.merged(u, v) == (merged if merged.client_ips else None)
+
+
 def test_csv_round_trip(tmp_path):
     testbed = one_flow_testbed()
-    records = generate(testbed, SynthProfile(seed=3, duration_hours=1,
-                                             per_flow_session_rate=30))
+    lines = generate(testbed, SynthProfile(seed=3, duration_hours=1,
+                                           per_flow_session_rate=30))
+    rows = [line.split(",") for line in lines]
     path = tmp_path / "log.csv"
-    write_log_csv(records, path)
-    loaded = load_log_csv(path)
-    assert loaded == records
+    write_log_csv(lines, path)
+    assert path.read_bytes() == write_csv(LOG_CSV_HEADER, rows)
+    assert_folds_rows(load_log_csv(path), rows)
     # columns are found by name, so their order in the file is free
     reordered = tmp_path / "reordered.csv"
-    reordered.write_bytes(write_csv(LOG_CSV_HEADER[::-1], (r[::-1] for r in records)))
-    assert load_log_csv(reordered) == records
+    reordered.write_bytes(write_csv(LOG_CSV_HEADER[::-1], (row[::-1] for row in rows)))
+    assert_folds_rows(load_log_csv(reordered), rows)
+
+
+def ragged_log(path, width: int, quoted: bool):
+    """A log CSV whose second row has ``width`` fields; a quoted field in
+    its first row sends the file through csv.reader."""
+    lines = generate(one_flow_testbed(), SynthProfile(
+        seed=3, duration_hours=1, per_flow_session_rate=30))
+    rows = [line.split(",") for line in lines]
+    rows[1] = (rows[1] + ["extra"])[:width]
+    if quoted:
+        rows[0][3] = 'OPC "UA"'
+    path.write_bytes(write_csv(LOG_CSV_HEADER, rows))
+    assert (b'"' in path.read_bytes()) == quoted
+    return path
 
 
 @pytest.mark.parametrize("width", [3, 9])
 def test_load_log_csv_rejects_ragged_rows(tmp_path, width):
-    records = generate(one_flow_testbed(), SynthProfile(
-        seed=3, duration_hours=1, per_flow_session_rate=30))
-    rows = [list(r) for r in records]
-    rows[1] = (rows[1] + ["extra"])[:width]
-    path = tmp_path / "log.csv"
-    path.write_bytes(write_csv(LOG_CSV_HEADER, rows))
-    with pytest.raises(IngestError, match=f"row 2 has {width} fields"):
-        load_log_csv(path)
+    with pytest.raises(IngestError, match=f"row 2 has {width} fields, not 8$"):
+        load_log_csv(ragged_log(tmp_path / "log.csv", width, quoted=False))
+
+
+@pytest.mark.parametrize("width", [3, 9])
+def test_load_log_csv_rejects_ragged_rows_read_by_csv(tmp_path, width):
+    with pytest.raises(IngestError, match=f"row 2 has {width} fields, not 8$"):
+        load_log_csv(ragged_log(tmp_path / "log.csv", width, quoted=True))
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +276,9 @@ def reference_timestamp(offset_seconds: float) -> str:
     return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}Z"
 
 
-def reference_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> list[LogRecord]:
-    """One flow's records built session by session, with the same draws
-    from the flow's random stream as :func:`_generate_flow`."""
+def reference_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> list[list[str]]:
+    """One flow's rows built session by session, with the same draws from
+    the flow's random stream as :func:`_generate_flow`."""
     n = int(round(profile.per_flow_session_rate * profile.duration_hours))
     if n <= 0:
         return []
@@ -240,7 +305,7 @@ def reference_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> li
                               int(round(total_checks * profile.fail_check_frac)), rng) \
         if total_checks else np.zeros(0, dtype=bool)
 
-    records = []
+    rows = []
     for i in range(n):
         auth = "Anonymous" if anon[i] else "Certificate" if cert[i] else "Password"
         sec = "None" if insecure[i] else "Sign" if sign_only[i] else "SignAndEncrypt"
@@ -251,9 +316,9 @@ def reference_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> li
             for c in range(int(boundaries[i]), int(boundaries[i + 1]))]
         step = slot / (len(events) + 1)
         for j, event in enumerate(events):
-            records.append(LogRecord(reference_timestamp(i * slot + step * j), flow.src,
-                                     flow.dst, flow.protocol, auth, sec, event, ip))
-    return records
+            rows.append([reference_timestamp(i * slot + step * j), flow.src,
+                         flow.dst, flow.protocol, auth, sec, event, ip])
+    return rows
 
 
 def _near(centres, width: float):
@@ -284,7 +349,8 @@ OFFSETS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(OFFSETS, min_size=1, max_size=40))
 def test_timestamps_round_as_timedelta_does(offsets):
-    assert _timestamps(np.array(offsets)) == [reference_timestamp(x) for x in offsets]
+    assert _timestamps(_milliseconds(np.array(offsets))).tolist() \
+        == [reference_timestamp(x) for x in offsets]
 
 
 @st.composite
@@ -315,4 +381,38 @@ def valid_profiles(draw) -> SynthProfile:
 @given(valid_profiles(), st.integers(0, 1000))
 def test_generate_flow_equals_per_session_reference(profile, flow_index):
     flow = Dataflow("SRC", "DST", "OPC_UA")
-    assert _generate_flow(flow_index, flow, profile) == reference_flow(flow_index, flow, profile)
+    ms, tails = _generate_flow(flow_index, flow, profile)
+    assert (_timestamps(ms) + tails).tolist() \
+        == [",".join(row) for row in reference_flow(flow_index, flow, profile)]
+
+
+# Product ids and protocols that need quoting, and some that do not.  No
+# NUL: csv.reader rejects it before Python 3.11.
+FIELD_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+                     | st.sampled_from([",", '"', "\r", "\n", "é", "\u2028"]),
+                     min_size=1, max_size=6)
+
+
+@st.composite
+def quoted_flows(draw) -> list[Dataflow]:
+    names = draw(st.lists(FIELD_TEXT | st.sampled_from(["PLC_1", "HMI_1"]),
+                          min_size=2, max_size=5, unique=True))
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda pair: pair[0] != pair[1])
+    return [Dataflow(src, dst, protocol) for (src, dst), protocol in draw(st.lists(
+        st.tuples(pairs, FIELD_TEXT | st.just("OPC_UA")), min_size=1, max_size=4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(quoted_flows(), st.integers(0, 2**32), st.integers(1, 12))
+def test_log_csv_matches_csv_module_and_per_row_count(tmp_path_factory, flows, seed, pool):
+    testbed = TestbedSpec(zones=["OT"], products=[], dataflows=flows)
+    profile = SynthProfile(seed=seed, duration_hours=0.2, per_flow_session_rate=40,
+                           client_ip_pool_size=pool)
+    rows = sorted(chain.from_iterable(reference_flow(flow_index, flow, profile)
+                                      for flow_index, flow in enumerate(flows)),
+                  key=itemgetter(0))
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    write_log_csv(generate(testbed, profile), path)
+    assert path.read_bytes() == write_csv(LOG_CSV_HEADER, rows)
+    assert_folds_rows(load_log_csv(path), rows)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import add_comm, add_product
+from conftest import add_comm, add_product, log_index
 from icskg.config import Convention, RiskConfig
 from icskg.analytics import WeightPolicy, yen_k_shortest
 from icskg.errors import GraphFinalized
@@ -22,8 +23,7 @@ from icskg.ingest import (
     link_products,
     load_testbed_into_graph,
 )
-from icskg.logsynth import ControlProfile, LogRecord, SynthProfile, generate, \
-    generate_secured
+from icskg.logsynth import ControlProfile, SynthProfile, generate, generate_secured
 from icskg.risk import (
     ControlFactors,
     LogIndex,
@@ -41,35 +41,35 @@ from icskg.risk import (
 
 
 def rec(src="A", dst="B", auth="Certificate", sec="Sign", event="Session",
-        ip="10.0.0.1") -> LogRecord:
-    return LogRecord("2025-01-06T00:00:00.000Z", src, dst, "OPC_UA",
-                     auth, sec, event, ip)
+        ip="10.0.0.1") -> tuple[str, ...]:
+    """A log row less its timestamp, as :class:`LogIndex` folds it."""
+    return (src, dst, "OPC_UA", auth, sec, event, ip)
 
 
 def build_log_set(sessions=100, anon=3, insecure=0, cert=90, ips=10,
-                  failed=5, audit=1, checks=200, check_fails=2) -> list[LogRecord]:
-    logs = []
+                  failed=5, audit=1, checks=200, check_fails=2) -> LogIndex:
+    rows = Counter()
     for i in range(sessions):
         auth = "Anonymous" if i < anon else ("Certificate" if i < anon + cert
                                              else "Password")
         sec = "None" if i < insecure else "Sign"
-        logs.append(rec(auth=auth, sec=sec, ip=f"10.0.0.{i % ips}"))
+        rows[rec(auth=auth, sec=sec, ip=f"10.0.0.{i % ips}")] += 1
     for i in range(sessions):
         event = "FailedWrite" if i < failed else ("AuditWrite" if i < failed + audit
                                                   else "Write")
-        logs.append(rec(event=event, ip=f"10.0.0.{i % ips}"))
+        rows[rec(event=event, ip=f"10.0.0.{i % ips}")] += 1
     for i in range(checks):
         event = "ConfigCheckFail" if i < check_fails else "ConfigCheckPass"
-        logs.append(rec(event=event, ip=f"10.0.0.{i % ips}"))
-    return logs
+        rows[rec(event=event, ip=f"10.0.0.{i % ips}")] += 1
+    return LogIndex(rows)
 
 
 # ---------------------------------------------------------------------------
 # Factor derivation
 # ---------------------------------------------------------------------------
 
-def pair_factors(logs: list[LogRecord], u: str, v: str) -> ControlFactors:
-    return weakness_from_stats(LogIndex(logs).pair(u, v))
+def pair_factors(logs: LogIndex, u: str, v: str) -> ControlFactors:
+    return weakness_from_stats(logs.pair(u, v))
 
 
 def test_derive_factors_worked_example():
@@ -105,7 +105,7 @@ def test_derive_factors_orientation_insensitive():
 
 
 def test_derive_factors_no_logs():
-    assert LogIndex(build_log_set()).pair("X", "Y") is None
+    assert build_log_set().pair("X", "Y") is None
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,7 @@ def two_product_graph(epss_list=(0.6,), criticality=10):
 def test_annotate_scores_every_communication_edge():
     g = two_product_graph()
     cfg = RiskConfig()
-    logs = [r for r in build_log_set()]
-    count = annotate(g, logs, cfg)
+    count = annotate(g, build_log_set(), cfg)
     assert count == 1
     edge = g.edge("A", "B", EdgeKind.COMMUNICATES_WITH)
     assert edge.risk is not None
@@ -232,14 +231,14 @@ def test_annotate_refuses_finalized_graph():
     g.finalize()
     view = g.project_view(Configuration.ORIGINAL)
     with pytest.raises(GraphFinalized):
-        annotate(g, [], RiskConfig())
+        annotate(g, LogIndex({}), RiskConfig())
     assert [e.risk.risk_weight for e in view.edges if e.src == "B"] == [0.4]
 
 
 def test_annotate_zone_defaults_without_logs():
     g = two_product_graph()
     cfg = RiskConfig()
-    annotate(g, [], cfg)
+    annotate(g, LogIndex({}), cfg)
     edge = g.edge("A", "B", EdgeKind.COMMUNICATES_WITH)
     ot = cfg.zone_weakness("OT")
     expected_cs = 1.0
@@ -327,10 +326,10 @@ def test_apply_controls_mirrors_and_prunes():
     profile = SynthProfile(seed=3, duration_hours=2, per_flow_session_rate=100,
                            anon_frac=0.3, cert_frac=0.4, misconfig_rate=0.1,
                            fail_check_frac=0.05, failed_write_frac=0.2)
-    baseline = generate(testbed, profile)
+    baseline = log_index(generate(testbed, profile))
     controls = ControlProfile.from_spec(testbed.control_profiles["secured"],
                                         cfg.control_overrides)
-    secured = generate_secured(testbed, profile, controls)
+    secured = log_index(generate_secured(testbed, profile, controls))
     annotate(g, baseline, cfg)
     report = apply_controls(g, controls, secured, cfg)
     assert report.edges_recomputed == 2
@@ -349,10 +348,10 @@ def test_apply_controls_monotone_p_exploit():
     cfg = RiskConfig()
     g, testbed = controls_graph(cfg)
     profile = SynthProfile(seed=9, duration_hours=4, per_flow_session_rate=100)
-    baseline = generate(testbed, profile)
+    baseline = log_index(generate(testbed, profile))
     controls = ControlProfile.from_spec(testbed.control_profiles["secured"],
                                         cfg.control_overrides)
-    secured = generate_secured(testbed, profile, controls)
+    secured = log_index(generate_secured(testbed, profile, controls))
     annotate(g, baseline, cfg)
     apply_controls(g, controls, secured, cfg)
     for mirror in g.edges(EdgeKind.CONTROLLED_COMMUNICATES_WITH):
@@ -365,7 +364,7 @@ def test_apply_controls_noop_profile_keeps_attributes():
     cfg = RiskConfig()
     g, testbed = controls_graph(cfg)
     profile = SynthProfile(seed=4, duration_hours=2, per_flow_session_rate=50)
-    baseline = generate(testbed, profile)
+    baseline = log_index(generate(testbed, profile))
     annotate(g, baseline, cfg)
     baseline_attrs = {e.key: e.risk.as_dict()
                       for e in g.edges(EdgeKind.COMMUNICATES_WITH)}
@@ -406,7 +405,7 @@ def test_apply_controls_patch_management_scales_epss():
 def test_apply_controls_empty_graph():
     cfg = RiskConfig()
     g = Graph()
-    report = apply_controls(g, ControlProfile(controls=set()), [], cfg)
+    report = apply_controls(g, ControlProfile(controls=set()), LogIndex({}), cfg)
     assert (report.edges_recomputed, report.edges_pruned) == (0, 0)
 
 
