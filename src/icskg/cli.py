@@ -17,14 +17,15 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from icskg import analytics, enrich, ingest, logsynth, reports, risk, scenarios
-from icskg.config import Convention, RiskConfig, json_int, json_number, json_object
+from icskg.config import (INTEGER, NUMBER, PATH, STRING, Convention, RiskConfig, integer,
+                          list_of, obj, one_of, table)
 from icskg.errors import IcskgError, InvariantViolation, StageOrderError
 from icskg.graph import (
     Configuration,
@@ -33,6 +34,7 @@ from icskg.graph import (
     GraphView,
     audit_hierarchy,
     audit_risk_completeness,
+    read_json,
     write_json,
 )
 
@@ -64,57 +66,36 @@ def default_config_path() -> Path:
 
 @dataclass
 class RunConfig:
-    base_dir: Path
-    paths: dict[str, Path]
+    paths: dict[str, Path] = field(default_factory=dict)
     seed: int = 42
-    convention: Optional[str] = None
-    synth_profile: dict = field(default_factory=dict)
+    convention: Optional[Convention] = None
+    synth_profile: logsynth.SynthProfile = field(default_factory=logsynth.SynthProfile)
     control_profile: str = "secured"
     prediction_min_confidence: float = 0.5
     enrichment: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: Path) -> "RunConfig":
-        raw = json_object("run config", json.loads(path.read_text(encoding="utf-8")))
-        base = path.parent
-        paths = {}
-        for key, rel in json_object("paths", raw.get("paths", {})).items():
-            if not isinstance(rel, str):
-                raise IcskgError(f"paths.{key} must be a string, got {rel!r}")
-            paths[key] = (base / rel).resolve()
-        return cls(
-            base_dir=base,
-            paths=paths,
-            seed=json_int("seed", raw.get("seed", 42)),
-            convention=raw.get("convention"),
-            synth_profile=dict(json_object("synthProfile", raw.get("synthProfile", {}))),
-            control_profile=raw.get("controlProfile", "secured"),
-            prediction_min_confidence=json_number(
-                "predictionMinConfidence", raw.get("predictionMinConfidence", 0.5)),
-            enrichment=dict(json_object("enrichment", raw.get("enrichment", {}))),
-        )
+        """The run config at ``path``, its paths resolved against its directory."""
+        cfg = RUN_CONFIG(read_json(path), "run config", "")
+        cfg.paths = {key: (path.parent / rel).resolve() for key, rel in cfg.paths.items()}
+        return cfg
 
     def validate_paths(self) -> None:
-        required = ["testbed", "advisories", "nodes", "relations", "scenarios",
-                    "riskConfig"]
-        for key in required:
+        for key in ("testbed", "advisories", "nodes", "relations", "scenarios", "riskConfig"):
             if key not in self.paths:
                 raise IcskgError(f"run config is missing required path {key!r}")
-            if not self.paths[key].exists():
-                raise IcskgError(f"configured path does not exist: {self.paths[key]}")
-        if "predictions" in self.paths and not self.paths["predictions"].exists():
-            raise IcskgError(f"configured path does not exist: {self.paths['predictions']}")
+        for path in self.paths.values():
+            if not path.exists():
+                raise IcskgError(f"configured path does not exist: {path}")
 
     def risk_config(self) -> RiskConfig:
         cfg = RiskConfig.from_json(self.paths["riskConfig"])
-        if self.convention:
-            cfg.convention = Convention.from_setting("convention", self.convention)
-        return cfg
+        return replace(cfg, convention=self.convention or cfg.convention)
 
     def profile(self) -> logsynth.SynthProfile:
-        data = dict(self.synth_profile)
-        data["seed"] = self.seed
-        return logsynth.SynthProfile.from_dict(data)
+        """The synthesis profile with the run's seed; generation validates it."""
+        return replace(self.synth_profile, seed=self.seed)
 
     def controls(self, testbed: ingest.TestbedSpec,
                  risk_cfg: RiskConfig) -> logsynth.ControlProfile:
@@ -124,6 +105,22 @@ class RunConfig:
             raise IcskgError(
                 f"testbed declares no control profile named {self.control_profile!r}")
         return logsynth.ControlProfile.from_spec(spec, risk_cfg.control_overrides)
+
+
+RUN_CONFIG = obj({
+    "paths": table(PATH),
+    "seed": INTEGER,
+    "convention": one_of(Convention),
+    "synthProfile": logsynth.SYNTH_PROFILE,
+    "controlProfile": STRING,
+    "predictionMinConfidence": NUMBER,
+    "enrichment": obj({
+        "dim": integer(1),
+        "iterationWeights": list_of(NUMBER, "a non-empty list of numbers",
+                                   range(1, sys.maxsize), tuple),
+        "topK": integer(0),
+    }),
+}, make=RunConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +145,7 @@ class PipelineState:
         completed, and the seed and convention must match those pinned by
         ``build``."""
         path = out_dir / "state.json"
-        raw = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        raw = read_json(path) if path.exists() else {}
         state = cls(cfg, out_dir, stage)
         state.stages = list(raw.get("stages", []))
         for needed in PREREQUISITES[stage]:
@@ -304,24 +301,15 @@ def cmd_annotate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
-    setting = cfg.enrichment.get
-    dim = json_int("enrichment.dim", setting("dim", enrich.DEFAULT_DIM), 1)
-    raw_weights = setting("iterationWeights", enrich.DEFAULT_ITERATION_WEIGHTS)
-    try:
-        weights = tuple(map(float, raw_weights))
-    except (TypeError, ValueError):
-        weights = ()
-    if not weights:
-        raise IcskgError("enrichment.iterationWeights must be a non-empty list of "
-                         f"numbers, got {raw_weights!r}")
-    top_k = json_int("enrichment.topK", setting("topK", enrich.DEFAULT_TOP_K), 0)
+    # The enrichment settings but topK are the embedding's keyword arguments.
+    embedding = dict(cfg.enrichment)
+    top_k = embedding.pop("top_k", enrich.DEFAULT_TOP_K)
     state = PipelineState.open(cfg, out_dir, "enrich")
     graph = state.upstream()
     frozen = state.upstream()
     frozen.finalize()
     view = frozen.project_view(Configuration.ORIGINAL, state.risk_cfg.prune_threshold)
-    emb = enrich.fastrp_embed(view, dim=dim, iteration_weights=weights,
-                              seed=cfg.seed)
+    emb = enrich.fastrp_embed(view, seed=cfg.seed, **embedding)
     links = enrich.knn_possible_links(emb, view, top_k=top_k)
     for edge in links:
         graph.upsert_edge(edge)
@@ -329,7 +317,7 @@ def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
     risk.annotate(graph, logs, state.risk_cfg)
     state.save(graph)
     _write(out_dir / "embeddings.csv", emb.to_csv())
-    state.write_artifact("enrich-report.json", possibleLinks=len(links), dim=dim,
+    state.write_artifact("enrich-report.json", possibleLinks=len(links), dim=emb.dim,
                          topK=top_k)
     state.mark()
     print(f"enrich: {len(links)} possible-communication links inferred")
@@ -485,14 +473,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         options.pop(key) for key in ("command", "out", "seed", "convention", "config"))
     config_path = config_path or default_config_path()
     try:
-        if not Path(config_path).exists():
-            print(f"error: run config not found: {config_path}", file=sys.stderr)
-            return _EXIT_INPUT
         cfg = RunConfig.load(Path(config_path))
         if seed is not None:
             cfg.seed = seed
         if convention is not None:
-            cfg.convention = convention
+            cfg.convention = Convention(convention)
         return COMMANDS[command](cfg, out_dir, **options)
     except StageOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -500,8 +485,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return _EXIT_INTERNAL
-    except (IcskgError, FileNotFoundError, json.JSONDecodeError, OSError,
-            ValueError, KeyError) as exc:
+    except (IcskgError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
 

@@ -1,4 +1,8 @@
-"""Risk-engine configuration: factor coefficients, cost encodings, defaults.
+"""The typed reader of JSON inputs, and the risk-engine configuration.
+
+Every JSON document icskg reads declares its shape once, built from the
+shapes here, and is read through it: a value of the wrong shape raises
+:class:`IngestError` naming its dotted setting.
 
 Everything tunable about the scoring lives here so that deployments can
 recalibrate without code changes: the weakness-score coefficients, the
@@ -9,41 +13,99 @@ convention and the prune threshold.
 
 from __future__ import annotations
 
-import json
+import re
+import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from typing import Callable, Iterable
 
-from icskg.errors import IcskgError
-
-
-def json_int(name: str, raw, minimum: int | None = None) -> int:
-    """``raw`` if it is a JSON integer (a boolean or a float is not one) of
-    at least ``minimum``; otherwise :class:`IcskgError` naming ``name``."""
-    if isinstance(raw, bool) or not isinstance(raw, int) \
-            or (minimum is not None and raw < minimum):
-        least = "" if minimum is None else f" of at least {minimum}"
-        raise IcskgError(f"{name} must be an integer{least}, got {raw!r}")
-    return raw
+from icskg.errors import BadEnum, IngestError
+from icskg.graph import read_json
 
 
-def json_number(name: str, raw) -> float:
-    """``raw`` as a float if it is a finite JSON number (an integer or a
-    float, not a boolean); otherwise :class:`IcskgError` naming ``name``."""
-    # NaN fails the comparison, and an integer compares exactly.
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
-            or not abs(raw) <= sys.float_info.max:
-        raise IcskgError(f"{name} must be a finite number, got {raw!r}")
-    return float(raw)
+_WORD_START = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+Shape = Callable[..., object]
 
 
-def json_object(name: str, raw) -> dict:
-    """``raw`` if it is a JSON object; otherwise :class:`IcskgError` naming
-    ``name``."""
-    if not isinstance(raw, dict):
-        raise IcskgError(f"{name} must be a JSON object, got {raw!r}")
-    return raw
+def shape(describes: str, fits: Callable[[object], bool],
+          read: Callable = lambda raw, name, prefix: raw, error: type = IngestError) -> Shape:
+    """A shape: ``shape(raw, name)`` reads the parsed JSON value ``raw``, if
+    it ``fits``, as ``read(raw, name, prefix)``; any other value raises
+    ``error`` worded ``<name> must be <describes>, got <raw>``.  A setting
+    inside ``raw`` is named ``prefix`` plus its key (``name.`` by default)."""
+    def read_shape(raw, name: str, prefix: str | None = None):
+        if not fits(raw):
+            # reprlib bounds the text of a long or deeply nested value.
+            raise error(f"{name} must be {describes}, got {reprlib.repr(raw)}")
+        return read(raw, name, f"{name}." if prefix is None else prefix)
+    return read_shape
+
+
+# A parsed JSON value has an exact type: the type of true is bool, not int.
+def integer(minimum: int | None = None) -> Shape:
+    """A JSON integer, of at least ``minimum`` if given."""
+    least = "" if minimum is None else f" of at least {minimum}"
+    return shape(f"an integer{least}",
+                 lambda raw: type(raw) is int and (minimum is None or raw >= minimum))
+
+
+INTEGER = integer()
+# NaN fails the comparison, and an integer compares exactly.
+NUMBER = shape("a finite number", lambda raw: type(raw) in (int, float)
+               and abs(raw) <= sys.float_info.max, lambda raw, *_: float(raw))
+BOOLEAN = shape("true or false", lambda raw: isinstance(raw, bool))
+STRING = shape("a string", lambda raw: isinstance(raw, str))
+PATH = shape("a string", lambda raw: isinstance(raw, str), lambda raw, *_: Path(raw))
+
+
+def one_of(choices: Iterable) -> Shape:
+    """One of the strings ``choices``, or of the values of an Enum's
+    members, read as that member; any other value raises BadEnum."""
+    by_value = {getattr(choice, "value", choice): choice for choice in choices}
+    *rest, last = (f'"{value}"' for value in by_value)
+    return shape(f"{', '.join(rest)} or {last}",
+                 lambda raw: isinstance(raw, str) and raw in by_value,
+                 lambda raw, *_: by_value[raw], BadEnum)
+
+
+def list_of(item: Shape, describes: str = "a list", sizes: range = range(sys.maxsize),
+            make: Callable = list) -> Shape:
+    """A JSON list whose length is in ``sizes``, element ``i`` read by
+    ``item`` and named ``name[i]``, the elements collected by ``make``."""
+    return shape(describes, lambda raw: isinstance(raw, list) and len(raw) in sizes,
+                 lambda raw, name, _: make(item(x, f"{name}[{i}]") for i, x in enumerate(raw)))
+
+
+def table(value: Shape) -> Shape:
+    """A JSON object with free keys, each value read by ``value``."""
+    return shape("a JSON object", lambda raw: isinstance(raw, dict),
+                 lambda raw, _, prefix: {key: value(x, prefix + key) for key, x in raw.items()})
+
+
+def obj(settings: dict[str, Shape], required: tuple[str, ...] = (), make: Callable = dict,
+        closed: bool = False, label: tuple[str, str] | None = None) -> Shape:
+    """A JSON object with the declared ``settings``: the keys present, each read
+    by its shape, become keyword arguments of ``make`` named in snake_case
+    (``durationHours`` is ``duration_hours``, ``fAC`` is ``f_ac``).  A
+    ``required`` key must be present; other keys are ignored unless
+    ``closed``.  With ``label=(key, template)``, an object whose ``key`` is a
+    string names its settings ``<template.format(key)>: <setting>``."""
+    attributes = {key: _WORD_START.sub("_", key).lower() for key in settings}
+
+    def read(raw: dict, name: str, prefix: str):
+        if label and isinstance(raw.get(label[0]), str):
+            prefix = label[1].format(raw[label[0]]) + ": "
+        for key in required:
+            if key not in raw:
+                raise IngestError(f"{prefix}{key} is required")
+        unknown = closed and sorted(raw.keys() - settings)
+        if unknown:
+            raise IngestError(f"{prefix}{unknown[0]} is not one of {', '.join(settings)}")
+        return make(**{attributes[key]: item(raw[key], prefix + key)
+                       for key, item in settings.items() if key in raw})
+    return shape("a JSON object", lambda raw: isinstance(raw, dict), read)
 
 
 class Convention(Enum):
@@ -56,15 +118,6 @@ class Convention(Enum):
 
     LITERAL = "literal"
     COMPLEMENT = "complement"
-
-    @classmethod
-    def from_setting(cls, name: str, raw) -> "Convention":
-        """The convention ``raw`` names, ``"literal"`` or ``"complement"``;
-        any other value raises :class:`IcskgError` naming ``name``."""
-        for convention in cls:
-            if raw == convention.value:
-                return convention
-        raise IcskgError(f'{name} must be "literal" or "complement", got {raw!r}')
 
 
 # Cost encodings for CVSS access complexity and attack vector categories.
@@ -146,7 +199,7 @@ CONTROL_NAMES = (
 class RiskConfig:
     convention: Convention = Convention.COMPLEMENT
     prune_threshold: float = 0.05
-    coefficients: FactorCoefficients = field(default_factory=FactorCoefficients)
+    factor_coefficients: FactorCoefficients = field(default_factory=FactorCoefficients)
     f_ac: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_F_AC))
     f_av: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_F_AV))
     criticality_defaults: dict[str, int] = field(
@@ -169,45 +222,19 @@ class RiskConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RiskConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(raw)
+        """The risk config document at ``path``, read by :data:`RISK_CONFIG`."""
+        return RISK_CONFIG(read_json(path), "risk config", "")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RiskConfig":
-        """The settings of a risk config document; a value of the wrong JSON
-        type or shape raises :class:`IcskgError` naming its setting."""
-        raw = json_object("riskConfig", raw)
-        cfg = cls()
-        if "convention" in raw:
-            cfg.convention = Convention.from_setting("convention", raw["convention"])
-        if "pruneThreshold" in raw:
-            cfg.prune_threshold = json_number("pruneThreshold", raw["pruneThreshold"])
-        coeffs = json_object("factorCoefficients", raw.get("factorCoefficients", {}))
-        for name, value in coeffs.items():
-            if not hasattr(cfg.coefficients, name):
-                raise KeyError(f"unknown factor coefficient {name!r}")
-            setattr(cfg.coefficients, name, json_number(f"factorCoefficients.{name}", value))
-        if "fAC" in raw:
-            cfg.f_ac = {k: json_number(f"fAC.{k}", v)
-                        for k, v in json_object("fAC", raw["fAC"]).items()}
-        if "fAV" in raw:
-            cfg.f_av = {k: json_number(f"fAV.{k}", v)
-                        for k, v in json_object("fAV", raw["fAV"]).items()}
-        if "criticalityDefaults" in raw:
-            table = json_object("criticalityDefaults", raw["criticalityDefaults"])
-            cfg.criticality_defaults = {k: json_int(f"criticalityDefaults.{k}", v)
-                                        for k, v in table.items()}
-        if "zoneDefaultWeakness" in raw:
-            cfg.zone_default_weakness = {}
-            table = json_object("zoneDefaultWeakness", raw["zoneDefaultWeakness"])
-            for zone, values in table.items():
-                name = f"zoneDefaultWeakness.{zone}"
-                if not isinstance(values, list) or len(values) != 4:
-                    raise IcskgError(f"{name} must be a list of four numbers, got {values!r}")
-                cfg.zone_default_weakness[zone] = tuple(json_number(name, x) for x in values)
-        overrides = json_object("controlOverrides", raw.get("controlOverrides", {}))
-        for name, value in overrides.items():
-            if not hasattr(cfg.control_overrides, name):
-                raise KeyError(f"unknown control override {name!r}")
-            setattr(cfg.control_overrides, name, json_number(f"controlOverrides.{name}", value))
-        return cfg
+
+RISK_CONFIG = obj({
+    "convention": one_of(Convention),
+    "pruneThreshold": NUMBER,
+    "factorCoefficients": obj({f.name: NUMBER for f in fields(FactorCoefficients)},
+                              make=FactorCoefficients, closed=True),
+    "fAC": table(NUMBER),
+    "fAV": table(NUMBER),
+    "criticalityDefaults": table(INTEGER),
+    "zoneDefaultWeakness": table(list_of(NUMBER, "a list of four numbers", range(4, 5), tuple)),
+    "controlOverrides": obj({f.name: NUMBER for f in fields(ControlOverrides)},
+                            make=ControlOverrides, closed=True),
+}, make=RiskConfig)

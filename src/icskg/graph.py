@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from icskg.errors import (
     GraphFinalized,
     GraphNotFinalized,
+    IngestError,
     InvalidCriticality,
     InvalidNode,
     KindConflict,
@@ -572,13 +573,31 @@ def read_csv(path: str | Path, required: Sequence[str]
 
 def parse_csv(text: str, source: str | Path, required: Sequence[str]
               ) -> tuple[list[str], Iterator[list[str]]]:
-    """:func:`read_csv` of the text of the file ``source``."""
-    reader = csv.reader(StringIO(text))
-    header = next(reader, [])
+    """:func:`read_csv` of the text of the file ``source``.  Text that is
+    not CSV raises :class:`IngestError` naming the file and the line."""
+    rows = _csv_rows(text, source)
+    header = next(rows, [])
     for col in required:
         if col not in header:
             raise MissingColumn(f"{source}: missing required column {col!r}")
-    return header, filter(None, reader)
+    return header, filter(None, rows)
+
+
+def _csv_rows(text: str, source: str | Path) -> Iterator[list[str]]:
+    reader = csv.reader(StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"{source}: line {reader.line_num}: {exc}") from None
+
+
+def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file ``path``; text that is not JSON,
+    or nests too deeply to parse, raises :class:`IngestError` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def write_json(payload) -> bytes:

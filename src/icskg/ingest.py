@@ -22,14 +22,14 @@ number and the row is skipped; a missing header column is fatal.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Optional
 
-from icskg.config import RiskConfig, json_int, json_number
+from icskg.config import (BOOLEAN, INTEGER, NUMBER, STRING, RiskConfig, list_of, obj, one_of,
+                          table)
 from icskg.errors import (
     BadEnum,
     DanglingReference,
@@ -49,6 +49,7 @@ from icskg.graph import (
     props_from_json,
     props_to_json,
     read_csv,
+    read_json,
     write_csv,
 )
 
@@ -57,8 +58,6 @@ logger = logging.getLogger(__name__)
 NODE_CSV_HEADER = ["id", "kind", "name", "zone", "criticality", "props_json"]
 RELATION_CSV_HEADER = ["src", "dst", "kind", "props_json"]
 PREDICTION_CSV_HEADER = ["srcId", "dstId", "kind", "confidence"]
-
-VULN_STATUSES = ("ACTIVE", "REJECTED", "RESOLVED")
 
 
 @dataclass
@@ -97,52 +96,41 @@ class VulnRecord:
     cpes: list[str] = field(default_factory=list)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "VulnRecord":
-        status = raw.get("status", "ACTIVE")
-        if status not in VULN_STATUSES:
-            raise BadEnum(f"vulnerability status {status!r} for {raw.get('cveId')!r}")
-        cvss_raw = raw.get("cvss") or {}
-        # Public feeds are incomplete: absent EPSS means no evidence of
-        # exploitation (0.0), absent base score defaults to medium (5.0).
-        epss = raw.get("epss")
-        if epss is None:
-            logger.debug("no EPSS for %s, defaulting to 0.0", raw.get("cveId"))
-            epss = 0.0
-        base = cvss_raw.get("baseScore")
-        if base is None:
-            logger.debug("no CVSS base for %s, defaulting to 5.0", raw.get("cveId"))
-            base = 5.0
-        ac = cvss_raw.get("accessComplexity", "Low")
-        av = cvss_raw.get("attackVector", "Network")
-        if ac not in ("Low", "High"):
-            raise BadEnum(f"accessComplexity {ac!r} for {raw.get('cveId')!r}")
-        if av not in ("Network", "Adjacent", "Local", "Physical"):
-            raise BadEnum(f"attackVector {av!r} for {raw.get('cveId')!r}")
-        epss = json_number(f"advisory {raw.get('cveId')!r}: epss", epss)
-        base = json_number(f"advisory {raw.get('cveId')!r}: cvss.baseScore", base)
-        if not 0.0 <= epss <= 1.0:
-            raise BadEnum(f"EPSS {epss} for {raw.get('cveId')!r} outside [0,1]")
-        if not 0.0 <= base <= 10.0:
-            raise BadEnum(f"CVSS base {base} for {raw.get('cveId')!r} outside [0,10]")
-        kev = raw.get("kev", False)
-        if not isinstance(kev, bool):
-            raise IngestError(
-                f"advisory {raw.get('cveId')!r}: kev must be true or false, got {kev!r}")
-        return cls(
-            cve_id=raw["cveId"],
-            description=raw.get("description", ""),
-            status=status,
-            epss=epss,
-            kev=kev,
-            cvss=CvssSummary(base, ac, av),
-            vendor_statements=list(raw.get("vendorStatements", [])),
-            cpes=list(raw.get("cpes", [])),
-        )
+    def from_dict(cls, raw: dict, name: str = "advisory") -> "VulnRecord":
+        """The record ``raw`` declares, read by :data:`ADVISORY`.  Public
+        feeds are incomplete: an absent EPSS means no evidence of
+        exploitation (0.0), an absent base score medium severity (5.0)."""
+        record = ADVISORY(raw, name)
+        if "epss" not in raw:
+            logger.debug("no EPSS for %s, defaulting to 0.0", record.cve_id)
+        if "baseScore" not in raw.get("cvss", {}):
+            logger.debug("no CVSS base for %s, defaulting to 5.0", record.cve_id)
+        if not 0.0 <= record.epss <= 1.0:
+            raise BadEnum(f"EPSS {record.epss} for {record.cve_id!r} outside [0,1]")
+        if not 0.0 <= record.cvss.base_score <= 10.0:
+            raise BadEnum(f"CVSS base {record.cvss.base_score} for {record.cve_id!r} "
+                          "outside [0,10]")
+        return record
+
+
+ADVISORY = obj({
+    "cveId": STRING,
+    "description": STRING,
+    "status": one_of(("ACTIVE", "REJECTED", "RESOLVED")),
+    "epss": NUMBER,
+    "kev": BOOLEAN,
+    "cvss": obj({
+        "baseScore": NUMBER,
+        "accessComplexity": one_of(("Low", "High")),
+        "attackVector": one_of(("Network", "Adjacent", "Local", "Physical")),
+    }, make=CvssSummary),
+    "vendorStatements": list_of(STRING),
+    "cpes": list_of(STRING),
+}, required=("cveId",), make=VulnRecord, label=("cveId", "advisory {!r}"))
 
 
 def load_advisories(path: str | Path) -> list[VulnRecord]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [VulnRecord.from_dict(entry) for entry in raw]
+    return list_of(VulnRecord.from_dict)(read_json(path), "advisories")
 
 
 _WS_RE = re.compile(r"\s+")
@@ -176,9 +164,9 @@ def preprocess_cves(records: list[VulnRecord]) -> list[VulnRecord]:
 @dataclass
 class TestbedProduct:
     name: str
-    vendor: str
-    asset_class: str
-    zone: str
+    vendor: str = ""
+    asset_class: str = ""
+    zone: str = ""
     criticality: Optional[int] = None
     protocols: list[str] = field(default_factory=list)
 
@@ -187,13 +175,12 @@ class TestbedProduct:
 class Dataflow:
     src: str
     dst: str
-    protocol: str
+    protocol: str = ""
 
 
 @dataclass
 class ControlProfileSpec:
-    name: str
-    controls: list[str]
+    controls: list[str] = field(default_factory=list)
     # Sanctioned cross-zone flows that NetworkSegmentation keeps open,
     # stored as undirected pairs.
     allowlist: list[tuple[str, str]] = field(default_factory=list)
@@ -201,52 +188,52 @@ class ControlProfileSpec:
 
 @dataclass
 class TestbedSpec:
-    zones: list[str]
-    products: list[TestbedProduct]
-    dataflows: list[Dataflow]
+    zones: list[str] = field(default_factory=list)
+    products: list[TestbedProduct] = field(default_factory=list)
+    dataflows: list[Dataflow] = field(default_factory=list)
     control_profiles: dict[str, ControlProfileSpec] = field(default_factory=dict)
     cpe_overrides: dict[str, str] = field(default_factory=dict)
 
 
+_ZONE = obj({"name": STRING}, required=("name",))
+
+
+def _zone(raw, name: str) -> str:
+    """A testbed zone: its name, or an object holding its ``name``."""
+    return _ZONE(raw, name)["name"] if isinstance(raw, dict) else STRING(raw, name)
+
+
+TESTBED = obj({
+    "zones": list_of(_zone),
+    "products": list_of(obj({
+        "name": STRING, "vendor": STRING, "assetClass": STRING, "zone": STRING,
+        "criticality": INTEGER, "protocols": list_of(STRING),
+    }, required=("name", "zone"), make=TestbedProduct, label=("name", "product {!r}"))),
+    "dataflows": list_of(obj({"src": STRING, "dst": STRING, "protocol": STRING},
+                            required=("src", "dst"), make=Dataflow)),
+    "controlProfiles": table(obj({
+        "controls": list_of(STRING),
+        "allowlist": list_of(list_of(STRING, "a pair of product names", range(2, 3), tuple)),
+    }, make=ControlProfileSpec)),
+    "cpeOverrides": table(STRING),
+}, required=("products",), make=TestbedSpec)
+
+
 def load_testbed(path: str | Path) -> TestbedSpec:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    zones = [z["name"] if isinstance(z, dict) else str(z) for z in raw.get("zones", [])]
-    products = []
-    for p in raw["products"]:
-        crit = p.get("criticality")
-        products.append(TestbedProduct(
-            name=p["name"],
-            vendor=p.get("vendor", ""),
-            asset_class=p.get("assetClass", ""),
-            zone=p["zone"],
-            criticality=None if crit is None
-            else json_int(f"product {p['name']!r}: criticality", crit),
-            protocols=list(p.get("protocols", [])),
-        ))
-    names = {p.name for p in products}
-    zone_names = set(zones)
-    for p in products:
-        if zone_names and p.zone not in zone_names:
+    """The testbed spec at ``path``, read by :data:`TESTBED`.  Each product
+    must be in a declared zone, when zones are declared, and each dataflow
+    endpoint a declared product."""
+    testbed = TESTBED(read_json(path), "testbed", "")
+    zones = set(testbed.zones)
+    for p in testbed.products:
+        if zones and p.zone not in zones:
             raise BadEnum(f"product {p.name!r} declares unknown zone {p.zone!r}")
-    dataflows = []
-    for f in raw.get("dataflows", []):
-        if f["src"] not in names:
-            raise DanglingReference(f"dataflow source {f['src']!r} is not a declared product")
-        if f["dst"] not in names:
-            raise DanglingReference(f"dataflow target {f['dst']!r} is not a declared product")
-        dataflows.append(Dataflow(f["src"], f["dst"], f.get("protocol", "")))
-    profiles = {}
-    for name, prof in raw.get("controlProfiles", {}).items():
-        controls = list(prof.get("controls", []))
-        allow = [tuple(pair) for pair in prof.get("allowlist", [])]
-        profiles[name] = ControlProfileSpec(name=name, controls=controls, allowlist=allow)
-    return TestbedSpec(
-        zones=zones,
-        products=products,
-        dataflows=dataflows,
-        control_profiles=profiles,
-        cpe_overrides=dict(raw.get("cpeOverrides", {})),
-    )
+    names = {p.name for p in testbed.products}
+    for f in testbed.dataflows:
+        for role, end in (("source", f.src), ("target", f.dst)):
+            if end not in names:
+                raise DanglingReference(f"dataflow {role} {end!r} is not a declared product")
+    return testbed
 
 
 def load_testbed_into_graph(graph: Graph, testbed: TestbedSpec,

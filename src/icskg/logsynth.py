@@ -19,6 +19,7 @@ counted, and the counts go into a :class:`~icskg.risk.LogIndex`.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from icskg.config import CONTROL_NAMES, ControlOverrides, json_int, json_number
+from icskg.config import CONTROL_NAMES, INTEGER, NUMBER, ControlOverrides, obj
 from icskg.errors import IngestError, InvalidProfile
 from icskg.graph import csv_line, parse_csv
 from icskg.ingest import ControlProfileSpec, Dataflow, TestbedSpec
@@ -89,35 +90,19 @@ class SynthProfile:
                     "misconfigRate / failCheckFrac exceeds the per-session check cap")
         if self.duration_hours < 0 or self.per_flow_session_rate < 0:
             raise InvalidProfile("duration and session rate must be non-negative")
+        if not math.isfinite(self.per_flow_session_rate * self.duration_hours):
+            raise InvalidProfile("perFlowSessionRate * durationHours must be finite")
         if not 1 <= self.client_ip_pool_size <= 254:
             # The pool is the host part of 10.<flow>.0.<k>.
             raise InvalidProfile(
                 f"clientIpPoolSize must be between 1 and 254, got {self.client_ip_pool_size}")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SynthProfile":
-        mapping = {
-            "seed": "seed",
-            "durationHours": "duration_hours",
-            "perFlowSessionRate": "per_flow_session_rate",
-            "anonFrac": "anon_frac",
-            "insecureModeFrac": "insecure_mode_frac",
-            "certFrac": "cert_frac",
-            "misconfigRate": "misconfig_rate",
-            "failedWriteFrac": "failed_write_frac",
-            "auditWriteFrac": "audit_write_frac",
-            "failCheckFrac": "fail_check_frac",
-            "clientIpPoolSize": "client_ip_pool_size",
-        }
-        kwargs = {}
-        for key, attr in mapping.items():
-            if key in raw:
-                value = raw[key]
-                kwargs[attr] = json_int(key, value) if attr in ("seed", "client_ip_pool_size") \
-                    else json_number(key, value)
-        profile = cls(**kwargs)
-        profile.validate()
-        return profile
+
+# A run config's ``synthProfile``: every field but the seed, which is the run's.
+SYNTH_PROFILE = obj({**dict.fromkeys(
+    ("durationHours", "perFlowSessionRate", "anonFrac", "insecureModeFrac", "certFrac",
+     "misconfigRate", "failedWriteFrac", "auditWriteFrac", "failCheckFrac"), NUMBER),
+    "clientIpPoolSize": INTEGER}, make=SynthProfile)
 
 
 @dataclass

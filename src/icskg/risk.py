@@ -273,7 +273,7 @@ def _score(graph: Graph, edge: Edge, stats: Optional[PairStats], vulns: _Vulns,
     if stats is None or stats.empty:
         weakness = _zone_weakness(graph, edge.src, edge.dst, config)
     else:
-        weakness = weakness_from_stats(stats, config.coefficients)
+        weakness = weakness_from_stats(stats, config.factor_coefficients)
     cs = control_strength(weakness, config.convention)
     cves = vulns.get(edge.dst, ())
     p = p_exploit([epss * epss_scale for epss, _ in cves], cs)

@@ -9,15 +9,14 @@ Scenario catalogs are plain JSON data files so new cases need no code change.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from icskg.analytics import WeightPolicy, betweenness, pagerank, yen_k_shortest
-from icskg.config import json_int
+from icskg.config import STRING, integer, list_of, obj, one_of
 from icskg.errors import SelectorEmpty
-from icskg.graph import Configuration, Graph, GraphView, NodeKind
+from icskg.graph import Configuration, Graph, GraphView, NodeKind, read_json
 
 DEFAULT_K = 20
 
@@ -54,9 +53,13 @@ class Selector:
     def label(self) -> str:
         return "|".join(self.values)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Selector":
-        return cls(by=raw["by"], values=list(raw["values"]))
+
+SELECTOR = obj({"by": one_of(("id", "class", "zone", "name")), "values": list_of(STRING)},
+               required=("by", "values"), make=Selector)
+# A scenario of a catalog, named by its id; an absent name is the id.
+SCENARIO = obj({"id": STRING, "name": STRING, "source": SELECTOR, "target": SELECTOR,
+                "k": integer(1), "policy": one_of(WeightPolicy)},
+               required=("id", "source", "target"), label=("id", "scenario {}"))
 
 
 @dataclass
@@ -69,20 +72,14 @@ class Scenario:
     policy: WeightPolicy = WeightPolicy.RISK_COST
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "Scenario":
-        return cls(
-            id=raw["id"],
-            name=raw.get("name", raw["id"]),
-            source=Selector.from_dict(raw["source"]),
-            target=Selector.from_dict(raw["target"]),
-            k=json_int(f"scenario {raw['id']}: k", raw.get("k", DEFAULT_K), 1),
-            policy=WeightPolicy(raw.get("policy", "RiskCost")),
-        )
+    def from_dict(cls, raw: dict, name: str = "scenario") -> "Scenario":
+        """The scenario ``raw`` declares, read by :data:`SCENARIO`."""
+        settings = SCENARIO(raw, name)
+        return cls(**{"name": settings["id"], **settings})
 
 
 def load_scenarios(path: str | Path) -> list[Scenario]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [Scenario.from_dict(entry) for entry in raw]
+    return list_of(Scenario.from_dict)(read_json(path), "scenarios")
 
 
 @dataclass

@@ -282,7 +282,6 @@ def random_testbed(rng: random.Random):
             flows.append(Dataflow(f"P{i:02d}", f"P{j:02d}", "Modbus/TCP"))
     allow = [(f.src, f.dst) for f in flows[:2]]
     profile = ControlProfileSpec(
-        name="secured",
         controls=["NetworkSegmentation", "AccessControl", "ConfigHardening", "IDS"],
         allowlist=allow)
     testbed = TestbedSpec(zones=["DMZ", "OT"], products=products, dataflows=flows,

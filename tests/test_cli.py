@@ -287,11 +287,14 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
     ("riskConfig.fAC", [1], "annotate", "fAC must be a JSON object"),
     ("riskConfig.convention", 5, "annotate",
      'convention must be "literal" or "complement"'),
+    ("synthProfile.durationHours", 1e308, "synth-logs",
+     "perFlowSessionRate * durationHours"),
 ], ids=["durationHours-bool", "durationHours-string", "durationHours-infinity",
         "clientIpPoolSize-300", "criticalityDefaults-float", "criticalityDefaults-bool",
         "predictionMinConfidence-bool", "predictionMinConfidence-string",
         "predictionMinConfidence-infinity", "zoneDefaultWeakness-number",
-        "zoneDefaultWeakness-two-numbers", "fAC-list", "convention-number"])
+        "zoneDefaultWeakness-two-numbers", "fAC-list", "convention-number",
+        "durationHours-overflow"])
 def test_numeric_setting_must_be_in_range(tmp_path, pipeline_out, capsys,
                                           key, value, stage, needle):
     # ``key`` is a dotted path into the run config, or into its risk config
@@ -359,6 +362,155 @@ def test_advisory_kev_must_be_json_boolean(tmp_path, capsys):
     assert main(["--config", str(config), "--out", str(out), "build"]) == 2
     assert "kev must be true or false, got 'false'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# One case per setting that ended in a traceback (exit 1) before the typed
+# reader: (document, key path, value, stage, text the error must hold).  The
+# document is the run config or the file of one of its paths; the
+# durationHours overflow is a case of test_numeric_setting_must_be_in_range.
+WRONG_TYPED = [
+    ("testbed", (), 5, "validate", "testbed must be a JSON object, got 5"),
+    ("testbed", ("zones",), 5, "validate", "zones must be a list"),
+    ("testbed", ("zones", 0, "name"), [], "validate", "zones[0].name must be a string"),
+    ("testbed", ("products",), 5, "validate", "products must be a list"),
+    ("testbed", ("products", 0), 5, "validate", "products[0] must be a JSON object"),
+    ("testbed", ("products", 0, "name"), [], "validate", "products[0].name must be a string"),
+    ("testbed", ("products", 0, "zone"), [], "validate",
+     "product 'ERP_Server_1': zone must be a string"),
+    ("testbed", ("products", 0, "vendor"), 5, "validate",
+     "product 'ERP_Server_1': vendor must be a string"),
+    ("testbed", ("products", 0, "protocols"), 5, "validate",
+     "product 'ERP_Server_1': protocols must be a list"),
+    ("testbed", ("products", 0, "protocols", 0), 5, "validate",
+     "product 'ERP_Server_1': protocols[0] must be a string"),
+    ("testbed", ("dataflows",), 5, "validate", "dataflows must be a list"),
+    ("testbed", ("dataflows", 0), 5, "validate", "dataflows[0] must be a JSON object"),
+    ("testbed", ("dataflows", 0, "src"), [], "validate", "dataflows[0].src must be a string"),
+    ("testbed", ("dataflows", 0, "dst"), {}, "validate", "dataflows[0].dst must be a string"),
+    ("testbed", ("dataflows", 0, "protocol"), 5, "validate",
+     "dataflows[0].protocol must be a string"),
+    ("testbed", ("controlProfiles",), 5, "validate", "controlProfiles must be a JSON object"),
+    ("testbed", ("controlProfiles", "secured"), 5, "validate",
+     "controlProfiles.secured must be a JSON object"),
+    ("testbed", ("controlProfiles", "secured", "controls"), 5, "validate",
+     "controlProfiles.secured.controls must be a list"),
+    ("testbed", ("controlProfiles", "secured", "allowlist"), 5, "validate",
+     "controlProfiles.secured.allowlist must be a list"),
+    ("testbed", ("controlProfiles", "secured", "allowlist", 0), 5, "validate",
+     "controlProfiles.secured.allowlist[0] must be a pair of product names"),
+    ("testbed", ("cpeOverrides",), 5, "validate", "cpeOverrides must be a JSON object"),
+    ("advisories", (), 5, "validate", "advisories must be a list"),
+    ("advisories", (0,), 5, "validate", "advisories[0] must be a JSON object"),
+    ("advisories", (0, "cveId"), 5, "validate", "advisories[0].cveId must be a string"),
+    ("advisories", (0, "cvss"), 5, "validate",
+     "advisory 'CVE-2024-1000': cvss must be a JSON object"),
+    ("advisories", (0, "description"), 5, "validate",
+     "advisory 'CVE-2024-1000': description must be a string"),
+    ("advisories", (0, "vendorStatements"), 5, "validate",
+     "advisory 'CVE-2024-1000': vendorStatements must be a list"),
+    ("advisories", (0, "vendorStatements", 0), 5, "validate",
+     "advisory 'CVE-2024-1000': vendorStatements[0] must be a string"),
+    ("advisories", (0, "cpes"), 5, "validate", "advisory 'CVE-2024-1000': cpes must be a list"),
+    ("advisories", (0, "cpes", 0), 5, "validate",
+     "advisory 'CVE-2024-1000': cpes[0] must be a string"),
+    ("scenarios", (), 5, "simulate", "scenarios must be a list"),
+    ("scenarios", (0,), 5, "simulate", "scenarios[0] must be a JSON object"),
+    ("scenarios", (0, "id"), 5, "simulate", "scenarios[0].id must be a string"),
+    ("scenarios", (0, "source"), 5, "simulate", "scenario S01: source must be a JSON object"),
+    ("scenarios", (0, "source", "values"), 5, "simulate",
+     "scenario S01: source.values must be a list"),
+    ("scenarios", (0, "source", "values", 0), [], "simulate",
+     "scenario S01: source.values[0] must be a string"),
+    ("scenarios", (0, "target"), "x", "simulate", "scenario S01: target must be a JSON object"),
+    ("scenarios", (0, "target", "values"), None, "simulate",
+     "scenario S01: target.values must be a list"),
+    ("scenarios", (0, "target", "values", 0), {}, "simulate",
+     "scenario S01: target.values[0] must be a string"),
+    ("config", ("controlProfile",), [], "synth-logs", "controlProfile must be a string"),
+    ("config", ("synthProfile", "perFlowSessionRate"), 1e308, "synth-logs",
+     "perFlowSessionRate * durationHours"),
+    # These three did not end in a traceback: the weights loaded as
+    # (1.0, 2.0, nan), and the unknown coefficient exited 2 without its setting.
+    ("config", ("enrichment", "iterationWeights"), [True, "2", float("nan")], "enrich",
+     "enrichment.iterationWeights[0] must be a finite number, got True"),
+    ("config", ("enrichment", "iterationWeights"), [1.0, "2", 1.0], "enrich",
+     "enrichment.iterationWeights[1] must be a finite number, got '2'"),
+    ("riskConfig", ("factorCoefficients", "a_typo"), 0.1, "validate",
+     "factorCoefficients.a_typo is not one of a_insecure"),
+]
+
+
+@pytest.mark.parametrize("document, path, value, stage, needle", WRONG_TYPED,
+                         ids=[f"{case[0]}:{'.'.join(map(str, case[1]))}={case[2]!r}"
+                              for case in WRONG_TYPED])
+def test_wrong_typed_setting_exits_2(tmp_path, pipeline_out, capsys,
+                                     document, path, value, stage, needle):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    target = raw if document == "config" else json.loads(
+        Path(raw["paths"][document]).read_text())
+    if path:
+        table = target
+        for key in path[:-1]:
+            table = table[key]
+        table[path[-1]] = value
+    else:
+        target = value
+    if document != "config":
+        raw["paths"][document] = str(tmp_path / f"{document}.json")
+        Path(raw["paths"][document]).write_text(json.dumps(target))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    if stage == "validate":
+        argv = ["build", "--validate-only"]
+    else:
+        shutil.copytree(pipeline_out, out)
+        argv = [stage]
+    assert main(["--config", str(config), "--out", str(out), *argv]) == 2
+    assert needle in capsys.readouterr().err
+    if stage == "validate":
+        assert not out.exists()
+    else:
+        assert tree_digest(out) == tree_digest(pipeline_out)
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    raw["paths"]["testbed"] = str(tmp_path / "testbed.json")
+    Path(raw["paths"]["testbed"]).write_text("[" * 100_000 + "]" * 100_000)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "build", "--validate-only"]) == 2
+    assert f"{tmp_path / 'testbed.json'}: maximum recursion depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bare_carriage_return_in_csv_exits_2(tmp_path, pipeline_out, capsys):
+    # A carriage return in an unquoted field is not CSV: in a log the
+    # annotate stage reads, and in a node file build reads.
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    log = out / "logs" / "baseline.csv"
+    header, first, *rest = log.read_text().split("\n")
+    stamp, src, *fields = first.split(",")
+    log.write_text("\n".join([header, ",".join([stamp, src[:1] + "\r" + src[1:], *fields]),
+                              *rest]))
+    before = tree_digest(out)
+    assert main(["--out", str(out), "annotate"]) == 2
+    assert f"{log}: line 2: new-line character seen in unquoted field" \
+        in capsys.readouterr().err
+    assert tree_digest(out) == before
+
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    nodes = Path(raw["paths"]["nodes"]).read_text().split("\n")
+    raw["paths"]["nodes"] = str(tmp_path / "node.csv")
+    Path(raw["paths"]["nodes"]).write_text("\n".join([nodes[0], "x,A\rB", *nodes[1:]]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["--config", str(config), "--out", str(out), "build"]) == 2
+    assert f"{tmp_path / 'node.csv'}: line 2: new-line character" in capsys.readouterr().err
+    assert tree_digest(out) == before
 
 
 # The fixture's log CSVs at its config seed 42, as the row-by-row csv.writer

@@ -301,7 +301,6 @@ def controls_testbed():
             Dataflow("PLC_1", "PLC_2", "OPC_UA"),
         ],
         control_profiles={"secured": ControlProfileSpec(
-            name="secured",
             controls=["NetworkSegmentation", "AccessControl", "ConfigHardening", "IDS"],
             allowlist=[])},
     )
