@@ -2,9 +2,9 @@
 
 All algorithms are read-only, deterministic, and tie-broken lexicographically
 by external node id.  Views are multigraphs (a pair can carry both an
-observed and an inferred link): path finding and betweenness collapse
-parallel edges to the cheapest one under the active weight policy, while
-PageRank and community projections sum parallel edge weights.
+observed and an inferred link): path finding collapses parallel edges to the
+cheapest one under the active weight policy and betweenness to one hop,
+while PageRank and community detection count each parallel edge, weight 1.
 
 A view builds its path graph once per weight policy, on first use, and keeps
 it in ``view.path_graphs``; views and their edges are frozen, so the graph is
@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Optional
@@ -112,16 +111,13 @@ def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
     return pg
 
 
-def _weight_adjacency(view: GraphView, weighted: bool) -> dict[str, dict[str, float]]:
-    """Undirected adjacency with parallel edges summed; weight 1 per edge in
-    the unweighted projection, riskWeight otherwise."""
+def _weight_adjacency(view: GraphView) -> dict[str, dict[str, float]]:
+    """Undirected adjacency of the view's products, each parallel edge
+    adding weight 1 to its pair."""
     adj: dict[str, dict[str, float]] = {n: {} for n in view.nodes()}
     for e in view.edges:
-        w = (e.risk.risk_weight if e.risk is not None else 0.0) if weighted else 1.0
-        adj.setdefault(e.src, {})
-        adj.setdefault(e.dst, {})
-        adj[e.src][e.dst] = adj[e.src].get(e.dst, 0.0) + w
-        adj[e.dst][e.src] = adj[e.dst].get(e.src, 0.0) + w
+        adj[e.src][e.dst] = adj[e.src].get(e.dst, 0.0) + 1.0
+        adj[e.dst][e.src] = adj[e.dst].get(e.src, 0.0) + 1.0
     return adj
 
 
@@ -264,27 +260,28 @@ _TOLERANCE = 1e-8
 _MAX_ITERATIONS = 1000
 
 
-def pagerank(view: GraphView, weighted: bool = False) -> dict[str, float]:
+def pagerank(view: GraphView) -> dict[str, float]:
     """Power iteration with uniform teleportation over all view nodes:
     damping 0.85, until the L1 change falls below 1e-8 or after 1000
-    iterations.
+    iterations.  A node passes its rank to its neighbours in proportion to
+    the edges it shares with each, parallel edges counted.
 
-    Nodes with no (or zero-weight) attachments contribute their rank mass
-    uniformly, the standard dangling-node treatment; scores sum to 1.
+    Nodes with no links contribute their rank mass uniformly, the standard
+    dangling-node treatment; scores sum to 1.
     """
     nodes = view.nodes()
     if not nodes:
         raise EmptyGraph("pagerank requires a non-empty view")
-    adj = _weight_adjacency(view, weighted)
+    adj = _weight_adjacency(view)
     n = len(nodes)
-    out_weight = {u: sum(adj.get(u, {}).values()) for u in nodes}
+    out_weight = {u: sum(adj[u].values()) for u in nodes}
     rank = {u: 1.0 / n for u in nodes}
     for _ in range(_MAX_ITERATIONS):
         dangling = sum(rank[u] for u in nodes if out_weight[u] == 0.0)
         nxt = {}
         for v in nodes:
             incoming = 0.0
-            for u, w in adj.get(v, {}).items():
+            for u, w in adj[v].items():
                 if out_weight[u] > 0.0:
                     incoming += rank[u] * w / out_weight[u]
             nxt[v] = (1.0 - _DAMPING) / n + _DAMPING * (incoming + dangling / n)
@@ -295,58 +292,36 @@ def pagerank(view: GraphView, weighted: bool = False) -> dict[str, float]:
     return {u: rank[u] for u in nodes}
 
 
-def betweenness(view: GraphView, weighted: bool = False) -> dict[str, float]:
-    """Exact betweenness via Brandes accumulation (unnormalized pair counts,
-    each unordered pair counted once).  Parallel edges collapse as for path
-    finding: hop counts unweighted, the cheapest riskWeight otherwise."""
-    pg = _path_graph(view, WeightPolicy.RISK_COST if weighted else WeightPolicy.HOP)
-    nodes, adj = pg.ids, pg.adj
+def betweenness(view: GraphView) -> dict[str, float]:
+    """Exact betweenness over hop counts by Brandes' accumulation (unnormalized
+    pair counts, each unordered pair counted once): one breadth-first search
+    per source on the view's Hop path graph, where parallel edges are one hop.
+    A node's predecessors are its neighbours one hop closer to the source."""
+    pg = _path_graph(view, WeightPolicy.HOP)
+    nodes, nbrs = pg.ids, [[j for j, _ in lst] for lst in pg.adj]
     if not nodes:
         raise EmptyGraph("betweenness requires a non-empty view")
     n = len(nodes)
     score = [0.0] * n
     for s in range(n):
         sigma = [0.0] * n
-        dist = [math.inf] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma[s] = 1.0
-        dist[s] = 0.0
-        order: list[int] = []
-        if not weighted:
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                order.append(u)
-                for v, _ in adj[u]:
-                    if dist[v] == math.inf:
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-                    if dist[v] == dist[u] + 1:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
-        else:
-            heap = [(0.0, s)]
-            done = [False] * n
-            while heap:
-                d, u = heapq.heappop(heap)
-                if done[u]:
-                    continue
-                done[u] = True
-                order.append(u)
-                for v, w in adj[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        sigma[v] = sigma[u]
-                        preds[v] = [u]
-                        heapq.heappush(heap, (nd, v))
-                    elif nd == dist[v] and not done[v]:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
+        dist = [-1] * n
+        sigma[s], dist[s] = 1.0, 0
+        order = [s]
+        for u in order:             # the loop reaches what it appends
+            d, su = dist[u] + 1, sigma[u]
+            for v in nbrs[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    order.append(v)
+                if dist[v] == d:
+                    sigma[v] += su
         delta = [0.0] * n
         for u in reversed(order):
-            for p in preds[u]:
-                delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
+            d, su, c = dist[u] - 1, sigma[u], 1.0 + delta[u]
+            for p in nbrs[u]:
+                if dist[p] == d:
+                    delta[p] += sigma[p] / su * c
             if u != s:
                 score[u] += delta[u]
     return {u: score[i] / 2.0 for i, u in enumerate(nodes)}
@@ -385,9 +360,9 @@ def _modularity(partition: dict[str, int], adj: dict[str, dict[str, float]],
     return q / two_m
 
 
-def louvain(view: GraphView, weighted: bool = False, seed: int = 0
-            ) -> CommunityReport:
-    """Greedy modularity maximization; deterministic under a fixed seed.
+def louvain(view: GraphView, seed: int = 0) -> CommunityReport:
+    """Greedy modularity maximization over the view's products, each edge
+    adding weight 1 to its pair; deterministic under a fixed seed.
 
     The per-pass modularity trace is monotone non-decreasing.  A community
     is cascade-flagged when it contains an active edge with pExploit > 0.5
@@ -396,7 +371,7 @@ def louvain(view: GraphView, weighted: bool = False, seed: int = 0
     nodes = view.nodes()
     if not nodes:
         raise EmptyGraph("louvain requires a non-empty view")
-    base_adj = _weight_adjacency(view, weighted)
+    base_adj = _weight_adjacency(view)
     two_m = sum(sum(nbrs.values()) for nbrs in base_adj.values())
 
     # Current aggregation level: community of each original node, plus the

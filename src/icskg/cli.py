@@ -115,12 +115,15 @@ RUN_CONFIG = obj({
     "controlProfile": STRING,
     "predictionMinConfidence": NUMBER,
     "enrichment": obj({
-        "dim": integer(1),
+        "dim": integer(1, 4096),
         "iterationWeights": list_of(NUMBER, "a non-empty list of numbers",
                                    range(1, sys.maxsize), tuple),
         "topK": integer(0),
     }),
 }, make=RunConfig)
+# state.json as stages write it; schemaVersion is not read.
+STATE = obj({"stages": list_of(one_of(STAGE_ORDER)), "seed": INTEGER,
+             "convention": one_of(c.value for c in Convention)})
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +148,9 @@ class PipelineState:
         completed, and the seed and convention must match those pinned by
         ``build``."""
         path = out_dir / "state.json"
-        raw = read_json(path) if path.exists() else {}
+        raw = STATE(read_json(path), "state.json", "state.json: ") if path.exists() else {}
         state = cls(cfg, out_dir, stage)
-        state.stages = list(raw.get("stages", []))
+        state.stages = raw.get("stages", [])
         for needed in PREREQUISITES[stage]:
             state.require(needed)
         for key, value in (("seed", cfg.seed), ("convention", state.convention)):
@@ -385,8 +388,7 @@ def cmd_report(cfg: RunConfig, out_dir: Path, table: str = "all",
         rows = scenarios.centrality_delta(views[original], views[enriched])
         _write(rep_dir / "centrality.csv", reports.centrality_csv(rows))
     if want("communities"):
-        community_report = analytics.louvain(state.views(enriched)[enriched],
-                                             weighted=False, seed=cfg.seed)
+        community_report = analytics.louvain(state.views(enriched)[enriched], seed=cfg.seed)
         _write(rep_dir / "communities.csv", reports.communities_csv(community_report))
     if want("residual"):
         rows = analytics.residual_risk_report(state.views(original, enriched, controlled))

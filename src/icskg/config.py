@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from icskg.errors import BadEnum, IngestError
-from icskg.graph import read_json
+from icskg.graph import PRUNE_THRESHOLD, read_json
 
 
 _WORD_START = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
@@ -44,11 +44,14 @@ def shape(describes: str, fits: Callable[[object], bool],
 
 
 # A parsed JSON value has an exact type: the type of true is bool, not int.
-def integer(minimum: int | None = None) -> Shape:
-    """A JSON integer, of at least ``minimum`` if given."""
-    least = "" if minimum is None else f" of at least {minimum}"
-    return shape(f"an integer{least}",
-                 lambda raw: type(raw) is int and (minimum is None or raw >= minimum))
+def integer(minimum: int | None = None, maximum: int | None = None) -> Shape:
+    """A JSON integer, of at least ``minimum`` and at most ``maximum`` where
+    given; a ``maximum`` comes with a ``minimum``."""
+    bounds = "" if minimum is None else f" of at least {minimum}" if maximum is None \
+        else f" from {minimum} to {maximum}"
+    return shape(f"an integer{bounds}", lambda raw: type(raw) is int
+                 and (minimum is None or raw >= minimum)
+                 and (maximum is None or raw <= maximum))
 
 
 INTEGER = integer()
@@ -198,7 +201,7 @@ CONTROL_NAMES = (
 @dataclass
 class RiskConfig:
     convention: Convention = Convention.COMPLEMENT
-    prune_threshold: float = 0.05
+    prune_threshold: float = PRUNE_THRESHOLD
     factor_coefficients: FactorCoefficients = field(default_factory=FactorCoefficients)
     f_ac: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_F_AC))
     f_av: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_F_AV))

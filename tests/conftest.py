@@ -90,10 +90,12 @@ def random_comm_graph(rng: random.Random, max_nodes: int = 10,
 
 
 @st.composite
-def random_graphs(draw, min_nodes: int, max_nodes: int):
+def random_graphs(draw, min_nodes: int, max_nodes: int, inferred: bool = False):
     """A finalized graph of ``N00``, ``N01``, ... (id order is rank order)
     whose pairs are linked at a drawn density, each link with a random
-    direction and riskWeight."""
+    direction and riskWeight.  With ``inferred``, each pair also gets an
+    inferred link at that density, so the Enriched view can hold a pair
+    twice."""
     n = draw(st.integers(min_nodes, max_nodes))
     density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -101,10 +103,13 @@ def random_graphs(draw, min_nodes: int, max_nodes: int):
     ids = [f"N{i:02d}" for i in range(n)]
     for node_id in ids:
         add_product(g, node_id)
+    kinds = (EdgeKind.COMMUNICATES_WITH, EdgeKind.HAS_POSSIBLE_COMMUNICATION)
     for a, b in combinations(ids, 2):
-        if rng.random() < density:
-            src, dst = (a, b) if rng.random() < 0.5 else (b, a)
-            add_comm(g, src, dst, risk_weight=rng.choice([0.1, 0.2, 0.3, 0.5]))
+        for kind in kinds[:2 if inferred else 1]:
+            if rng.random() < density:
+                src, dst = (a, b) if rng.random() < 0.5 else (b, a)
+                add_comm(g, src, dst, risk_weight=rng.choice([0.1, 0.2, 0.3, 0.5]),
+                         kind=kind)
     g.finalize()
     return g
 
@@ -178,19 +183,18 @@ def bfs_min_hops(view, src: str, dst: str) -> float:
 # Centrality oracles
 # ---------------------------------------------------------------------------
 
-def pagerank_oracle(view, damping: float = 0.85, weighted: bool = False,
+def pagerank_oracle(view, damping: float = 0.85,
                     iterations: int = 5000) -> dict[str, float]:
     """Dense-matrix power iteration, independent of the adjacency-list
-    implementation."""
+    implementation; each parallel edge adds weight 1 to its pair."""
     nodes = view.nodes()
     n = len(nodes)
     index = {u: i for i, u in enumerate(nodes)}
     w = np.zeros((n, n))
     for e in view.edges:
-        weight = (e.risk.risk_weight if e.risk is not None else 0.0) if weighted else 1.0
         i, j = index[e.src], index[e.dst]
-        w[i, j] += weight
-        w[j, i] += weight
+        w[i, j] += 1.0
+        w[j, i] += 1.0
     out = w.sum(axis=1)
     transition = np.zeros((n, n))
     dangling = np.zeros(n)
@@ -210,38 +214,31 @@ def pagerank_oracle(view, damping: float = 0.85, weighted: bool = False,
     return {u: float(rank[index[u]]) for u in nodes}
 
 
-def betweenness_oracle(view, weighted: bool = False) -> dict[str, float]:
-    """Count shortest paths per unordered pair through full enumeration."""
+def betweenness_oracle(view) -> dict[str, float]:
+    """Count shortest paths in hops per unordered pair through full
+    enumeration; parallel edges are one hop."""
     nodes = view.nodes()
-    adj: dict[str, dict[str, float]] = {u: {} for u in nodes}
-    best: dict[frozenset, float] = {}
+    adj: dict[str, set[str]] = {u: set() for u in nodes}
     for e in view.edges:
-        key = frozenset((e.src, e.dst))
-        w = (e.risk.risk_weight if e.risk is not None else 0.0) if weighted else 1.0
-        if key not in best or w < best[key]:
-            best[key] = w
-    for key, w in best.items():
-        u, v = sorted(key)
-        adj[u][v] = w
-        adj[v][u] = w
+        adj[e.src].add(e.dst)
+        adj[e.dst].add(e.src)
     score = {u: 0.0 for u in nodes}
     for s, t in combinations(sorted(nodes), 2):
-        paths: list[tuple[float, tuple[str, ...]]] = []
+        paths: list[tuple[str, ...]] = []
 
-        def dfs(node, path, cost):
+        def dfs(node, path):
             if node == t:
-                paths.append((cost, path))
+                paths.append(path)
                 return
-            for nbr, w in sorted(adj[node].items()):
+            for nbr in sorted(adj[node]):
                 if nbr not in path:
-                    dfs(nbr, path + (nbr,), cost + w)
+                    dfs(nbr, path + (nbr,))
 
-        dfs(s, (s,), 0.0)
+        dfs(s, (s,))
         if not paths:
             continue
-        min_cost = min(c for c, _ in paths)
-        shortest = [p for c, p in paths if abs(c - min_cost) < 1e-12] if weighted \
-            else [p for c, p in paths if c == min_cost]
+        hops = min(len(p) for p in paths)
+        shortest = [p for p in paths if len(p) == hops]
         for path in shortest:
             for inner in path[1:-1]:
                 score[inner] += 1.0 / len(shortest)

@@ -102,6 +102,21 @@ def test_seed_mismatch_rejected(tmp_path, capsys):
     assert not (out / "export").exists()
 
 
+@pytest.mark.parametrize("state, setting", [
+    ([], "state.json must be"),
+    ({"stages": 5}, "state.json: stages must be"),
+    ({"stages": [1]}, "state.json: stages[0] must be"),
+], ids=["list", "stages-number", "stage-number"])
+def test_malformed_state_exits_2(tmp_path, pipeline_out, capsys, state, setting):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    (out / "state.json").write_text(json.dumps(state))
+    before = tree_digest(out)
+    assert main(["--out", str(out), "annotate"]) == 2
+    assert setting in capsys.readouterr().err
+    assert tree_digest(out) == before
+
+
 def test_rerunning_stage_invalidates_downstream(tmp_path):
     out = tmp_path / "out"
     for stage in ("build", "synth-logs", "annotate", "enrich", "controls"):
@@ -214,8 +229,9 @@ def test_report_top_n(tmp_path, pipeline_out):
     ({"topK": None}, ["enrich"], "enrichment.topK"),
     ({"dim": 8.7}, ["enrich"], "enrichment.dim"),
     ({"topK": True}, ["enrich"], "enrichment.topK"),
+    ({"dim": 10**400}, ["enrich"], "enrichment.dim"),
 ], ids=["top", "dim", "iterationWeights", "topK", "iterationWeights-number",
-        "dim-null", "topK-null", "dim-float", "topK-bool"])
+        "dim-null", "topK-null", "dim-float", "topK-bool", "dim-huge"])
 def test_out_of_range_setting_exits_2(tmp_path, pipeline_out, capsys,
                                       enrichment, argv, setting):
     out = tmp_path / "out"

@@ -9,8 +9,8 @@ times, on freshly projected views:
 * ``yen``: the scenario suite (``scenarios.run_suite`` over Original,
   Enriched and Controlled), which makes one Yen k-shortest-path call per
   (source, target) pair of every scenario and view;
-* ``betweenness``: unweighted and weighted betweenness on the Original and
-  Enriched views, as the ``report`` stage computes them.
+* ``betweenness``: betweenness on the Original and Enriched views, as the
+  ``report`` stage computes them for ``centrality.csv``.
 
 Each time is the median of three repeats; every repeat projects new views,
 so building the path graphs is part of it.  icskg is imported from this
@@ -82,11 +82,11 @@ def measure(cells: int, work: Path) -> dict:
         targets = scenario.target.resolve(state.graph)
         yen_calls += len(views) * sum(s != t for s in sources for t in targets)
 
+    centrality_configs = (Configuration.ORIGINAL, Configuration.ENRICHED)
+
     def betweenness_all() -> None:
-        fresh = state.views(Configuration.ORIGINAL, Configuration.ENRICHED)
-        for view in fresh.values():
-            for weighted in (False, True):
-                analytics.betweenness(view, weighted=weighted)
+        for view in state.views(*centrality_configs).values():
+            analytics.betweenness(view)
 
     return {
         "cells": cells,
@@ -95,7 +95,7 @@ def measure(cells: int, work: Path) -> dict:
         "view_edges": {c.value: len(views[c].edges) for c in Configuration},
         "yen_calls": yen_calls,
         "yen_s": timed(lambda: scenarios.run_suite(state.views(*Configuration), catalog)),
-        "betweenness_calls": 4,
+        "betweenness_calls": len(centrality_configs),
         "betweenness_s": timed(betweenness_all),
     }
 
