@@ -34,6 +34,8 @@ class WeightPolicy(Enum):
     RISK_COST = "RiskCost"           # riskWeight as traversal cost
     MAX_LIKELIHOOD = "MaxLikelihood"  # -ln(pExploit), maximizes path probability
 
+    __hash__ = object.__hash__  # as graph.NodeKind: identity, not hash(name)
+
     def edge_cost(self, edge: Edge) -> float:
         if self is WeightPolicy.HOP:
             return 1.0

@@ -91,28 +91,26 @@ def cosine_similarity_matrix(emb: EmbeddingMatrix) -> np.ndarray:
 def knn_possible_links(emb: EmbeddingMatrix, view: GraphView,
                        top_k: int = DEFAULT_TOP_K) -> list[Edge]:
     """Propose HAS_POSSIBLE_COMMUNICATION edges to each product's top-k most
-    similar peers.
+    similar peers, the most similar first and ties in id order.
 
     Pairs already linked by COMMUNICATES_WITH (either direction) are skipped,
     as are candidates with non-positive similarity; a zero-vector query node
     proposes nothing.  Each product therefore gains at most top_k outgoing
-    possible-links.
+    possible-links.  ``emb.node_ids`` are sorted, as :func:`fastrp_embed`
+    makes them, so index order is id order.
     """
     sims = cosine_similarity_matrix(emb)
-    linked: set[frozenset[str]] = {
-        e.pair for e in view.graph.edges(EdgeKind.COMMUNICATES_WITH)}
+    ids = emb.node_ids
+    index = {u: i for i, u in enumerate(ids)}
+    blocked = np.eye(len(ids), dtype=bool)
+    for e in view.graph.edges(EdgeKind.COMMUNICATES_WITH):
+        if e.src in index and e.dst in index:
+            blocked[index[e.src], index[e.dst]] = blocked[index[e.dst], index[e.src]] = True
     edges: list[Edge] = []
-    for i, src in enumerate(emb.node_ids):
-        candidates = []
-        for j, dst in enumerate(emb.node_ids):
-            if i == j or frozenset((src, dst)) in linked:
-                continue
-            sim = float(sims[i, j])
-            if sim <= 0.0:
-                continue
-            candidates.append((-sim, dst))
-        candidates.sort()
-        for neg_sim, dst in candidates[:top_k]:
-            edges.append(Edge(src, dst, EdgeKind.HAS_POSSIBLE_COMMUNICATION,
-                              props={"similarity": f"{-neg_sim:.6f}"}))
+    for i, src in enumerate(ids):
+        row = sims[i]
+        candidates = np.flatnonzero(~blocked[i] & (row > 0.0))
+        for j in candidates[np.lexsort((candidates, -row[candidates]))][:top_k]:
+            edges.append(Edge(src, ids[j], EdgeKind.HAS_POSSIBLE_COMMUNICATION,
+                              props={"similarity": f"{float(row[j]):.6f}"}))
     return edges

@@ -47,6 +47,10 @@ from icskg.errors import (
 PRUNE_THRESHOLD = 0.05
 
 
+# The enums here hash by identity: Enum.__hash__ is a Python-level
+# hash(self._name_), run on every kind-set test and rule lookup of the ingest
+# and projection loops.  Members are singletons compared by identity, and sets
+# of them are only tested or sorted by value, so no output order changes.
 class NodeKind(Enum):
     PRODUCT = "Product"
     VULNERABILITY = "Vulnerability"
@@ -65,6 +69,8 @@ class NodeKind(Enum):
     PROCESS_VARIABLE = "ProcessVariable"
     OBSERVATION = "Observation"
 
+    __hash__ = object.__hash__
+
 
 class EdgeKind(Enum):
     COMMUNICATES_WITH = "COMMUNICATES_WITH"
@@ -80,6 +86,8 @@ class EdgeKind(Enum):
     MITIGATED_BY = "MITIGATED_BY"
     IN_ZONE = "IN_ZONE"
     USES_PROTOCOL = "USES_PROTOCOL"
+
+    __hash__ = object.__hash__
 
 
 COMMUNICATION_KINDS = frozenset({
@@ -133,6 +141,8 @@ class Configuration(Enum):
     ENRICHED = "Enriched"
     CONTROLLED = "Controlled"
 
+    __hash__ = object.__hash__
+
 
 # The four risk columns of every edge CSV, in file order.
 RISK_COLUMNS = ("riskWeight", "pExploit", "attackCost", "controlStrength")
@@ -152,39 +162,25 @@ class RiskAttributes:
     attack_cost: float = 0.0
     risk_weight: float = 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "controlStrength": self.control_strength,
-            "pExploit": self.p_exploit,
-            "attackCost": self.attack_cost,
-            "riskWeight": self.risk_weight,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RiskAttributes":
-        return cls(
-            control_strength=float(d.get("controlStrength", 0.0)),
-            p_exploit=float(d.get("pExploit", 0.0)),
-            attack_cost=float(d.get("attackCost", 0.0)),
-            risk_weight=float(d.get("riskWeight", 0.0)),
-        )
-
     @staticmethod
     def encode(risk: Optional["RiskAttributes"]) -> list[str]:
         """The :data:`RISK_COLUMNS` cells of a CSV row: ``repr`` floats
         (lossless), all empty for an edge without risk."""
         if risk is None:
             return [""] * len(RISK_COLUMNS)
-        values = risk.as_dict()
-        return [repr(values[col]) for col in RISK_COLUMNS]
+        return [repr(risk.risk_weight), repr(risk.p_exploit), repr(risk.attack_cost),
+                repr(risk.control_strength)]
 
     @classmethod
-    def decode(cls, row: dict[str, str]) -> Optional["RiskAttributes"]:
-        """Inverse of :meth:`encode`: no risk when the riskWeight cell is
-        empty; any other empty cell reads as 0.0."""
-        if not (row.get("riskWeight") or "").strip():
+    def decode(cls, risk_weight: str, p_exploit: str, attack_cost: str,
+               control_strength: str) -> Optional["RiskAttributes"]:
+        """Inverse of :meth:`encode`, from the stripped :data:`RISK_COLUMNS`
+        cells: no risk when the riskWeight cell is empty; any other empty
+        cell reads as 0.0."""
+        if not risk_weight:
             return None
-        return cls.from_dict({col: row.get(col) or 0.0 for col in RISK_COLUMNS})
+        return cls(float(control_strength or 0.0), float(p_exploit or 0.0),
+                   float(attack_cost or 0.0), float(risk_weight))
 
 
 @dataclass(frozen=True)
@@ -220,13 +216,13 @@ class Edge:
     kind: EdgeKind
     risk: Optional[RiskAttributes] = None
     props: Mapping[str, str] = field(default_factory=dict)
+    # (src, dst, kind value): the graph's storage key and the edge order,
+    # made once here because every sort and upsert reads it.
+    key: tuple[str, str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "props", MappingProxyType(dict(self.props)))
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.src, self.dst, self.kind.value)
+        object.__setattr__(self, "key", (self.src, self.dst, self.kind.value))
 
     @property
     def pair(self) -> frozenset[str]:
@@ -266,7 +262,8 @@ class Graph:
         self._nodes[node.id] = node
         return node.id
 
-    def upsert_edge(self, edge: Edge) -> None:
+    def upsert_edge(self, edge: Edge) -> tuple[str, str, str]:
+        """Store the edge, replacing one of the same key; returns the key."""
         self._check_mutable()
         src = self._nodes.get(edge.src)
         dst = self._nodes.get(edge.dst)
@@ -284,6 +281,7 @@ class Graph:
             raise KindConstraintViolation(
                 f"{edge.kind.value} edges cannot carry risk attributes")
         self._edges[edge.key] = edge
+        return edge.key
 
     def remove_edges(self, kinds: set[EdgeKind]) -> None:
         """Drop every edge of the given kinds."""
@@ -605,11 +603,19 @@ def write_json(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def props_to_json(props: Mapping[str, str]) -> str:
-    return json.dumps(dict(props), sort_keys=True, separators=(",", ":")) if props else "{}"
+_PROPS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def props_to_json(props: Mapping[str, str] | Iterable[tuple[str, str]]) -> str:
+    """A props_json cell: the props (a mapping or its items) as compact
+    JSON with sorted keys."""
+    return _PROPS_ENCODER.encode(dict(props)) if props else "{}"
 
 
 def props_from_json(cell: str) -> dict[str, str]:
     """Inverse of :func:`props_to_json`; an empty cell holds no properties.
-    Raises ValueError or AttributeError when the cell is not a JSON object."""
-    return {str(k): str(v) for k, v in json.loads(cell).items()} if cell else {}
+    Raises ValueError when the cell is not a JSON object of strings."""
+    props = json.loads(cell) if cell else {}
+    if not isinstance(props, dict) or not all(isinstance(v, str) for v in props.values()):
+        raise ValueError("props_json is not a JSON object of strings")
+    return props

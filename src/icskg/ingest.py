@@ -25,8 +25,9 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from icskg.config import (BOOLEAN, INTEGER, NUMBER, STRING, RiskConfig, list_of, obj, one_of,
                           table)
@@ -299,38 +300,42 @@ def _cpe_vendor_product(cpe: str) -> tuple[str, str]:
     return "", cpe.lower()
 
 
-def match_product_cpes(product: TestbedProduct, cpes: Iterable[str],
+CpeIndex = dict[frozenset[str], list[tuple[str, set[str]]]]
+
+
+def index_cpes(cpes: Iterable[str]) -> CpeIndex:
+    """Each CPE, in the order given, with its product tokens, grouped by its
+    vendor tokens: a product is matched against its own vendor's group."""
+    index: CpeIndex = {}
+    for cpe in cpes:
+        vendor, product = _cpe_vendor_product(cpe)
+        index.setdefault(frozenset(_tokens(vendor)), []).append((cpe, _tokens(product)))
+    return index
+
+
+def match_product_cpes(product: TestbedProduct, index: CpeIndex,
                        overrides: Optional[dict[str, str]] = None) -> list[str]:
     """Case-insensitive (vendor, product) token match with explicit overrides.
 
     Advisory product names keep their original form, so the match is fuzzy:
     the CPE vendor must equal the product vendor (token-wise) and every CPE
-    product token must appear among the product-name tokens.
+    product token must appear among the product-name tokens.  A product with
+    an override matches that CPE only, if the index holds it.
     """
-    overrides = overrides or {}
-    matched = []
-    override = overrides.get(product.name)
-    vendor_tokens = _tokens(product.vendor)
+    override = (overrides or {}).get(product.name)
+    if override is not None:
+        group = index.get(frozenset(_tokens(_cpe_vendor_product(override)[0])), [])
+        return [cpe for cpe, _ in group if cpe == override]
     name_tokens = _tokens(product.name)
-    for cpe in cpes:
-        if override is not None:
-            if cpe == override:
-                matched.append(cpe)
-            continue
-        cpe_vendor, cpe_product = _cpe_vendor_product(cpe)
-        if _tokens(cpe_vendor) != vendor_tokens:
-            continue
-        product_tokens = _tokens(cpe_product)
-        if product_tokens and product_tokens <= name_tokens:
-            matched.append(cpe)
-    return matched
+    return [cpe for cpe, product_tokens in index.get(frozenset(_tokens(product.vendor)), [])
+            if product_tokens and product_tokens <= name_tokens]
 
 
 def link_products(graph: Graph, testbed: TestbedSpec,
                   advisories: list[VulnRecord]) -> int:
     """Create Vulnerability nodes and Product->Vulnerability edges.
 
-    Each product is matched against every advisory's CPE list; matched CVEs
+    Each product is matched against the advisory CPEs of its vendor; matched CVEs
     become Vulnerability nodes carrying their scoring metadata as properties.
     Unmatched products are logged as warnings, never fatal.  Returns the
     number of HAS_VULNERABILITY edges created.
@@ -339,10 +344,10 @@ def link_products(graph: Graph, testbed: TestbedSpec,
     for rec in advisories:
         for cpe in rec.cpes:
             cpe_index.setdefault(cpe, []).append(rec)
-    all_cpes = sorted(cpe_index)
+    by_vendor = index_cpes(sorted(cpe_index))
     edges = 0
     for product in testbed.products:
-        matched = match_product_cpes(product, all_cpes, testbed.cpe_overrides)
+        matched = match_product_cpes(product, by_vendor, testbed.cpe_overrides)
         records = []
         seen = set()
         for cpe in matched:
@@ -385,13 +390,17 @@ class _RowProblem(Exception):
         self.kind = kind
 
 
-def _load_rows(header: list[str], rows: Iterable[list[str]],
-               load_row: Callable[[dict[str, str]], Optional[Hashable]]) -> LoadResult:
-    """Feed every data row, as a dict keyed by the header, to ``load_row``,
-    which upserts it and returns its key (None skips the row silently).  A
-    row whose field count differs from the header's, row problems and
-    rejected upserts become row issues; any other ingest error aborts the
-    load, naming its row."""
+def _load_rows(path: str | Path, columns: Sequence[str],
+               load_row: Callable[..., Optional[Hashable]]) -> LoadResult:
+    """Feed every data row of the CSV file at ``path`` to ``load_row`` as
+    the stripped cells of ``columns``, in that order (of a repeated header
+    column, the last); ``load_row`` upserts the row and returns its key
+    (None skips the row silently).  A row whose field count differs from
+    the header's, row problems and rejected upserts become row issues; any
+    other ingest error aborts the load, naming its row."""
+    header, rows = read_csv(path, columns)
+    position = {name: i for i, name in enumerate(header)}
+    picks = [position[name] for name in columns]
     accepted: set[Hashable] = set()
     issues: list[RowIssue] = []
     width = len(header)
@@ -401,7 +410,7 @@ def _load_rows(header: list[str], rows: Iterable[list[str]],
                                    f"row {row_num} has {len(fields)} fields, not {width}"))
             continue
         try:
-            key = load_row(dict(zip(header, fields)))
+            key = load_row(*[fields[i].strip() for i in picks])
         except _RowProblem as exc:
             issues.append(RowIssue(row_num, exc.kind, str(exc)))
         except GraphError as exc:
@@ -412,10 +421,6 @@ def _load_rows(header: list[str], rows: Iterable[list[str]],
             if key is not None:
                 accepted.add(key)
     return LoadResult(len(accepted), issues)
-
-
-def _cell(row: dict[str, str], column: str) -> str:
-    return (row.get(column) or "").strip()
 
 
 def _edge_kind(raw: str) -> EdgeKind:
@@ -436,62 +441,64 @@ def _endpoints(graph: Graph, src: str, dst: str) -> tuple[str, str]:
 def _props(raw: str) -> dict[str, str]:
     try:
         return props_from_json(raw)
-    except (ValueError, AttributeError):
+    except (ValueError, RecursionError):
         raise _RowProblem("InvalidRow", "unparseable props_json") from None
-
-
-def _upsert_edge(graph: Graph, edge: Edge) -> tuple[str, str, str]:
-    graph.upsert_edge(edge)
-    return edge.key
-
-
-def _node_row(graph: Graph, row: dict[str, str]) -> str:
-    kind_raw = _cell(row, "kind")
-    try:
-        kind = NodeKind(kind_raw)
-    except ValueError:
-        raise _RowProblem("BadEnum", f"unknown node kind {kind_raw!r}") from None
-    props = _props(_cell(row, "props_json"))
-    if name := _cell(row, "name"):
-        props.setdefault("name", name)
-    crit_raw = _cell(row, "criticality")
-    try:
-        criticality = int(crit_raw) if crit_raw else 0
-    except ValueError as exc:
-        raise _RowProblem("InvalidRow", str(exc)) from None
-    return graph.upsert_node(Node(id=_cell(row, "id"), kind=kind, props=props,
-                                  criticality=criticality,
-                                  zone=_cell(row, "zone") or None))
-
-
-def _relation_edge(graph: Graph, row: dict[str, str],
-                   risk: Optional[RiskAttributes] = None) -> Edge:
-    kind = _edge_kind(_cell(row, "kind"))
-    src, dst = _endpoints(graph, _cell(row, "src"), _cell(row, "dst"))
-    return Edge(src, dst, kind, risk=risk, props=_props(_cell(row, "props_json")))
 
 
 def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
     """Load node.csv rows; returns distinct accepted nodes and row issues."""
-    return _load_rows(*read_csv(path, NODE_CSV_HEADER), lambda row: _node_row(graph, row))
+    # Each distinct props cell of the file is parsed once; rows with equal
+    # cells share the dict, which is never changed (records copy their props).
+    props_of = cache(_props)
+
+    def load_row(node_id: str, kind_raw: str, name: str, zone: str, crit_raw: str,
+                 props_json: str) -> str:
+        try:
+            kind = NodeKind(kind_raw)
+        except ValueError:
+            raise _RowProblem("BadEnum", f"unknown node kind {kind_raw!r}") from None
+        props = props_of(props_json)
+        if name and "name" not in props:
+            props = {**props, "name": name}
+        try:
+            criticality = int(crit_raw) if crit_raw else 0
+        except ValueError as exc:
+            raise _RowProblem("InvalidRow", str(exc)) from None
+        return graph.upsert_node(Node(id=node_id, kind=kind, props=props,
+                                      criticality=criticality, zone=zone or None))
+    return _load_rows(path, NODE_CSV_HEADER, load_row)
+
+
+def _edge_loader(graph: Graph) -> Callable[..., tuple[str, str, str]]:
+    """The row loader of relation.csv (``src,dst,kind,props_json``) and of
+    the state's edges.csv, whose :data:`RISK_COLUMNS` cells follow ``kind``."""
+    props_of = cache(_props)   # as in load_nodes: one parse per distinct cell
+
+    def load_row(src: str, dst: str, kind: str, *cells: str) -> tuple[str, str, str]:
+        risk = RiskAttributes.decode(*cells[:-1]) if len(cells) > 1 else None
+        edge_kind = _edge_kind(kind)
+        src, dst = _endpoints(graph, src, dst)
+        return graph.upsert_edge(Edge(src, dst, edge_kind, risk=risk,
+                                      props=props_of(cells[-1])))
+    return load_row
 
 
 def load_relations(graph: Graph, path: str | Path) -> LoadResult:
     """Load relation.csv rows; dangling references are reported with their
     row number and skipped."""
-    return _load_rows(*read_csv(path, RELATION_CSV_HEADER),
-                      lambda row: _upsert_edge(graph, _relation_edge(graph, row)))
+    return _load_rows(path, RELATION_CSV_HEADER, _edge_loader(graph))
 
 
 def load_edge_csv(graph: Graph, path: str | Path) -> LoadResult:
     """Re-ingest the edge-CSV export format (round-trip of view exports)."""
-    def load_row(row: dict[str, str]) -> tuple[str, str, str]:
-        kind = _edge_kind(_cell(row, "kind"))
-        src, dst = _endpoints(graph, _cell(row, "src"), _cell(row, "dst"))
-        protocol = _cell(row, "protocol")
-        return _upsert_edge(graph, Edge(src, dst, kind, risk=RiskAttributes.decode(row),
-                                        props={"protocol": protocol} if protocol else {}))
-    return _load_rows(*read_csv(path, EDGE_CSV_HEADER), load_row)
+    def load_row(src: str, dst: str, kind: str, *cells: str) -> tuple[str, str, str]:
+        *risk_cells, protocol = cells
+        edge_kind = _edge_kind(kind)
+        src, dst = _endpoints(graph, src, dst)
+        return graph.upsert_edge(Edge(src, dst, edge_kind,
+                                      risk=RiskAttributes.decode(*risk_cells),
+                                      props={"protocol": protocol} if protocol else {}))
+    return _load_rows(path, EDGE_CSV_HEADER, load_row)
 
 
 def import_predictions(graph: Graph, path: str | Path,
@@ -502,24 +509,24 @@ def import_predictions(graph: Graph, path: str | Path,
     confidence outside [0,1]) violates the file contract and raises BadEnum.
     Rows referencing unknown nodes are reported and skipped.
     """
-    def load_row(row: dict[str, str]) -> Optional[tuple[str, str, str]]:
+    def load_row(src: str, dst: str, kind_raw: str,
+                 confidence_raw: str) -> Optional[tuple[str, str, str]]:
         try:
-            kind = _edge_kind(_cell(row, "kind"))
+            kind = _edge_kind(kind_raw)
         except _RowProblem as exc:
             raise BadEnum(str(exc)) from None
         if kind not in PREDICTION_KINDS:
             raise BadEnum(
                 f"{kind.value} is not a prediction kind "
                 f"(expected one of {sorted(k.value for k in PREDICTION_KINDS)})")
-        confidence = float(row.get("confidence") or 0.0)
+        confidence = float(confidence_raw or 0.0)
         if not 0.0 <= confidence <= 1.0:
             raise BadEnum(f"confidence {confidence} outside [0,1]")
         if confidence < min_confidence:
             return None
-        src, dst = _endpoints(graph, _cell(row, "srcId"), _cell(row, "dstId"))
-        return _upsert_edge(graph, Edge(src, dst, kind,
-                                        props={"confidence": repr(confidence)}))
-    return _load_rows(*read_csv(path, PREDICTION_CSV_HEADER), load_row)
+        src, dst = _endpoints(graph, src, dst)
+        return graph.upsert_edge(Edge(src, dst, kind, props={"confidence": repr(confidence)}))
+    return _load_rows(path, PREDICTION_CSV_HEADER, load_row)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +540,14 @@ _STATE_EDGE_HEADER = ["src", "dst", "kind", *RISK_COLUMNS, "props_json"]
 
 def write_node_csv(graph: Graph) -> bytes:
     """Serialize every node in the node.csv interchange format, sorted by id."""
+    to_json = cache(props_to_json)   # formats each distinct props once
     return write_csv(NODE_CSV_HEADER, (
         [node.id,
          node.kind.value,
          node.props.get("name", ""),
          node.zone or "",
          node.criticality if node.kind is NodeKind.PRODUCT else "",
-         props_to_json({k: v for k, v in node.props.items() if k != "name"})]
+         to_json(tuple(kv for kv in node.props.items() if kv[0] != "name"))]
         for node in graph.nodes()))
 
 
@@ -547,8 +555,9 @@ def save_state(graph: Graph, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / STATE_NODE_FILE).write_bytes(write_node_csv(graph))
+    to_json = cache(props_to_json)   # formats each distinct props once
     (directory / STATE_EDGE_FILE).write_bytes(write_csv(_STATE_EDGE_HEADER, (
-        [e.src, e.dst, e.kind.value, *RiskAttributes.encode(e.risk), props_to_json(e.props)]
+        [*e.key, *RiskAttributes.encode(e.risk), to_json(tuple(e.props.items()))]
         for e in graph.edges())))
 
 
@@ -559,9 +568,7 @@ def load_state(directory: str | Path) -> Graph:
     nodes = directory / STATE_NODE_FILE
     _require_clean_state(nodes, load_nodes(graph, nodes))
     edges = directory / STATE_EDGE_FILE
-    _require_clean_state(edges, _load_rows(
-        *read_csv(edges, _STATE_EDGE_HEADER),
-        lambda row: _upsert_edge(graph, _relation_edge(graph, row, RiskAttributes.decode(row)))))
+    _require_clean_state(edges, _load_rows(edges, _STATE_EDGE_HEADER, _edge_loader(graph)))
     return graph
 
 

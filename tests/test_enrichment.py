@@ -8,9 +8,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import add_comm, add_product, bfs_min_hops, comm_graph, random_comm_graph
+from conftest import (add_comm, add_product, bfs_min_hops, comm_graph, random_comm_graph,
+                      random_graphs)
 from icskg.enrich import (
+    EmbeddingMatrix,
     cosine_similarity_matrix,
     fastrp_embed,
     knn_possible_links,
@@ -142,3 +146,48 @@ def test_knn_deterministic_order():
     first = [(e.src, e.dst) for e in knn_possible_links(emb, view, top_k=2)]
     second = [(e.src, e.dst) for e in knn_possible_links(emb, view, top_k=2)]
     assert first == second
+
+
+def knn_links_oracle(emb, view, top_k):
+    """The per-pair loop knn_possible_links replaced: every other product not
+    linked by COMMUNICATES_WITH, with positive similarity, sorted by
+    (-similarity, id)."""
+    sims = cosine_similarity_matrix(emb)
+    linked = {e.pair for e in view.graph.edges(EdgeKind.COMMUNICATES_WITH)}
+    edges = []
+    for i, src in enumerate(emb.node_ids):
+        candidates = []
+        for j, dst in enumerate(emb.node_ids):
+            if i == j or frozenset((src, dst)) in linked:
+                continue
+            sim = float(sims[i, j])
+            if sim <= 0.0:
+                continue
+            candidates.append((-sim, dst))
+        candidates.sort()
+        for neg_sim, dst in candidates[:top_k]:
+            edges.append((src, dst, EdgeKind.HAS_POSSIBLE_COMMUNICATION,
+                          {"similarity": f"{-neg_sim:.6f}"}))
+    return edges
+
+
+def link_records(edges):
+    return [(e.src, e.dst, e.kind, dict(e.props)) for e in edges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(2, 24), st.integers(0, 30), st.data())
+def test_knn_matches_the_pair_loop(graph, top_k, data):
+    """Equal edges, order and similarity strings on FastRP embeddings (twin
+    and isolated products give tied and zero rows) and on small-integer
+    vectors, whose similarities tie exactly or are zero or negative."""
+    view = original(graph)
+    embeddings = [fastrp_embed(view, dim=8, seed=data.draw(st.integers(0, 99)))]
+    n = len(view.nodes())
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                              min_size=n, max_size=n))
+    embeddings.append(EmbeddingMatrix(view.nodes(), np.array(rows, dtype=float), 3,
+                                      (1.0,), 0))
+    for emb in embeddings:
+        assert link_records(knn_possible_links(emb, view, top_k)) == \
+            knn_links_oracle(emb, view, top_k)

@@ -322,14 +322,12 @@ def test_edge_csv_round_trip(tmp_path):
 def test_risk_cells_round_trip_and_decode_rules():
     risk = RiskAttributes(control_strength=0.1, p_exploit=1 / 3,
                           attack_cost=0.7, risk_weight=0.3)
-    columns = ("riskWeight", "pExploit", "attackCost", "controlStrength")
     cells = RiskAttributes.encode(risk)
     assert cells == [repr(0.3), repr(1 / 3), repr(0.7), repr(0.1)]
-    assert RiskAttributes.decode(dict(zip(columns, cells))) == risk
+    assert RiskAttributes.decode(*cells) == risk
     assert RiskAttributes.encode(None) == ["", "", "", ""]
-    assert RiskAttributes.decode(dict(zip(columns, RiskAttributes.encode(None)))) is None
-    assert RiskAttributes.decode({"riskWeight": "0.5", "pExploit": ""}) == \
-        RiskAttributes(risk_weight=0.5)
+    assert RiskAttributes.decode(*RiskAttributes.encode(None)) is None
+    assert RiskAttributes.decode("0.5", "", "", "") == RiskAttributes(risk_weight=0.5)
 
 
 def test_graphml_well_formed():

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icskg.config import RiskConfig
 from icskg.errors import BadEnum, DanglingReference, IcskgError, IngestError, MissingColumn
-from icskg.graph import EdgeKind, Graph, Node, NodeKind, audit_hierarchy
+from icskg.graph import (Edge, EdgeKind, Graph, Node, NodeKind, RiskAttributes, audit_hierarchy,
+                         csv_line, props_from_json, read_csv, write_csv)
 from icskg.ingest import (
     Dataflow,
     TestbedProduct,
@@ -17,6 +21,7 @@ from icskg.ingest import (
     VulnRecord,
     build_dataflow_edges,
     import_predictions,
+    index_cpes,
     link_products,
     load_nodes,
     load_relations,
@@ -102,6 +107,93 @@ def test_load_state_rejects_ragged_rows(tmp_path, file_name):
     short = first.rsplit(",", 2)[0]
     path.write_text("\n".join([header, short, *rest]) + "\n", encoding="utf-8")
     with pytest.raises(DanglingReference, match=f"corrupt state in .*{file_name}: row 1 has"):
+        load_state(tmp_path)
+
+
+# Cell text that needs CSV quoting (comma, quote, LF, CR) or is not ASCII;
+# id, name and zone cells are read stripped, so they carry no outer blanks.
+CELL_TEXT = st.text(st.sampled_from(list('ab ,"\n\r\té€{}:\\')), min_size=1, max_size=6)
+STRIPPED_TEXT = CELL_TEXT.filter(lambda text: text == text.strip())
+PROPS = st.dictionaries(CELL_TEXT.filter(lambda key: key != "name"),
+                        st.one_of(st.just(""), CELL_TEXT), max_size=3)
+RISKS = st.one_of(st.none(), st.builds(RiskAttributes, *[st.floats(allow_nan=False)] * 4))
+
+
+@st.composite
+def state_graphs(draw) -> Graph:
+    """A graph of Products and Vulnerabilities whose ids, names, zones and
+    props need quoting or are empty, with communication edges with and
+    without risk and risk-free HAS_VULNERABILITY edges."""
+    ids = draw(st.lists(STRIPPED_TEXT, min_size=2, max_size=8, unique=True))
+    split = draw(st.integers(2, len(ids)))
+    products, vulns = ids[:split], ids[split:]
+    g = Graph()
+    for node_id in ids:
+        props = draw(PROPS)
+        if draw(st.booleans()):
+            props["name"] = draw(STRIPPED_TEXT)
+        product = node_id in products
+        g.upsert_node(Node(node_id, NodeKind.PRODUCT if product else NodeKind.VULNERABILITY,
+                           props, draw(st.integers(0, 10)) if product else 0,
+                           draw(STRIPPED_TEXT) if product else None))
+    for src, dst in draw(st.lists(st.tuples(st.sampled_from(products),
+                                            st.sampled_from(products)), max_size=10)):
+        if src != dst:
+            g.upsert_edge(Edge(src, dst, EdgeKind.COMMUNICATES_WITH, draw(RISKS), draw(PROPS)))
+    for vuln in vulns:
+        g.upsert_edge(Edge(draw(st.sampled_from(products)), vuln,
+                           EdgeKind.HAS_VULNERABILITY, props=draw(PROPS)))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_graphs())
+def test_state_round_trip_is_exact(tmp_path_factory, graph):
+    first, second = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("second")
+    save_state(graph, first)
+    loaded = load_state(first)
+    save_state(loaded, second)
+    for name in ("nodes.csv", "edges.csv"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+    assert loaded.nodes() == graph.nodes()
+    assert loaded.edges() == graph.edges()
+
+
+# Each cell parses as JSON but is not an object of strings, or nests deeper
+# than the parser recurses.
+NOT_PROPS = {"non-string values": '{"a": true, "b": null, "d": {"x": 1}}', "number": '{"n": 1}',
+             "list": '["a"]', "string": '"a"', "deep": "[" * 100_000}
+
+
+@pytest.mark.parametrize("cell", list(NOT_PROPS.values())[:4], ids=list(NOT_PROPS)[:4])
+def test_props_from_json_takes_only_string_values(cell):
+    with pytest.raises(ValueError):
+        props_from_json(cell)
+
+
+@pytest.mark.parametrize("cell", NOT_PROPS.values(), ids=NOT_PROPS)
+def test_props_that_are_not_strings_are_invalid_rows(tmp_path, cell):
+    g = Graph()
+    nodes = load_nodes(g, write(tmp_path, "n.csv", NODE_CSV + csv_line(
+        ["CWE-1", "Weakness", "", "", "", cell]) + "\n"))
+    relations = load_relations(g, write(tmp_path, "r.csv", RELATION_CSV + csv_line(
+        ["CWE-79", "CAPEC-66", "HAS_CAPEC", cell]) + "\n"))
+    assert [(i.row, i.kind, i.message) for i in nodes.issues + relations.issues] == [
+        (4, "InvalidRow", "unparseable props_json"), (3, "InvalidRow", "unparseable props_json")]
+
+
+@pytest.mark.parametrize("file_name", ["nodes.csv", "edges.csv"])
+def test_load_state_rejects_props_that_are_not_strings(tmp_path, file_name):
+    g = Graph()
+    load_testbed_into_graph(g, mini_testbed(), RiskConfig())
+    save_state(g, tmp_path)
+    path = tmp_path / file_name
+    header, rows = read_csv(path, [])
+    rows = list(rows)
+    rows[0][-1] = '{"a": true}'
+    path.write_bytes(write_csv(header, rows))
+    with pytest.raises(DanglingReference,
+                       match=f"corrupt state in .*{file_name}: unparseable props_json"):
         load_state(tmp_path)
 
 
@@ -214,11 +306,65 @@ def test_link_products_shared_cve_fans_in():
 
 def test_cpe_override_map():
     product = TestbedProduct("Custom PLC", "Acme", "PLC", "OT", None, [])
-    cpes = ["cpe:2.3:h:acme:legacy_controller", "cpe:2.3:h:acme:custom_plc"]
+    cpes = index_cpes(["cpe:2.3:h:acme:legacy_controller", "cpe:2.3:h:acme:custom_plc"])
     assert match_product_cpes(product, cpes) == ["cpe:2.3:h:acme:custom_plc"]
     overridden = match_product_cpes(
         product, cpes, {"Custom PLC": "cpe:2.3:h:acme:legacy_controller"})
     assert overridden == ["cpe:2.3:h:acme:legacy_controller"]
+
+
+def cpe_match_oracle(product, cpes, overrides):
+    """The per-product loop that match_product_cpes replaced: every CPE is
+    re-parsed and re-tokenised for every product."""
+    def tokens(text):
+        return set(re.findall(r"[a-z0-9]+", text.lower()))
+    override = overrides.get(product.name)
+    matched = []
+    for cpe in cpes:
+        if override is not None:
+            if cpe == override:
+                matched.append(cpe)
+            continue
+        parts = cpe.split(":")
+        vendor, name = (parts[3], parts[4]) if len(parts) >= 5 and parts[0] == "cpe" \
+            else ("", cpe)
+        if tokens(vendor) != tokens(product.vendor):
+            continue
+        if tokens(name) and tokens(name) <= tokens(product.name):
+            matched.append(cpe)
+    return matched
+
+
+# Vendor and product words that differ only in case or punctuation, or hold
+# no token at all.
+VENDOR_WORDS = ["acme", "Acme", "ACME", "ac_me", "Ac-Me", "acme corp", "Acme.Corp", "siemens",
+                "SIEMENS", "", "--"]
+PRODUCT_WORDS = ["plc", "PLC", "plc_a", "PLC-A", "a", "s7", "S7-1500", "1500", "hmi", "", "_"]
+CPES = st.one_of(
+    st.builds("cpe:2.3:{}:{}:{}".format, st.sampled_from("aho"), st.sampled_from(VENDOR_WORDS),
+              st.sampled_from(PRODUCT_WORDS)),
+    st.sampled_from(PRODUCT_WORDS + ["cpe:2.3:h", "CPE:2.3:h:acme:plc"]))
+PRODUCTS = st.builds(
+    lambda name, vendor: TestbedProduct(" ".join(name), vendor, "PLC", "OT", None, []),
+    st.lists(st.sampled_from(PRODUCT_WORDS), max_size=3), st.sampled_from(VENDOR_WORDS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CPES, max_size=20), st.lists(PRODUCTS, min_size=1, max_size=6), st.data())
+def test_cpe_index_matches_the_per_product_loop(cpes, products, data):
+    """Overrides present, absent or naming an unknown CPE; the CPE list in
+    link_products' sorted order and as drawn, duplicates included."""
+    overrides = {}
+    for product in products:
+        choice = data.draw(st.one_of(st.none(), st.just("cpe:2.3:h:acme:unknown"),
+                                     st.sampled_from(cpes) if cpes else st.none()))
+        if choice is not None:
+            overrides[product.name] = choice
+    for ordered in (sorted(set(cpes)), cpes):
+        index = index_cpes(ordered)
+        for product in products:
+            assert match_product_cpes(product, index, overrides) == \
+                cpe_match_oracle(product, ordered, overrides)
 
 
 def test_criticality_default_by_asset_class():

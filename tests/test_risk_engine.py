@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -219,9 +220,9 @@ def test_annotate_idempotent():
     cfg = RiskConfig()
     logs = build_log_set()
     annotate(g, logs, cfg)
-    first = g.edge("A", "B", EdgeKind.COMMUNICATES_WITH).risk.as_dict()
+    first = g.edge("A", "B", EdgeKind.COMMUNICATES_WITH).risk
     annotate(g, logs, cfg)
-    second = g.edge("A", "B", EdgeKind.COMMUNICATES_WITH).risk.as_dict()
+    second = g.edge("A", "B", EdgeKind.COMMUNICATES_WITH).risk
     assert first == second
 
 
@@ -365,16 +366,16 @@ def test_apply_controls_noop_profile_keeps_attributes():
     profile = SynthProfile(seed=4, duration_hours=2, per_flow_session_rate=50)
     baseline = log_index(generate(testbed, profile))
     annotate(g, baseline, cfg)
-    baseline_attrs = {e.key: e.risk.as_dict()
+    baseline_attrs = {e.key: asdict(e.risk)
                       for e in g.edges(EdgeKind.COMMUNICATES_WITH)}
     report = apply_controls(g, ControlProfile(controls=set()), baseline, cfg)
     for mirror in g.edges(EdgeKind.CONTROLLED_COMMUNICATES_WITH):
         src_attrs = baseline_attrs[(mirror.src, mirror.dst,
                                     EdgeKind.COMMUNICATES_WITH.value)]
-        for key, value in mirror.risk.as_dict().items():
+        for key, value in asdict(mirror.risk).items():
             assert value == pytest.approx(src_attrs[key], abs=1e-12)
     expected_pruned = sum(1 for attrs in baseline_attrs.values()
-                          if attrs["riskWeight"] < cfg.prune_threshold)
+                          if attrs["risk_weight"] < cfg.prune_threshold)
     assert report.edges_pruned == expected_pruned
 
 
