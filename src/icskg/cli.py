@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Optional
 
 from icskg import analytics, enrich, ingest, logsynth, reports, risk, scenarios
-from icskg.config import (INTEGER, NUMBER, PATH, STRING, Convention, RiskConfig, integer,
-                          list_of, obj, one_of, table)
+from icskg.config import (INTEGER, NUMBER, PATH, STRING, ControlProfile, Convention, RiskConfig,
+                          integer, list_of, obj, one_of, table)
 from icskg.errors import IcskgError, InvariantViolation, StageOrderError
 from icskg.graph import (
     Configuration,
@@ -97,14 +97,13 @@ class RunConfig:
         """The synthesis profile with the run's seed; generation validates it."""
         return replace(self.synth_profile, seed=self.seed)
 
-    def controls(self, testbed: ingest.TestbedSpec,
-                 risk_cfg: RiskConfig) -> logsynth.ControlProfile:
-        """The selected control profile of the testbed spec."""
-        spec = testbed.control_profiles.get(self.control_profile)
-        if spec is None:
+    def controls(self, testbed: ingest.TestbedSpec, risk_cfg: RiskConfig) -> ControlProfile:
+        """The selected testbed control profile, with the risk config's overrides."""
+        profile = testbed.control_profiles.get(self.control_profile)
+        if profile is None:
             raise IcskgError(
                 f"testbed declares no control profile named {self.control_profile!r}")
-        return logsynth.ControlProfile.from_spec(spec, risk_cfg.control_overrides)
+        return replace(profile, overrides=risk_cfg.control_overrides)
 
 
 RUN_CONFIG = obj({
@@ -309,9 +308,7 @@ def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
     top_k = embedding.pop("top_k", enrich.DEFAULT_TOP_K)
     state = PipelineState.open(cfg, out_dir, "enrich")
     graph = state.upstream()
-    frozen = state.upstream()
-    frozen.finalize()
-    view = frozen.project_view(Configuration.ORIGINAL, state.risk_cfg.prune_threshold)
+    view = state.views(Configuration.ORIGINAL)[Configuration.ORIGINAL]
     emb = enrich.fastrp_embed(view, seed=cfg.seed, **embedding)
     links = enrich.knn_possible_links(emb, view, top_k=top_k)
     for edge in links:

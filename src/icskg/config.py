@@ -7,8 +7,8 @@ shapes here, and is read through it: a value of the wrong shape raises
 Everything tunable about the scoring lives here so that deployments can
 recalibrate without code changes: the weakness-score coefficients, the
 access-complexity / attack-vector cost encodings, per-asset-class default
-criticalities, zone fallback factors, per-control overrides, the scoring
-convention and the prune threshold.
+criticalities, zone fallback factors, the control profiles and their
+overrides, the scoring convention and the prune threshold.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from icskg.errors import BadEnum, IngestError
+from icskg.errors import BadEnum, IngestError, InvalidProfile
 from icskg.graph import PRUNE_THRESHOLD, read_json
 
 
@@ -196,6 +196,32 @@ CONTROL_NAMES = (
     "AccessControl",
     "ConfigHardening",
 )
+
+
+@dataclass(frozen=True)
+class ControlProfile:
+    """An enabled control set, the cross-zone pairs NetworkSegmentation
+    keeps open (in either orientation) and the overrides of the controls."""
+
+    controls: frozenset[str] = frozenset()
+    allowlist: frozenset[tuple[str, str]] = frozenset()
+    overrides: ControlOverrides = field(default_factory=ControlOverrides)
+
+    def __post_init__(self) -> None:
+        unknown = self.controls - set(CONTROL_NAMES)
+        if unknown:
+            raise InvalidProfile(f"unknown controls: {sorted(unknown)}")
+
+    def blocks(self, src: str, dst: str, zone_of: Callable[[str], object]) -> bool:
+        """Whether NetworkSegmentation cuts the link between ``src`` and
+        ``dst``: it crosses zones and neither orientation is allowlisted."""
+        return "NetworkSegmentation" in self.controls and zone_of(src) != zone_of(dst) \
+            and (src, dst) not in self.allowlist and (dst, src) not in self.allowlist
+
+    @property
+    def epss_scale(self) -> float:
+        """The factor on every EPSS input: PatchManagement's override, else 1."""
+        return self.overrides.epss_scale if "PatchManagement" in self.controls else 1.0
 
 
 @dataclass

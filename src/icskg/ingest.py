@@ -29,8 +29,8 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from icskg.config import (BOOLEAN, INTEGER, NUMBER, STRING, RiskConfig, list_of, obj, one_of,
-                          table)
+from icskg.config import (BOOLEAN, INTEGER, NUMBER, STRING, ControlProfile, RiskConfig,
+                          list_of, obj, one_of, table)
 from icskg.errors import (
     BadEnum,
     DanglingReference,
@@ -180,19 +180,11 @@ class Dataflow:
 
 
 @dataclass
-class ControlProfileSpec:
-    controls: list[str] = field(default_factory=list)
-    # Sanctioned cross-zone flows that NetworkSegmentation keeps open,
-    # stored as undirected pairs.
-    allowlist: list[tuple[str, str]] = field(default_factory=list)
-
-
-@dataclass
 class TestbedSpec:
     zones: list[str] = field(default_factory=list)
     products: list[TestbedProduct] = field(default_factory=list)
     dataflows: list[Dataflow] = field(default_factory=list)
-    control_profiles: dict[str, ControlProfileSpec] = field(default_factory=dict)
+    control_profiles: dict[str, ControlProfile] = field(default_factory=dict)
     cpe_overrides: dict[str, str] = field(default_factory=dict)
 
 
@@ -213,17 +205,18 @@ TESTBED = obj({
     "dataflows": list_of(obj({"src": STRING, "dst": STRING, "protocol": STRING},
                             required=("src", "dst"), make=Dataflow)),
     "controlProfiles": table(obj({
-        "controls": list_of(STRING),
-        "allowlist": list_of(list_of(STRING, "a pair of product names", range(2, 3), tuple)),
-    }, make=ControlProfileSpec)),
+        "controls": list_of(STRING, make=frozenset),
+        "allowlist": list_of(list_of(STRING, "a pair of product names", range(2, 3), tuple),
+                             make=frozenset),
+    }, make=ControlProfile)),
     "cpeOverrides": table(STRING),
 }, required=("products",), make=TestbedSpec)
 
 
 def load_testbed(path: str | Path) -> TestbedSpec:
     """The testbed spec at ``path``, read by :data:`TESTBED`.  Each product
-    must be in a declared zone, when zones are declared, and each dataflow
-    endpoint a declared product."""
+    must be in a declared zone, when zones are declared, each dataflow
+    endpoint a declared product, and each profile's control a known one."""
     testbed = TESTBED(read_json(path), "testbed", "")
     zones = set(testbed.zones)
     for p in testbed.products:
@@ -396,8 +389,9 @@ def _load_rows(path: str | Path, columns: Sequence[str],
     the stripped cells of ``columns``, in that order (of a repeated header
     column, the last); ``load_row`` upserts the row and returns its key
     (None skips the row silently).  A row whose field count differs from
-    the header's, row problems and rejected upserts become row issues; any
-    other ingest error aborts the load, naming its row."""
+    the header's, row problems, cells that do not parse (``ValueError``,
+    named with their row) and rejected upserts become row issues; any other
+    ingest error aborts the load, naming its row."""
     header, rows = read_csv(path, columns)
     position = {name: i for i, name in enumerate(header)}
     picks = [position[name] for name in columns]
@@ -415,6 +409,8 @@ def _load_rows(path: str | Path, columns: Sequence[str],
             issues.append(RowIssue(row_num, exc.kind, str(exc)))
         except GraphError as exc:
             issues.append(RowIssue(row_num, "InvalidRow", str(exc)))
+        except ValueError as exc:
+            issues.append(RowIssue(row_num, "InvalidRow", f"row {row_num}: {exc}"))
         except IngestError as exc:
             raise type(exc)(f"row {row_num}: {exc}") from None
         else:
@@ -460,12 +456,9 @@ def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
         props = props_of(props_json)
         if name and "name" not in props:
             props = {**props, "name": name}
-        try:
-            criticality = int(crit_raw) if crit_raw else 0
-        except ValueError as exc:
-            raise _RowProblem("InvalidRow", str(exc)) from None
         return graph.upsert_node(Node(id=node_id, kind=kind, props=props,
-                                      criticality=criticality, zone=zone or None))
+                                      criticality=int(crit_raw) if crit_raw else 0,
+                                      zone=zone or None))
     return _load_rows(path, NODE_CSV_HEADER, load_row)
 
 
@@ -519,7 +512,10 @@ def import_predictions(graph: Graph, path: str | Path,
             raise BadEnum(
                 f"{kind.value} is not a prediction kind "
                 f"(expected one of {sorted(k.value for k in PREDICTION_KINDS)})")
-        confidence = float(confidence_raw or 0.0)
+        try:
+            confidence = float(confidence_raw or 0.0)
+        except ValueError:
+            raise BadEnum(f"confidence {confidence_raw!r} is not a number") from None
         if not 0.0 <= confidence <= 1.0:
             raise BadEnum(f"confidence {confidence} outside [0,1]")
         if confidence < min_confidence:

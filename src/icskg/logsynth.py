@@ -21,18 +21,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from icskg.config import CONTROL_NAMES, INTEGER, NUMBER, ControlOverrides, obj
+from icskg.config import INTEGER, NUMBER, ControlProfile, obj
 from icskg.errors import IngestError, InvalidProfile
 from icskg.graph import csv_line, parse_csv
-from icskg.ingest import ControlProfileSpec, Dataflow, TestbedSpec
+from icskg.ingest import Dataflow, TestbedSpec
 from icskg.risk import LogIndex
 
 LOG_CSV_HEADER = ["timestamp", "src", "dst", "protocol", "authMode",
@@ -105,48 +105,26 @@ SYNTH_PROFILE = obj({**dict.fromkeys(
     "clientIpPoolSize": INTEGER}, make=SynthProfile)
 
 
-@dataclass
-class ControlProfile:
-    """Enabled control set plus the rate overrides they imply."""
+def secured_profile(base: SynthProfile, controls: ControlProfile) -> SynthProfile:
+    """Apply the enabled controls' overrides to a baseline profile.
 
-    controls: set[str] = field(default_factory=set)
-    allowlist: list[tuple[str, str]] = field(default_factory=list)
-    overrides: ControlOverrides = field(default_factory=ControlOverrides)
-
-    def __post_init__(self) -> None:
-        unknown = self.controls - set(CONTROL_NAMES)
-        if unknown:
-            raise InvalidProfile(f"unknown controls: {sorted(unknown)}")
-
-    @classmethod
-    def from_spec(cls, spec: ControlProfileSpec,
-                  overrides: Optional[ControlOverrides] = None) -> "ControlProfile":
-        return cls(controls=set(spec.controls), allowlist=list(spec.allowlist),
-                   overrides=overrides or ControlOverrides())
-
-    def allows(self, a: str, b: str) -> bool:
-        return (a, b) in self.allowlist or (b, a) in self.allowlist
-
-    def secured_profile(self, base: SynthProfile) -> SynthProfile:
-        """Apply the enabled controls' overrides to a baseline profile.
-
-        Combinators are min/max/scale so an enabled control can only move a
-        rate in the safe direction; disabled controls leave rates untouched.
-        """
-        o = self.overrides
-        p = replace(base)
-        if "AccessControl" in self.controls:
-            p.anon_frac = min(p.anon_frac, o.anon_frac_cap)
-            p.cert_frac = max(p.cert_frac, o.cert_frac_floor)
-        if "ConfigHardening" in self.controls:
-            p.insecure_mode_frac = min(p.insecure_mode_frac, o.insecure_mode_cap)
-            p.misconfig_rate = p.misconfig_rate * o.misconfig_scale
-            p.fail_check_frac = p.fail_check_frac * o.fail_check_scale
-        if "IDS" in self.controls:
-            p.failed_write_frac = p.failed_write_frac * o.failed_write_scale
-            p.audit_write_frac = p.audit_write_frac * o.audit_write_scale
-        p.validate()
-        return p
+    Combinators are min/max/scale so an enabled control can only move a
+    rate in the safe direction; disabled controls leave rates untouched.
+    """
+    o = controls.overrides
+    p = replace(base)
+    if "AccessControl" in controls.controls:
+        p.anon_frac = min(p.anon_frac, o.anon_frac_cap)
+        p.cert_frac = max(p.cert_frac, o.cert_frac_floor)
+    if "ConfigHardening" in controls.controls:
+        p.insecure_mode_frac = min(p.insecure_mode_frac, o.insecure_mode_cap)
+        p.misconfig_rate = p.misconfig_rate * o.misconfig_scale
+        p.fail_check_frac = p.fail_check_frac * o.fail_check_scale
+    if "IDS" in controls.controls:
+        p.failed_write_frac = p.failed_write_frac * o.failed_write_scale
+        p.audit_write_frac = p.audit_write_frac * o.audit_write_scale
+    p.validate()
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +253,14 @@ def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
                      controls: ControlProfile) -> list[str]:
     """Secured log stream reflecting the enabled controls.
 
-    Rate overrides are applied before generation; with NetworkSegmentation
-    enabled, cross-zone dataflows that are not allowlisted produce no
-    records at all.  Flow indexes match :func:`generate` so an empty control
-    set reproduces the baseline byte-for-byte.
+    Rate overrides are applied before generation (:func:`secured_profile`);
+    the dataflows the profile blocks produce no records at all.  Flow
+    indexes match :func:`generate` so an empty control set reproduces the
+    baseline byte-for-byte.
     """
     zones = {p.name: p.zone for p in testbed.products}
-    segmented = "NetworkSegmentation" in controls.controls
-    return _merged_flows(
-        testbed, controls.secured_profile(profile),
-        lambda flow: segmented and zones[flow.src] != zones[flow.dst]
-        and not controls.allows(flow.src, flow.dst))
+    return _merged_flows(testbed, secured_profile(profile, controls),
+                         lambda flow: controls.blocks(flow.src, flow.dst, zones.__getitem__))
 
 
 # ---------------------------------------------------------------------------

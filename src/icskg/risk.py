@@ -22,9 +22,9 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from icskg.config import Convention, FactorCoefficients, RiskConfig
+from icskg.config import ControlProfile, Convention, FactorCoefficients, RiskConfig
 from icskg.graph import (
     Edge,
     EdgeKind,
@@ -33,9 +33,6 @@ from icskg.graph import (
     RiskAttributes,
 )
 from icskg.ingest import CvssSummary
-
-if TYPE_CHECKING:
-    from icskg.logsynth import ControlProfile
 
 logger = logging.getLogger(__name__)
 
@@ -315,29 +312,23 @@ def apply_controls(graph: Graph, controls: ControlProfile,
     """Mirror communication edges as CONTROLLED_COMMUNICATES_WITH edges with
     attributes recomputed from the secured logs.
 
-    With NetworkSegmentation enabled, cross-zone pairs off the allowlist are
-    treated as blocked: their mirror gets pExploit 0 / riskWeight 0 and falls
-    below any positive prune threshold.  With PatchManagement enabled, every
-    EPSS input is scaled down before aggregation.  Mirrors below the prune
-    threshold are counted in ``edges_pruned``.
+    The pairs the profile blocks (:meth:`ControlProfile.blocks`) get
+    pExploit 0 / riskWeight 0, below any positive prune threshold; every
+    other mirror scales each EPSS input by the profile's ``epss_scale``
+    before aggregation.  Mirrors below the prune threshold are counted in
+    ``edges_pruned``.
     """
-    segmented = "NetworkSegmentation" in controls.controls
-    epss_scale = controls.overrides.epss_scale \
-        if "PatchManagement" in controls.controls else 1.0
     vulns = _product_vulns(graph)
     recomputed = 0
     pruned = 0
     for edge, stats in _communication_stats(graph, secured_logs):
-        blocked = segmented \
-            and graph.node(edge.src).zone != graph.node(edge.dst).zone \
-            and not controls.allows(edge.src, edge.dst)
-        if blocked:
+        if controls.blocks(edge.src, edge.dst, lambda node_id: graph.node(node_id).zone):
             zero = ControlFactors(0.0, 0.0, 0.0, 0.0)
             cs = control_strength(zero, config.convention)
             risk = RiskAttributes(control_strength=cs, p_exploit=0.0,
                                   attack_cost=0.0, risk_weight=0.0)
         else:
-            risk = _score(graph, edge, stats, vulns, config, epss_scale)
+            risk = _score(graph, edge, stats, vulns, config, controls.epss_scale)
         mirror = Edge(edge.src, edge.dst, EdgeKind.CONTROLLED_COMMUNICATES_WITH,
                       risk=risk,
                       props={**edge.props, "mirrors": edge.kind.value})

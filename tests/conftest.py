@@ -11,13 +11,14 @@ import csv
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from icskg.config import RiskConfig
+from icskg.config import ControlProfile, RiskConfig
 from icskg.graph import (
     Configuration,
     Edge,
@@ -252,7 +253,7 @@ def betweenness_oracle(view) -> dict[str, float]:
 def random_testbed(rng: random.Random):
     """A small random plant: two zones, random tree plus chords, random
     advisories.  Returns (TestbedSpec, advisories list)."""
-    from icskg.ingest import ControlProfileSpec, Dataflow, TestbedProduct, TestbedSpec
+    from icskg.ingest import Dataflow, TestbedProduct, TestbedSpec
 
     n = rng.randint(6, 12)
     products = []
@@ -277,9 +278,9 @@ def random_testbed(rng: random.Random):
         if frozenset((i, j)) not in seen:
             seen.add(frozenset((i, j)))
             flows.append(Dataflow(f"P{i:02d}", f"P{j:02d}", "Modbus/TCP"))
-    allow = [(f.src, f.dst) for f in flows[:2]]
-    profile = ControlProfileSpec(
-        controls=["NetworkSegmentation", "AccessControl", "ConfigHardening", "IDS"],
+    allow = frozenset((f.src, f.dst) for f in flows[:2])
+    profile = ControlProfile(
+        controls=frozenset({"NetworkSegmentation", "AccessControl", "ConfigHardening", "IDS"}),
         allowlist=allow)
     testbed = TestbedSpec(zones=["DMZ", "OT"], products=products, dataflows=flows,
                           control_profiles={"secured": profile})
@@ -331,8 +332,7 @@ def run_mini_pipeline(testbed, advisories, seed: int = 7,
     profile = logsynth.SynthProfile(seed=seed, duration_hours=2.0,
                                     per_flow_session_rate=30.0)
     baseline = logsynth.generate(testbed, profile)
-    controls = logsynth.ControlProfile.from_spec(
-        testbed.control_profiles["secured"], cfg.control_overrides)
+    controls = replace(testbed.control_profiles["secured"], overrides=cfg.control_overrides)
     secured = logsynth.generate_secured(testbed, profile, controls)
 
     baseline_index, secured_index = log_index(baseline), log_index(secured)

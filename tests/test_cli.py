@@ -490,6 +490,21 @@ def test_wrong_typed_setting_exits_2(tmp_path, pipeline_out, capsys,
         assert tree_digest(out) == tree_digest(pipeline_out)
 
 
+def test_unknown_control_in_any_profile_fails_build(tmp_path, pipeline_out, capsys):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    testbed = json.loads(Path(raw["paths"]["testbed"]).read_text())
+    testbed["controlProfiles"]["secured"]["controls"].append("MagicAmulet")
+    raw["paths"]["testbed"] = str(tmp_path / "testbed.json")
+    Path(raw["paths"]["testbed"]).write_text(json.dumps(testbed))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    assert main(["--config", str(config), "--out", str(out), "build"]) == 2
+    assert "unknown controls: ['MagicAmulet']" in capsys.readouterr().err
+    assert tree_digest(out) == tree_digest(pipeline_out)
+
+
 def test_deeply_nested_json_exits_2(tmp_path, capsys):
     raw = json.loads(fixture_config(tmp_path).read_text())
     raw["paths"]["testbed"] = str(tmp_path / "testbed.json")

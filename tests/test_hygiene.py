@@ -73,3 +73,12 @@ def test_json_is_parsed_only_by_its_readers(path):
     stray = [f"{path.name}:{line} in {function}"
              for function, line in json_parses(tree) if function not in JSON_READERS]
     assert stray == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_import_hides_behind_type_checking(path):
+    # An import needed only by annotations would hide an import cycle.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hidden = [f"{path.name}:{line}" for name, line in imported_names(tree)
+              if name == "TYPE_CHECKING"]
+    assert hidden == []

@@ -23,6 +23,7 @@ from icskg.ingest import (
     import_predictions,
     index_cpes,
     link_products,
+    load_edge_csv,
     load_nodes,
     load_relations,
     load_state,
@@ -195,6 +196,32 @@ def test_load_state_rejects_props_that_are_not_strings(tmp_path, file_name):
     with pytest.raises(DanglingReference,
                        match=f"corrupt state in .*{file_name}: unparseable props_json"):
         load_state(tmp_path)
+
+
+def test_load_state_names_file_and_row_of_unreadable_risk_cell(tmp_path):
+    g = Graph()
+    load_testbed_into_graph(g, mini_testbed(), RiskConfig())
+    save_state(g, tmp_path)
+    with (tmp_path / "edges.csv").open("a", encoding="utf-8") as fh:
+        fh.write("PLC_1,MES_1,COMMUNICATES_WITH,abc,,,,{}\n")
+    row = g.edge_count() + 1
+    with pytest.raises(DanglingReference, match=re.escape(
+            f"edges.csv: row {row}: could not convert string to float: 'abc'")):
+        load_state(tmp_path)
+
+
+def test_edge_csv_unreadable_risk_cell_is_a_skipped_row(tmp_path):
+    g = Graph()
+    load_testbed_into_graph(g, mini_testbed(), RiskConfig())
+    csv_text = ("src,dst,kind,riskWeight,pExploit,attackCost,controlStrength,protocol\n"
+                "Broker_1,MES_1,COMMUNICATES_WITH,abc,0.25,1.0,0.5,MQTT\n"
+                "MES_1,PLC_1,COMMUNICATES_WITH,0.2,0.25,1.0,0.5,MQTT\n")
+    result = load_edge_csv(g, write(tmp_path, "edges.csv", csv_text))
+    assert result.count == 1
+    assert [e.key for e in g.edges(EdgeKind.COMMUNICATES_WITH)] == [
+        ("MES_1", "PLC_1", "COMMUNICATES_WITH")]
+    assert [(i.row, i.kind, i.message) for i in result.issues] == [
+        (1, "InvalidRow", "row 1: could not convert string to float: 'abc'")]
 
 
 def test_bad_enum_node_row_skipped(tmp_path):
@@ -452,10 +479,11 @@ def test_import_predictions_min_zero_and_dangling(tmp_path):
 
 def test_import_predictions_rejects_non_prediction_kind(tmp_path):
     g = Graph()
-    for kind in ("COMMUNICATES_WITH", "NOT_A_KIND"):
+    for kind, confidence in (("COMMUNICATES_WITH", "0.9"), ("NOT_A_KIND", "0.9"),
+                             ("HAS_POSSIBLE_CWE", "high")):
         csv_text = ("srcId,dstId,kind,confidence\n"
                     "A,B,HAS_POSSIBLE_CWE,0.1\n"
-                    f"A,B,{kind},0.9\n")
+                    f"A,B,{kind},{confidence}\n")
         with pytest.raises(BadEnum, match="^row 2: "):
             import_predictions(g, write(tmp_path, "p.csv", csv_text), 0.5)
 

@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import log_index
-from icskg.config import ControlOverrides
+from icskg.config import ControlOverrides, ControlProfile
 from icskg.errors import IngestError, InvalidProfile
 from icskg.graph import write_csv
 from icskg.ingest import Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
     LOG_CSV_HEADER,
-    ControlProfile,
     SynthProfile,
     _flow_rng,
     _generate_flow,

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import add_comm, add_product, log_index
-from icskg.config import Convention, RiskConfig
+from icskg.config import CONTROL_NAMES, ControlOverrides, ControlProfile, Convention, RiskConfig
 from icskg.analytics import WeightPolicy, yen_k_shortest
 from icskg.errors import GraphFinalized
 from icskg.graph import Configuration, Edge, EdgeKind, Graph, Node, NodeKind
 from icskg.ingest import (
-    ControlProfileSpec,
     CvssSummary,
     Dataflow,
     TestbedProduct,
@@ -24,7 +25,7 @@ from icskg.ingest import (
     link_products,
     load_testbed_into_graph,
 )
-from icskg.logsynth import ControlProfile, SynthProfile, generate, generate_secured
+from icskg.logsynth import SynthProfile, generate, generate_secured
 from icskg.risk import (
     ControlFactors,
     LogIndex,
@@ -301,9 +302,9 @@ def controls_testbed():
             Dataflow("HMI_1", "PLC_1", "OPC_UA"),
             Dataflow("PLC_1", "PLC_2", "OPC_UA"),
         ],
-        control_profiles={"secured": ControlProfileSpec(
-            controls=["NetworkSegmentation", "AccessControl", "ConfigHardening", "IDS"],
-            allowlist=[])},
+        control_profiles={"secured": ControlProfile(
+            controls=frozenset({"NetworkSegmentation", "AccessControl", "ConfigHardening",
+                                "IDS"}))},
     )
 
 
@@ -327,8 +328,7 @@ def test_apply_controls_mirrors_and_prunes():
                            anon_frac=0.3, cert_frac=0.4, misconfig_rate=0.1,
                            fail_check_frac=0.05, failed_write_frac=0.2)
     baseline = log_index(generate(testbed, profile))
-    controls = ControlProfile.from_spec(testbed.control_profiles["secured"],
-                                        cfg.control_overrides)
+    controls = replace(testbed.control_profiles["secured"], overrides=cfg.control_overrides)
     secured = log_index(generate_secured(testbed, profile, controls))
     annotate(g, baseline, cfg)
     report = apply_controls(g, controls, secured, cfg)
@@ -349,8 +349,7 @@ def test_apply_controls_monotone_p_exploit():
     g, testbed = controls_graph(cfg)
     profile = SynthProfile(seed=9, duration_hours=4, per_flow_session_rate=100)
     baseline = log_index(generate(testbed, profile))
-    controls = ControlProfile.from_spec(testbed.control_profiles["secured"],
-                                        cfg.control_overrides)
+    controls = replace(testbed.control_profiles["secured"], overrides=cfg.control_overrides)
     secured = log_index(generate_secured(testbed, profile, controls))
     annotate(g, baseline, cfg)
     apply_controls(g, controls, secured, cfg)
@@ -400,6 +399,35 @@ def test_apply_controls_patch_management_scales_epss():
     assert mirror.risk.p_exploit == pytest.approx(expected_p, abs=1e-12)
     assert mirror.risk.attack_cost == pytest.approx(expected_cost, abs=1e-12)
     assert mirror.risk.risk_weight == pytest.approx(expected_p * 8 / 10, abs=1e-12)
+
+
+# The segmentation and patching rules as logsynth.generate_secured and
+# risk.apply_controls each stated them before ControlProfile owned them.
+def inline_blocked(controls, allowlist, zone_of, src, dst):
+    segmented = "NetworkSegmentation" in controls
+    allows = (src, dst) in allowlist or (dst, src) in allowlist
+    return segmented and zone_of(src) != zone_of(dst) and not allows
+
+
+def inline_epss_scale(controls, overrides):
+    return overrides.epss_scale if "PatchManagement" in controls else 1.0
+
+
+NAMES = st.sampled_from(["A", "B", "C", "D"])
+
+
+@given(controls=st.frozensets(st.sampled_from(CONTROL_NAMES)),
+       allowlist=st.frozensets(st.tuples(NAMES, NAMES)),
+       zones=st.fixed_dictionaries({name: st.sampled_from(["DMZ", "OT", None])
+                                    for name in "ABCD"}),
+       src=NAMES, dst=NAMES, epss_scale=st.floats(0.0, 1.0))
+def test_control_profile_rules_equal_the_inline_predicates(controls, allowlist, zones,
+                                                           src, dst, epss_scale):
+    overrides = ControlOverrides(epss_scale=epss_scale)
+    profile = ControlProfile(controls, allowlist, overrides)
+    assert profile.blocks(src, dst, zones.__getitem__) \
+        == inline_blocked(controls, allowlist, zones.__getitem__, src, dst)
+    assert profile.epss_scale == inline_epss_scale(controls, overrides)
 
 
 def test_apply_controls_empty_graph():
