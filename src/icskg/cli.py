@@ -94,7 +94,8 @@ class RunConfig:
         return replace(cfg, convention=self.convention or cfg.convention)
 
     def profile(self) -> logsynth.SynthProfile:
-        """The synthesis profile with the run's seed; generation validates it."""
+        """The synthesis profile with the run's seed, checked when the run
+        config was read."""
         return replace(self.synth_profile, seed=self.seed)
 
     def controls(self, testbed: ingest.TestbedSpec, risk_cfg: RiskConfig) -> ControlProfile:

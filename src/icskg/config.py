@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from icskg.errors import BadEnum, IngestError, InvalidProfile
+from icskg.errors import BadEnum, IngestError
 from icskg.graph import PRUNE_THRESHOLD, read_json
 
 
@@ -43,21 +43,34 @@ def shape(describes: str, fits: Callable[[object], bool],
     return read_shape
 
 
-# A parsed JSON value has an exact type: the type of true is bool, not int.
-def integer(minimum: int | None = None, maximum: int | None = None) -> Shape:
-    """A JSON integer, of at least ``minimum`` and at most ``maximum`` where
-    given; a ``maximum`` comes with a ``minimum``."""
+def _bounded(describes: str, fits: Callable[[object], bool], minimum: float | None,
+             maximum: float | None, *read: Callable) -> Shape:
+    """A :func:`shape` of the values that ``fits``, of at least ``minimum``
+    and at most ``maximum`` where given; a ``maximum`` comes with a
+    ``minimum``."""
     bounds = "" if minimum is None else f" of at least {minimum}" if maximum is None \
         else f" from {minimum} to {maximum}"
-    return shape(f"an integer{bounds}", lambda raw: type(raw) is int
+    return shape(f"{describes}{bounds}", lambda raw: fits(raw)
                  and (minimum is None or raw >= minimum)
-                 and (maximum is None or raw <= maximum))
+                 and (maximum is None or raw <= maximum), *read)
+
+
+# A parsed JSON value has an exact type: the type of true is bool, not int.
+def integer(minimum: int | None = None, maximum: int | None = None) -> Shape:
+    """A JSON integer within the bounds given."""
+    return _bounded("an integer", lambda raw: type(raw) is int, minimum, maximum)
+
+
+def number(minimum: float | None = None, maximum: float | None = None) -> Shape:
+    """A finite JSON number within the bounds given, read as a float."""
+    # NaN fails the comparison, and an integer compares exactly.
+    return _bounded("a finite number", lambda raw: type(raw) in (int, float)
+                    and abs(raw) <= sys.float_info.max, minimum, maximum,
+                    lambda raw, *_: float(raw))
 
 
 INTEGER = integer()
-# NaN fails the comparison, and an integer compares exactly.
-NUMBER = shape("a finite number", lambda raw: type(raw) in (int, float)
-               and abs(raw) <= sys.float_info.max, lambda raw, *_: float(raw))
+NUMBER = number()
 BOOLEAN = shape("true or false", lambda raw: isinstance(raw, bool))
 STRING = shape("a string", lambda raw: isinstance(raw, str))
 PATH = shape("a string", lambda raw: isinstance(raw, str), lambda raw, *_: Path(raw))
@@ -88,13 +101,16 @@ def table(value: Shape) -> Shape:
 
 
 def obj(settings: dict[str, Shape], required: tuple[str, ...] = (), make: Callable = dict,
-        closed: bool = False, label: tuple[str, str] | None = None) -> Shape:
+        closed: bool = False, label: tuple[str, str] | None = None,
+        check: Callable[[object], str | None] = lambda value: None) -> Shape:
     """A JSON object with the declared ``settings``: the keys present, each read
     by its shape, become keyword arguments of ``make`` named in snake_case
     (``durationHours`` is ``duration_hours``, ``fAC`` is ``f_ac``).  A
     ``required`` key must be present; other keys are ignored unless
     ``closed``.  With ``label=(key, template)``, an object whose ``key`` is a
-    string names its settings ``<template.format(key)>: <setting>``."""
+    string names its settings ``<template.format(key)>: <setting>``.
+    ``check`` states the rule the made value breaks across its settings, or
+    None; a broken rule raises ``<name>: <rule>``."""
     attributes = {key: _WORD_START.sub("_", key).lower() for key in settings}
 
     def read(raw: dict, name: str, prefix: str):
@@ -106,8 +122,12 @@ def obj(settings: dict[str, Shape], required: tuple[str, ...] = (), make: Callab
         unknown = closed and sorted(raw.keys() - settings)
         if unknown:
             raise IngestError(f"{prefix}{unknown[0]} is not one of {', '.join(settings)}")
-        return make(**{attributes[key]: item(raw[key], prefix + key)
-                       for key, item in settings.items() if key in raw})
+        value = make(**{attributes[key]: item(raw[key], prefix + key)
+                         for key, item in settings.items() if key in raw})
+        broken = check(value)
+        if broken:
+            raise IngestError(f"{name}: {broken}")
+        return value
     return shape("a JSON object", lambda raw: isinstance(raw, dict), read)
 
 
@@ -176,8 +196,9 @@ class FactorCoefficients:
 class ControlOverrides:
     """Per-control effect on the synthesis profile / recompute inputs.
 
-    Rates combine with the baseline via min/max so an enabled control can
-    only improve (never worsen) the corresponding factor input.
+    Each override is in [0,1] (:data:`RISK_CONFIG` reads it so), and
+    combines with the baseline by min, max or scaling, so an enabled control
+    can only improve (never worsen) the corresponding factor input.
     """
 
     anon_frac_cap: float = 0.001        # AccessControl
@@ -206,11 +227,6 @@ class ControlProfile:
     controls: frozenset[str] = frozenset()
     allowlist: frozenset[tuple[str, str]] = frozenset()
     overrides: ControlOverrides = field(default_factory=ControlOverrides)
-
-    def __post_init__(self) -> None:
-        unknown = self.controls - set(CONTROL_NAMES)
-        if unknown:
-            raise InvalidProfile(f"unknown controls: {sorted(unknown)}")
 
     def blocks(self, src: str, dst: str, zone_of: Callable[[str], object]) -> bool:
         """Whether NetworkSegmentation cuts the link between ``src`` and
@@ -262,8 +278,8 @@ RISK_CONFIG = obj({
                               make=FactorCoefficients, closed=True),
     "fAC": table(NUMBER),
     "fAV": table(NUMBER),
-    "criticalityDefaults": table(INTEGER),
+    "criticalityDefaults": table(integer(0, 10)),
     "zoneDefaultWeakness": table(list_of(NUMBER, "a list of four numbers", range(4, 5), tuple)),
-    "controlOverrides": obj({f.name: NUMBER for f in fields(ControlOverrides)},
+    "controlOverrides": obj({f.name: number(0, 1) for f in fields(ControlOverrides)},
                             make=ControlOverrides, closed=True),
 }, make=RiskConfig)

@@ -70,14 +70,6 @@ class DanglingReference(IngestError):
 
 
 # ---------------------------------------------------------------------------
-# Log synthesis
-# ---------------------------------------------------------------------------
-
-class InvalidProfile(IcskgError):
-    """Synthesis profile holds rates outside [0,1] or is inconsistent."""
-
-
-# ---------------------------------------------------------------------------
 # Scenario harness / CLI
 # ---------------------------------------------------------------------------
 

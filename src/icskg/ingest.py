@@ -29,8 +29,8 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from icskg.config import (BOOLEAN, INTEGER, NUMBER, STRING, ControlProfile, RiskConfig,
-                          list_of, obj, one_of, table)
+from icskg.config import (BOOLEAN, CONTROL_NAMES, STRING, ControlProfile, RiskConfig,
+                          integer, list_of, number, obj, one_of, table)
 from icskg.errors import (
     BadEnum,
     DanglingReference,
@@ -106,11 +106,6 @@ class VulnRecord:
             logger.debug("no EPSS for %s, defaulting to 0.0", record.cve_id)
         if "baseScore" not in raw.get("cvss", {}):
             logger.debug("no CVSS base for %s, defaulting to 5.0", record.cve_id)
-        if not 0.0 <= record.epss <= 1.0:
-            raise BadEnum(f"EPSS {record.epss} for {record.cve_id!r} outside [0,1]")
-        if not 0.0 <= record.cvss.base_score <= 10.0:
-            raise BadEnum(f"CVSS base {record.cvss.base_score} for {record.cve_id!r} "
-                          "outside [0,10]")
         return record
 
 
@@ -118,10 +113,10 @@ ADVISORY = obj({
     "cveId": STRING,
     "description": STRING,
     "status": one_of(("ACTIVE", "REJECTED", "RESOLVED")),
-    "epss": NUMBER,
+    "epss": number(0, 1),
     "kev": BOOLEAN,
     "cvss": obj({
-        "baseScore": NUMBER,
+        "baseScore": number(0, 10),
         "accessComplexity": one_of(("Low", "High")),
         "attackVector": one_of(("Network", "Adjacent", "Local", "Physical")),
     }, make=CvssSummary),
@@ -200,12 +195,12 @@ TESTBED = obj({
     "zones": list_of(_zone),
     "products": list_of(obj({
         "name": STRING, "vendor": STRING, "assetClass": STRING, "zone": STRING,
-        "criticality": INTEGER, "protocols": list_of(STRING),
+        "criticality": integer(0, 10), "protocols": list_of(STRING),
     }, required=("name", "zone"), make=TestbedProduct, label=("name", "product {!r}"))),
     "dataflows": list_of(obj({"src": STRING, "dst": STRING, "protocol": STRING},
                             required=("src", "dst"), make=Dataflow)),
     "controlProfiles": table(obj({
-        "controls": list_of(STRING, make=frozenset),
+        "controls": list_of(one_of(CONTROL_NAMES), make=frozenset),
         "allowlist": list_of(list_of(STRING, "a pair of product names", range(2, 3), tuple),
                              make=frozenset),
     }, make=ControlProfile)),
@@ -215,8 +210,8 @@ TESTBED = obj({
 
 def load_testbed(path: str | Path) -> TestbedSpec:
     """The testbed spec at ``path``, read by :data:`TESTBED`.  Each product
-    must be in a declared zone, when zones are declared, each dataflow
-    endpoint a declared product, and each profile's control a known one."""
+    must be in a declared zone, when zones are declared, and each dataflow
+    endpoint a declared product."""
     testbed = TESTBED(read_json(path), "testbed", "")
     zones = set(testbed.zones)
     for p in testbed.products:
@@ -330,8 +325,9 @@ def link_products(graph: Graph, testbed: TestbedSpec,
 
     Each product is matched against the advisory CPEs of its vendor; matched CVEs
     become Vulnerability nodes carrying their scoring metadata as properties.
-    Unmatched products are logged as warnings, never fatal.  Returns the
-    number of HAS_VULNERABILITY edges created.
+    Unmatched products are never fatal: each is logged at DEBUG, and one
+    WARNING gives their count and the first three.  Returns the number of
+    HAS_VULNERABILITY edges created.
     """
     cpe_index: dict[str, list[VulnRecord]] = {}
     for rec in advisories:
@@ -339,6 +335,7 @@ def link_products(graph: Graph, testbed: TestbedSpec,
             cpe_index.setdefault(cpe, []).append(rec)
     by_vendor = index_cpes(sorted(cpe_index))
     edges = 0
+    unmatched = []
     for product in testbed.products:
         matched = match_product_cpes(product, by_vendor, testbed.cpe_overrides)
         records = []
@@ -349,7 +346,8 @@ def link_products(graph: Graph, testbed: TestbedSpec,
                     seen.add(rec.cve_id)
                     records.append(rec)
         if not records:
-            logger.warning("no advisory/CPE match for product %r", product.name)
+            logger.debug("no advisory/CPE match for product %r", product.name)
+            unmatched.append(product.name)
             continue
         for rec in sorted(records, key=lambda r: r.cve_id):
             graph.upsert_node(Node(
@@ -368,6 +366,9 @@ def link_products(graph: Graph, testbed: TestbedSpec,
             ))
             graph.upsert_edge(Edge(product.name, rec.cve_id, EdgeKind.HAS_VULNERABILITY))
             edges += 1
+    if unmatched:
+        logger.warning("no advisory/CPE match for %d products, first %s", len(unmatched),
+                       ", ".join(map(repr, unmatched[:3])))
     return edges
 
 

@@ -25,12 +25,12 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from icskg.config import INTEGER, NUMBER, ControlProfile, obj
-from icskg.errors import IngestError, InvalidProfile
+from icskg.config import ControlProfile, integer, number, obj
+from icskg.errors import IngestError
 from icskg.graph import csv_line, parse_csv
 from icskg.ingest import Dataflow, TestbedSpec
 from icskg.risk import LogIndex
@@ -65,44 +65,30 @@ class SynthProfile:
     fail_check_frac: float = 0.01
     client_ip_pool_size: int = 10
 
-    def validate(self) -> None:
-        rates = {
-            "anonFrac": self.anon_frac,
-            "insecureModeFrac": self.insecure_mode_frac,
-            "certFrac": self.cert_frac,
-            "misconfigRate": self.misconfig_rate,
-            "failedWriteFrac": self.failed_write_frac,
-            "auditWriteFrac": self.audit_write_frac,
-            "failCheckFrac": self.fail_check_frac,
-        }
-        for name, value in rates.items():
-            if not 0.0 <= value <= 1.0:
-                raise InvalidProfile(f"{name} = {value} outside [0,1]")
+    def broken_rule(self) -> Optional[str]:
+        """The first rule across the profile's settings that it breaks, or
+        None.  The settings' own bounds are :data:`SYNTH_PROFILE`'s."""
         if self.anon_frac + self.cert_frac > 1.0 + 1e-12:
-            raise InvalidProfile("anonFrac + certFrac exceeds 1")
+            return "anonFrac + certFrac exceeds 1"
         if self.failed_write_frac + self.audit_write_frac > 1.0 + 1e-12:
-            raise InvalidProfile("failedWriteFrac + auditWriteFrac exceeds 1")
+            return "failedWriteFrac + auditWriteFrac exceeds 1"
         if self.fail_check_frac == 0.0 and self.misconfig_rate > 0.0:
-            raise InvalidProfile("misconfigRate > 0 requires failCheckFrac > 0")
-        if self.fail_check_frac > 0.0:
-            if self.misconfig_rate / self.fail_check_frac > _MAX_CHECKS_PER_SESSION:
-                raise InvalidProfile(
-                    "misconfigRate / failCheckFrac exceeds the per-session check cap")
-        if self.duration_hours < 0 or self.per_flow_session_rate < 0:
-            raise InvalidProfile("duration and session rate must be non-negative")
+            return "misconfigRate > 0 requires failCheckFrac > 0"
+        if self.fail_check_frac > 0.0 \
+                and self.misconfig_rate / self.fail_check_frac > _MAX_CHECKS_PER_SESSION:
+            return "misconfigRate / failCheckFrac exceeds the per-session check cap"
         if not math.isfinite(self.per_flow_session_rate * self.duration_hours):
-            raise InvalidProfile("perFlowSessionRate * durationHours must be finite")
-        if not 1 <= self.client_ip_pool_size <= 254:
-            # The pool is the host part of 10.<flow>.0.<k>.
-            raise InvalidProfile(
-                f"clientIpPoolSize must be between 1 and 254, got {self.client_ip_pool_size}")
+            return "perFlowSessionRate * durationHours must be finite"
+        return None
 
 
 # A run config's ``synthProfile``: every field but the seed, which is the run's.
-SYNTH_PROFILE = obj({**dict.fromkeys(
-    ("durationHours", "perFlowSessionRate", "anonFrac", "insecureModeFrac", "certFrac",
-     "misconfigRate", "failedWriteFrac", "auditWriteFrac", "failCheckFrac"), NUMBER),
-    "clientIpPoolSize": INTEGER}, make=SynthProfile)
+# The pool of client IPs is the host part of 10.<flow>.0.<k>.
+SYNTH_PROFILE = obj({
+    **dict.fromkeys(("durationHours", "perFlowSessionRate"), number(0)),
+    **dict.fromkeys(("anonFrac", "insecureModeFrac", "certFrac", "misconfigRate",
+                     "failedWriteFrac", "auditWriteFrac", "failCheckFrac"), number(0, 1)),
+    "clientIpPoolSize": integer(1, 254)}, make=SynthProfile, check=SynthProfile.broken_rule)
 
 
 def secured_profile(base: SynthProfile, controls: ControlProfile) -> SynthProfile:
@@ -110,6 +96,8 @@ def secured_profile(base: SynthProfile, controls: ControlProfile) -> SynthProfil
 
     Combinators are min/max/scale so an enabled control can only move a
     rate in the safe direction; disabled controls leave rates untouched.
+    A derived profile that breaks a rule across its settings raises
+    :class:`IngestError` naming ``controlOverrides``.
     """
     o = controls.overrides
     p = replace(base)
@@ -123,7 +111,9 @@ def secured_profile(base: SynthProfile, controls: ControlProfile) -> SynthProfil
     if "IDS" in controls.controls:
         p.failed_write_frac = p.failed_write_frac * o.failed_write_scale
         p.audit_write_frac = p.audit_write_frac * o.audit_write_scale
-    p.validate()
+    broken = p.broken_rule()
+    if broken:
+        raise IngestError(f"controlOverrides: in the secured profile, {broken}")
     return p
 
 
@@ -245,7 +235,6 @@ def _merged_flows(testbed: TestbedSpec, profile: SynthProfile,
 def generate(testbed: TestbedSpec, profile: SynthProfile) -> list[str]:
     """Baseline log stream: one sub-stream per dataflow, merged by time,
     as the CSV data lines (without line ends) of its records."""
-    profile.validate()
     return _merged_flows(testbed, profile, lambda flow: False)
 
 

@@ -42,12 +42,10 @@ class Selector:
         elif self.by == "zone":
             wanted = set(self.values)
             out = [p.id for p in products if p.zone in wanted]
-        elif self.by == "name":
+        else:  # "name": SELECTOR reads no other discriminator
             needles = [v.lower() for v in self.values]
             out = [p.id for p in products
                    if any(needle in p.id.lower() for needle in needles)]
-        else:
-            raise ValueError(f"unknown selector discriminator {self.by!r}")
         return sorted(out)
 
     def label(self) -> str:

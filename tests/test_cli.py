@@ -285,7 +285,7 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
     ("synthProfile.durationHours", float("inf"), "synth-logs",
      "durationHours must be a finite number"),
     ("synthProfile.clientIpPoolSize", 300, "synth-logs",
-     "clientIpPoolSize must be between 1 and 254"),
+     "synthProfile.clientIpPoolSize must be an integer from 1 to 254"),
     ("riskConfig.criticalityDefaults.PLC", 8.7, "annotate",
      "criticalityDefaults.PLC must be an integer"),
     ("riskConfig.criticalityDefaults.HMI", True, "annotate",
@@ -304,35 +304,62 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
     ("riskConfig.convention", 5, "annotate",
      'convention must be "literal" or "complement"'),
     ("synthProfile.durationHours", 1e308, "synth-logs",
-     "perFlowSessionRate * durationHours"),
+     "synthProfile: perFlowSessionRate * durationHours must be finite"),
+    ("synthProfile.anonFrac", 1.2, "build --validate-only",
+     "synthProfile.anonFrac must be a finite number from 0 to 1, got 1.2"),
+    ("synthProfile.anonFrac", 0.5, "build --validate-only",
+     "synthProfile: anonFrac + certFrac exceeds 1"),
+    ("synthProfile.durationHours", -1, "build --validate-only",
+     "synthProfile.durationHours must be a finite number of at least 0, got -1"),
+    ("advisories.0.epss", 1.5, "build --validate-only",
+     "advisory 'CVE-2024-1000': epss must be a finite number from 0 to 1, got 1.5"),
+    ("advisories.0.cvss.baseScore", 11, "build --validate-only",
+     "advisory 'CVE-2024-1000': cvss.baseScore must be a finite number from 0 to 10, got 11"),
+    ("testbed.products.0.criticality", 11, "build --validate-only",
+     "product 'ERP_Server_1': criticality must be an integer from 0 to 10, got 11"),
+    ("riskConfig.criticalityDefaults.PLC", 12, "build --validate-only",
+     "criticalityDefaults.PLC must be an integer from 0 to 10, got 12"),
+    ("riskConfig.controlOverrides.cert_frac_floor", 1.5, "build --validate-only",
+     "controlOverrides.cert_frac_floor must be a finite number from 0 to 1, got 1.5"),
+    # An override above 1 would worsen the rate it scales.
+    ("riskConfig.controlOverrides.misconfig_scale", 1.5, "build --validate-only",
+     "controlOverrides.misconfig_scale must be a finite number from 0 to 1, got 1.5"),
+    # Misconfigurations scaled by 0.5 against failed checks scaled by 0.05
+    # give 20 checks a session, over the cap of 10.
+    ("riskConfig.controlOverrides.fail_check_scale", 0.05, "synth-logs",
+     "controlOverrides: in the secured profile, misconfigRate / failCheckFrac exceeds"),
 ], ids=["durationHours-bool", "durationHours-string", "durationHours-infinity",
         "clientIpPoolSize-300", "criticalityDefaults-float", "criticalityDefaults-bool",
         "predictionMinConfidence-bool", "predictionMinConfidence-string",
         "predictionMinConfidence-infinity", "zoneDefaultWeakness-number",
         "zoneDefaultWeakness-two-numbers", "fAC-list", "convention-number",
-        "durationHours-overflow"])
+        "durationHours-overflow", "anonFrac-above-1", "anonFrac-plus-certFrac",
+        "durationHours-negative", "epss-above-1", "baseScore-above-10",
+        "criticality-above-10", "criticalityDefaults-above-10", "cert_frac_floor-above-1",
+        "misconfig_scale-above-1", "secured-profile-check-cap"])
 def test_numeric_setting_must_be_in_range(tmp_path, pipeline_out, capsys,
                                           key, value, stage, needle):
-    # ``key`` is a dotted path into the run config, or into its risk config
-    # file when it starts with ``riskConfig``.
+    # ``key`` is a dotted path into the run config, or into the document a
+    # run-config path names when it starts with that path's key
+    # (``riskConfig``, ``testbed``, ``advisories``); a list index is a number.
     raw = json.loads(fixture_config(tmp_path).read_text())
     document, (*parents, name) = raw, key.split(".")
-    if parents[:1] == ["riskConfig"]:
-        document = json.loads(Path(raw["paths"]["riskConfig"]).read_text())
-        raw["paths"]["riskConfig"] = str(tmp_path / "risk_config.json")
-        parents = parents[1:]
+    file = parents.pop(0) if parents[:1] and parents[0] in raw["paths"] else None
+    if file:
+        document = json.loads(Path(raw["paths"][file]).read_text())
+        raw["paths"][file] = str(tmp_path / f"{file}.json")
     table = document
     for parent in parents:
-        table = table[parent]
+        table = table[int(parent) if isinstance(table, list) else parent]
     table[name] = value
-    if document is not raw:
-        Path(raw["paths"]["riskConfig"]).write_text(json.dumps(document))
+    if file:
+        Path(raw["paths"][file]).write_text(json.dumps(document))
     config = tmp_path / "config.json"
     # json writes infinity as Infinity, which json.loads reads back.
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
     shutil.copytree(pipeline_out, out)
-    assert main(["--config", str(config), "--out", str(out), stage]) == 2
+    assert main(["--config", str(config), "--out", str(out), *stage.split()]) == 2
     assert needle in capsys.readouterr().err
     assert tree_digest(out) == tree_digest(pipeline_out)
 
@@ -433,6 +460,8 @@ WRONG_TYPED = [
     ("scenarios", (0,), 5, "simulate", "scenarios[0] must be a JSON object"),
     ("scenarios", (0, "id"), 5, "simulate", "scenarios[0].id must be a string"),
     ("scenarios", (0, "source"), 5, "simulate", "scenario S01: source must be a JSON object"),
+    ("scenarios", (0, "source", "by"), "vibe", "simulate",
+     'scenario S01: source.by must be "id", "class", "zone" or "name", got \'vibe\''),
     ("scenarios", (0, "source", "values"), 5, "simulate",
      "scenario S01: source.values must be a list"),
     ("scenarios", (0, "source", "values", 0), [], "simulate",
@@ -501,7 +530,9 @@ def test_unknown_control_in_any_profile_fails_build(tmp_path, pipeline_out, caps
     out = tmp_path / "out"
     shutil.copytree(pipeline_out, out)
     assert main(["--config", str(config), "--out", str(out), "build"]) == 2
-    assert "unknown controls: ['MagicAmulet']" in capsys.readouterr().err
+    assert "controlProfiles.secured.controls[4] must be \"NetworkSegmentation\", " \
+        "\"PatchManagement\", \"IDS\", \"AccessControl\" or \"ConfigHardening\", " \
+        "got 'MagicAmulet'" in capsys.readouterr().err
     assert tree_digest(out) == tree_digest(pipeline_out)
 
 

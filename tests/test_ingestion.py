@@ -303,12 +303,18 @@ def test_link_products_no_match_logs_warning(caplog):
     g = Graph()
     cfg = RiskConfig()
     testbed = mini_testbed()
+    testbed.products.append(TestbedProduct("RTU_1", "Acme", "RTU", "OT", None, []))
     load_testbed_into_graph(g, testbed, cfg)
     advisories = [VulnRecord(cve_id="CVE-9", cpes=["cpe:2.3:h:othervendor:gadget"])]
-    with caplog.at_level("WARNING"):
+    with caplog.at_level("DEBUG", logger="icskg.ingest"):
         count = link_products(g, testbed, advisories)
     assert count == 0
-    assert any("no advisory/CPE match" in r.message for r in caplog.records)
+    names = [p.name for p in testbed.products]
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["no advisory/CPE match for 4 products, first "
+                        "'Broker_1', 'MES_1', 'PLC_1'"]
+    assert [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"] \
+        == [f"no advisory/CPE match for product {name!r}" for name in names]
 
 
 def test_link_products_shared_cve_fans_in():
@@ -498,7 +504,8 @@ def test_vuln_record_defaults_for_missing_fields():
 def test_vuln_record_rejects_bad_values():
     with pytest.raises(BadEnum):
         VulnRecord.from_dict({"cveId": "CVE-1", "status": "WEIRD"})
-    with pytest.raises(BadEnum):
+    with pytest.raises(IngestError, match="advisory 'CVE-1': epss must be a finite number "
+                                          "from 0 to 1, got 1.5"):
         VulnRecord.from_dict({"cveId": "CVE-1", "epss": 1.5})
 
 

@@ -10,6 +10,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icskg.cli import RunConfig, default_config_path, main
-from icskg.config import BOOLEAN
+from icskg.config import BOOLEAN, ControlOverrides
 from icskg.errors import IcskgError, IngestError
+from icskg.ingest import load_testbed
+from icskg.logsynth import secured_profile
 from icskg.scenarios import load_scenarios
 
 FIXTURE = default_config_path().parent
@@ -75,12 +78,11 @@ BUILD_INPUTS = {name: (key, RUN_CONFIG if key is None
                                   ("testbed", "testbed"), ("advisories", "advisories")]}
 
 
-@pytest.mark.parametrize("name", BUILD_INPUTS)
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), value=json_values)
-def test_build_reads_or_rejects_any_setting(name, data, value):
+def validate_only(name, path, value) -> tuple[int, str]:
+    """The exit code and stderr of ``build --validate-only`` on the fixture
+    with ``value`` at ``path`` of the document ``name``, which writes
+    nothing."""
     key, document = BUILD_INPUTS[name]
-    path = data.draw(st.sampled_from(list(key_paths(document))), label="path")
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         run_config = copy.deepcopy(RUN_CONFIG)
@@ -91,13 +93,20 @@ def test_build_reads_or_rejects_any_setting(name, data, value):
             (work / f"{key}.json").write_text(substituted(document, path, value))
             text = json.dumps(run_config)
         (work / "config.json").write_text(text)
-        out = work / "out"
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        out, stderr = work / "out", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(["--config", str(work / "config.json"), "--out", str(out),
                          "build", "--validate-only"])
-        assert code in (0, 2)
         assert not out.exists()
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("name", BUILD_INPUTS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), value=json_values)
+def test_build_reads_or_rejects_any_setting(name, data, value):
+    path = data.draw(st.sampled_from(list(key_paths(BUILD_INPUTS[name][1]))), label="path")
+    assert validate_only(name, path, value)[0] in (0, 2)
 
 
 CATALOG = json.loads((FIXTURE / "scenarios.json").read_text())
@@ -114,16 +123,77 @@ def test_scenario_catalog_reads_or_rejects_any_setting(data, value):
             load_scenarios(catalog)
 
 
+FIXTURE_CONFIG = RunConfig.load(default_config_path())
+SECURED = FIXTURE_CONFIG.controls(load_testbed(FIXTURE_CONFIG.paths["testbed"]),
+                                  FIXTURE_CONFIG.risk_config())
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), value=json_values)
 def test_synth_profile_reads_or_rejects_any_setting(data, value):
+    # A profile the reader accepts keeps the rules across its settings, and
+    # so does the profile the fixture's secured controls derive from it.
     paths = [path for path in key_paths(RUN_CONFIG) if path[:1] == ("synthProfile",)]
     path = data.draw(st.sampled_from(paths), label="path")
     with tempfile.TemporaryDirectory() as work:
         config = Path(work) / "config.json"
         config.write_text(substituted(RUN_CONFIG, path, value))
-        with contextlib.suppress(IcskgError):
-            RunConfig.load(config).profile().validate()
+        try:
+            profile = RunConfig.load(config).profile()
+        except IcskgError:
+            return
+    assert profile.broken_rule() is None
+    assert secured_profile(profile, SECURED).broken_rule() is None
+
+
+RATES = ("anonFrac", "insecureModeFrac", "certFrac", "misconfigRate", "failedWriteFrac",
+         "auditWriteFrac", "failCheckFrac")
+# Each bounded setting build --validate-only reads: its document (as in
+# BUILD_INPUTS), its key path, its bounds, whether it is an integer, and the
+# name its error gives it.
+BOUNDED = [
+    *[("config", ("synthProfile", key), 0, 1, False, f"synthProfile.{key}") for key in RATES],
+    *[("config", ("synthProfile", key), 0, None, False, f"synthProfile.{key}")
+      for key in ("durationHours", "perFlowSessionRate")],
+    ("config", ("synthProfile", "clientIpPoolSize"), 1, 254, True,
+     "synthProfile.clientIpPoolSize"),
+    ("config", ("enrichment", "dim"), 1, 4096, True, "enrichment.dim"),
+    ("config", ("enrichment", "topK"), 0, None, True, "enrichment.topK"),
+    ("riskConfig", ("criticalityDefaults", "PLC"), 0, 10, True, "criticalityDefaults.PLC"),
+    *[("riskConfig", ("controlOverrides", f.name), 0, 1, False, f"controlOverrides.{f.name}")
+      for f in fields(ControlOverrides)],
+    ("testbed", ("products", 0, "criticality"), 0, 10, True,
+     "product 'ERP_Server_1': criticality"),
+    ("advisories", (0, "epss"), 0, 1, False, "advisory 'CVE-2024-1000': epss"),
+    ("advisories", (0, "cvss", "baseScore"), 0, 10, False,
+     "advisory 'CVE-2024-1000': cvss.baseScore"),
+]
+
+
+def outside(minimum, maximum, integral):
+    """Integers, and unless ``integral`` finite floats, below ``minimum`` or
+    above ``maximum``; no maximum bounds the range above."""
+    below = st.integers(max_value=minimum - 1)
+    if not integral:
+        below |= st.floats(max_value=minimum, exclude_max=True, allow_infinity=False)
+    if maximum is None:
+        return below
+    above = st.integers(min_value=maximum + 1)
+    if not integral:
+        above |= st.floats(min_value=maximum, exclude_min=True, allow_infinity=False)
+    return below | above
+
+
+@pytest.mark.parametrize("name, path, minimum, maximum, integral, setting", BOUNDED,
+                         ids=[case[-1] for case in BOUNDED])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_build_rejects_out_of_bounds_setting(name, path, minimum, maximum, integral, setting,
+                                             data):
+    value = data.draw(outside(minimum, maximum, integral), label="value")
+    code, stderr = validate_only(name, path, value)
+    assert code == 2
+    assert f"error: {setting} must be " in stderr
 
 
 def test_wrong_value_is_quoted_in_bounded_text():

@@ -4,6 +4,7 @@ the log CSV written as joined lines and read as a fold."""
 from __future__ import annotations
 
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from itertools import chain
 from operator import itemgetter
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 
 from conftest import log_index
 from icskg.config import ControlOverrides, ControlProfile
-from icskg.errors import IngestError, InvalidProfile
+from icskg.errors import IngestError
 from icskg.graph import write_csv
-from icskg.ingest import Dataflow, TestbedProduct, TestbedSpec
+from icskg.ingest import TESTBED, Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
     LOG_CSV_HEADER,
+    SYNTH_PROFILE,
     SynthProfile,
     _flow_rng,
     _generate_flow,
@@ -104,16 +106,19 @@ def test_timestamps_monotone_per_file():
 
 
 def test_invalid_profiles_rejected():
-    with pytest.raises(InvalidProfile):
-        SynthProfile(anon_frac=1.2).validate()
-    with pytest.raises(InvalidProfile):
-        SynthProfile(anon_frac=0.6, cert_frac=0.6).validate()
-    with pytest.raises(InvalidProfile):
-        SynthProfile(misconfig_rate=0.1, fail_check_frac=0.0).validate()
-    with pytest.raises(InvalidProfile):
-        SynthProfile(client_ip_pool_size=0).validate()
-    with pytest.raises(InvalidProfile):
-        ControlProfile(controls={"MagicAmulet"})
+    # Each broken rule fails the reading of its document, naming its setting.
+    for raw, needle in [
+            ({"anonFrac": 1.2}, "synthProfile.anonFrac must be a finite number from 0 to 1"),
+            ({"anonFrac": 0.6, "certFrac": 0.6}, "synthProfile: anonFrac + certFrac exceeds 1"),
+            ({"misconfigRate": 0.1, "failCheckFrac": 0.0},
+             "synthProfile: misconfigRate > 0 requires failCheckFrac > 0"),
+            ({"clientIpPoolSize": 0},
+             "synthProfile.clientIpPoolSize must be an integer from 1 to 254")]:
+        with pytest.raises(IngestError, match=f"^{re.escape(needle)}"):
+            SYNTH_PROFILE(raw, "synthProfile")
+    with pytest.raises(IngestError, match=r"^controlProfiles\.x\.controls\[0\] must be "):
+        TESTBED({"products": [], "controlProfiles": {"x": {"controls": ["MagicAmulet"]}}},
+                "testbed", "")
 
 
 def test_access_control_caps_anonymous_sessions():
@@ -372,7 +377,7 @@ def valid_profiles(draw) -> SynthProfile:
         fail_check_frac=fail_check,
         client_ip_pool_size=draw(st.integers(1, 254)),
     )
-    profile.validate()
+    assert profile.broken_rule() is None
     return profile
 
 

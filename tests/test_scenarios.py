@@ -37,8 +37,6 @@ def test_selector_kinds():
     assert Selector("class", ["PLC"]).resolve(g) == ["PLC_1", "PLC_2"]
     assert Selector("zone", ["DMZ"]).resolve(g) == ["HMI_1"]
     assert Selector("name", ["plc"]).resolve(g) == ["PLC_1", "PLC_2"]
-    with pytest.raises(ValueError):
-        Selector("vibe", ["x"]).resolve(g)
 
 
 def test_run_scenario_hop_stats():

@@ -29,7 +29,6 @@ import argparse
 import contextlib
 import io
 import json
-import logging
 import os
 import platform
 import sys
@@ -134,6 +133,4 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 if __name__ == "__main__":
-    # Products without advisories log a WARNING each; keep stderr readable.
-    logging.basicConfig(level=logging.ERROR)
     print(json.dumps(run(parse_args().cells), indent=2))
