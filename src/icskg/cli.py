@@ -25,7 +25,7 @@ from typing import Optional
 
 from icskg import analytics, enrich, ingest, logsynth, reports, risk, scenarios
 from icskg.config import (INTEGER, NUMBER, PATH, STRING, ControlProfile, Convention, RiskConfig,
-                          integer, list_of, obj, one_of, table)
+                          integer, list_of, number, obj, one_of)
 from icskg.errors import IcskgError, InvariantViolation, StageOrderError
 from icskg.graph import (
     Configuration,
@@ -64,9 +64,10 @@ def default_config_path() -> Path:
     return Path(str(resources.files("icskg") / "data" / "fixture" / "config.json"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    paths: dict[str, Path] = field(default_factory=dict)
+    """A run's settings and the inputs they name, each read on first use."""
+    paths: dict[str, Path] = field(default_factory=dict)  # keys in snake_case
     seed: int = 42
     convention: Optional[Convention] = None
     synth_profile: logsynth.SynthProfile = field(default_factory=logsynth.SynthProfile)
@@ -75,45 +76,55 @@ class RunConfig:
     enrichment: dict = field(default_factory=dict)
 
     @classmethod
-    def load(cls, path: Path) -> "RunConfig":
-        """The run config at ``path``, its paths resolved against its directory."""
+    def load(cls, path: Path, **overrides) -> "RunConfig":
+        """The run config at ``path``, each setting in ``overrides`` but None
+        replaced, its paths resolved against its directory; each must exist."""
         cfg = RUN_CONFIG(read_json(path), "run config", "")
-        cfg.paths = {key: (path.parent / rel).resolve() for key, rel in cfg.paths.items()}
-        return cfg
+        paths = {key: (path.parent / rel).resolve() for key, rel in cfg.paths.items()}
+        for resolved in paths.values():
+            if not resolved.exists():
+                raise IcskgError(f"configured path does not exist: {resolved}")
+        return replace(cfg, paths=paths,
+                       **{key: value for key, value in overrides.items() if value is not None})
 
-    def validate_paths(self) -> None:
-        for key in ("testbed", "advisories", "nodes", "relations", "scenarios", "riskConfig"):
-            if key not in self.paths:
-                raise IcskgError(f"run config is missing required path {key!r}")
-        for path in self.paths.values():
-            if not path.exists():
-                raise IcskgError(f"configured path does not exist: {path}")
+    @cached_property
+    def risk(self) -> RiskConfig:
+        """The risk config, with the run's convention where it sets one."""
+        risk_cfg = RiskConfig.from_json(self.paths["risk_config"])
+        return replace(risk_cfg, convention=self.convention or risk_cfg.convention)
 
-    def risk_config(self) -> RiskConfig:
-        cfg = RiskConfig.from_json(self.paths["riskConfig"])
-        return replace(cfg, convention=self.convention or cfg.convention)
+    @cached_property
+    def testbed(self) -> ingest.TestbedSpec:
+        return ingest.load_testbed(self.paths["testbed"])
 
+    @cached_property
     def profile(self) -> logsynth.SynthProfile:
-        """The synthesis profile with the run's seed, checked when the run
-        config was read."""
+        """The synthesis profile with the run's seed."""
         return replace(self.synth_profile, seed=self.seed)
 
-    def controls(self, testbed: ingest.TestbedSpec, risk_cfg: RiskConfig) -> ControlProfile:
+    @cached_property
+    def controls(self) -> ControlProfile:
         """The selected testbed control profile, with the risk config's overrides."""
-        profile = testbed.control_profiles.get(self.control_profile)
+        profile = self.testbed.control_profiles.get(self.control_profile)
         if profile is None:
-            raise IcskgError(
-                f"testbed declares no control profile named {self.control_profile!r}")
-        return replace(profile, overrides=risk_cfg.control_overrides)
+            raise IcskgError(f"controlProfile: testbed declares no control profile "
+                             f"named {self.control_profile!r}")
+        return replace(profile, overrides=self.risk.control_overrides)
+
+    @cached_property
+    def catalog(self) -> list[scenarios.Scenario]:
+        return scenarios.load_scenarios(self.paths["scenarios"])
 
 
+REQUIRED_PATHS = ("testbed", "advisories", "nodes", "relations", "scenarios", "riskConfig")
 RUN_CONFIG = obj({
-    "paths": table(PATH),
+    "paths": obj(dict.fromkeys((*REQUIRED_PATHS, "predictions"), PATH),
+                 required=REQUIRED_PATHS),
     "seed": INTEGER,
     "convention": one_of(Convention),
     "synthProfile": logsynth.SYNTH_PROFILE,
     "controlProfile": STRING,
-    "predictionMinConfidence": NUMBER,
+    "predictionMinConfidence": number(0, 1),
     "enrichment": obj({
         "dim": integer(1, 4096),
         "iterationWeights": list_of(NUMBER, "a non-empty list of numbers",
@@ -132,8 +143,8 @@ STATE = obj({"stages": list_of(one_of(STAGE_ORDER)), "seed": INTEGER,
 
 class PipelineState:
     """The output directory as one stage run sees it: the completed stages
-    recorded in ``state.json`` and the graph state under ``graph/``, with
-    the run's seed, convention and risk config."""
+    recorded in ``state.json`` and the graph state under ``graph/``, for
+    the run ``cfg``."""
 
     def __init__(self, cfg: RunConfig, out_dir: Path, stage: str) -> None:
         self.cfg = cfg
@@ -159,13 +170,9 @@ class PipelineState:
                                  f"{raw[key]!r} recorded at build time")
         return state
 
-    @cached_property
-    def risk_cfg(self) -> RiskConfig:
-        return self.cfg.risk_config()
-
     @property
     def convention(self) -> str:
-        return self.risk_cfg.convention.value
+        return self.cfg.risk.convention.value
 
     def require(self, stage: str) -> None:
         if stage not in self.stages:
@@ -193,7 +200,7 @@ class PipelineState:
         for config in configs:
             if config in VIEW_STAGES:
                 self.require(VIEW_STAGES[config])
-        return {config: self.graph.project_view(config, self.risk_cfg.prune_threshold)
+        return {config: self.graph.project_view(config, self.cfg.risk.prune_threshold)
                 for config in configs}
 
     def save(self, graph: Graph) -> None:
@@ -224,16 +231,17 @@ def _write(path: Path, data: bytes) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool = False) -> int:
-    cfg.validate_paths()
+    # Read the inputs only later stages use too, to reject what they would.
+    logsynth.secured_profile(cfg.profile, cfg.controls)
+    cfg.catalog
     state = PipelineState(cfg, out_dir, "build")
-    testbed = ingest.load_testbed(cfg.paths["testbed"])
     graph = Graph()
-    product_count = ingest.load_testbed_into_graph(graph, testbed, state.risk_cfg)
+    product_count = ingest.load_testbed_into_graph(graph, cfg.testbed, cfg.risk)
     node_result = ingest.load_nodes(graph, cfg.paths["nodes"])
     advisories = ingest.preprocess_cves(ingest.load_advisories(cfg.paths["advisories"]))
-    vuln_edges = ingest.link_products(graph, testbed, advisories)
+    vuln_edges = ingest.link_products(graph, cfg.testbed, advisories)
     rel_result = ingest.load_relations(graph, cfg.paths["relations"])
-    flow_count = ingest.build_dataflow_edges(graph, testbed)
+    flow_count = ingest.build_dataflow_edges(graph, cfg.testbed)
     prediction_count = 0
     if "predictions" in cfg.paths:
         pred = ingest.import_predictions(graph, cfg.paths["predictions"],
@@ -270,13 +278,9 @@ def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool = False) -> int
 
 
 def cmd_synth_logs(cfg: RunConfig, out_dir: Path) -> int:
-    cfg.validate_paths()
     state = PipelineState.open(cfg, out_dir, "synth-logs")
-    testbed = ingest.load_testbed(cfg.paths["testbed"])
-    profile = cfg.profile()
-    baseline = logsynth.generate(testbed, profile)
-    secured = logsynth.generate_secured(testbed, profile,
-                                        cfg.controls(testbed, state.risk_cfg))
+    baseline = logsynth.generate(cfg.testbed, cfg.profile)
+    secured = logsynth.generate_secured(cfg.testbed, cfg.profile, cfg.controls)
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
     logsynth.write_log_csv(baseline, logs_dir / "baseline.csv")
@@ -290,7 +294,7 @@ def cmd_annotate(cfg: RunConfig, out_dir: Path) -> int:
     state = PipelineState.open(cfg, out_dir, "annotate")
     graph = state.upstream()
     logs = logsynth.load_log_csv(out_dir / "logs" / "baseline.csv")
-    count = risk.annotate(graph, logs, state.risk_cfg)
+    count = risk.annotate(graph, logs, cfg.risk)
     missing = audit_risk_completeness(graph)
     if missing:
         raise InvariantViolation(
@@ -315,7 +319,7 @@ def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
     for edge in links:
         graph.upsert_edge(edge)
     logs = logsynth.load_log_csv(out_dir / "logs" / "baseline.csv")
-    risk.annotate(graph, logs, state.risk_cfg)
+    risk.annotate(graph, logs, cfg.risk)
     state.save(graph)
     _write(out_dir / "embeddings.csv", emb.to_csv())
     state.write_artifact("enrich-report.json", possibleLinks=len(links), dim=emb.dim,
@@ -327,18 +331,17 @@ def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_controls(cfg: RunConfig, out_dir: Path, profile: Optional[str] = None) -> int:
     if profile:
-        cfg.control_profile = profile
+        cfg = replace(cfg, control_profile=profile)
     state = PipelineState.open(cfg, out_dir, "controls")
     graph = state.upstream()
-    controls = cfg.controls(ingest.load_testbed(cfg.paths["testbed"]), state.risk_cfg)
     secured = logsynth.load_log_csv(out_dir / "logs" / "secured.csv")
-    report = risk.apply_controls(graph, controls, secured, state.risk_cfg)
+    report = risk.apply_controls(graph, cfg.controls, secured, cfg.risk)
     state.save(graph)
     state.write_artifact("controls-report.json",
                          edgesRecomputed=report.edges_recomputed,
                          edgesPruned=report.edges_pruned,
                          profile=cfg.control_profile,
-                         controls=sorted(controls.controls))
+                         controls=sorted(cfg.controls.controls))
     state.mark()
     print(f"controls: {report.edges_recomputed} recomputed, "
           f"{report.edges_pruned} below prune threshold")
@@ -349,9 +352,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, sim_config: str = "all") -> int:
     state = PipelineState.open(cfg, out_dir, "simulate")
     wanted = list(Configuration) if sim_config == "all" \
         else [Configuration(sim_config)]
-    views = state.views(*wanted)
-    catalog = scenarios.load_scenarios(cfg.paths["scenarios"])
-    suite = scenarios.run_suite(views, catalog)
+    suite = scenarios.run_suite(state.views(*wanted), cfg.catalog)
     sim_dir = out_dir / "propagation"
     _write(sim_dir / "propagation.csv", reports.propagation_csv(suite.rows))
     _write(sim_dir / "propagation.json", reports.suite_json(suite))
@@ -471,13 +472,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     options = vars(build_parser().parse_args(argv))
     command, out_dir, seed, convention, config_path = (
         options.pop(key) for key in ("command", "out", "seed", "convention", "config"))
-    config_path = config_path or default_config_path()
     try:
-        cfg = RunConfig.load(Path(config_path))
-        if seed is not None:
-            cfg.seed = seed
-        if convention is not None:
-            cfg.convention = Convention(convention)
+        cfg = RunConfig.load(Path(config_path or default_config_path()), seed=seed,
+                             convention=convention and Convention(convention))
         return COMMANDS[command](cfg, out_dir, **options)
     except StageOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)

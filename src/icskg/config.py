@@ -279,7 +279,8 @@ RISK_CONFIG = obj({
     "fAC": table(NUMBER),
     "fAV": table(NUMBER),
     "criticalityDefaults": table(integer(0, 10)),
-    "zoneDefaultWeakness": table(list_of(NUMBER, "a list of four numbers", range(4, 5), tuple)),
+    "zoneDefaultWeakness": table(list_of(number(0, 1), "a list of four numbers", range(4, 5),
+                                         tuple)),
     "controlOverrides": obj({f.name: number(0, 1) for f in fields(ControlOverrides)},
                             make=ControlOverrides, closed=True),
 }, make=RiskConfig)

@@ -41,7 +41,7 @@ from icskg.risk import (
     risk_weight,
     weakness_from_stats,
 )
-from icskg.scenarios import run_suite, load_scenarios
+from icskg.scenarios import run_suite
 
 
 def criterion(number: int, title: str):
@@ -248,12 +248,11 @@ def test_fixture_trend_reproduction(pipeline_out):
     from icskg.cli import RunConfig, default_config_path
 
     cfg = RunConfig.load(default_config_path())
-    risk_cfg = cfg.risk_config()
     graph = load_state(pipeline_out / "graph")
     graph.finalize()
-    views = {c: graph.project_view(c, risk_cfg.prune_threshold)
+    views = {c: graph.project_view(c, cfg.risk.prune_threshold)
              for c in Configuration}
-    catalog = load_scenarios(cfg.paths["scenarios"])
+    catalog = cfg.catalog
     assert len(catalog) == 15
 
     start = time.perf_counter()

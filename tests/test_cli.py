@@ -6,9 +6,12 @@ import csv
 import hashlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PIPELINE_STAGES as STAGES, tree_digest
 from icskg.cli import default_config_path, main
@@ -173,6 +176,45 @@ def test_rerun_starts_from_upstream_state(tmp_path, pipeline_out):
     assert edge_kind_counts(out)["CONTROLLED_COMMUNICATES_WITH"] == 101
 
 
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """A copy of the fixture run config with half an hour of logs, and the
+    digest of a fresh run of every stage and export under it."""
+    work = tmp_path_factory.mktemp("short-run")
+    config = fixture_config(work)
+    raw = json.loads(config.read_text())
+    raw["synthProfile"]["durationHours"] = 0.5
+    config.write_text(json.dumps(raw))
+    for stage in [*STAGES, "export"]:
+        assert main(["--config", str(config), "--out", str(work / "out"), stage]) == 0
+    return config, tree_digest(work / "out")
+
+
+def not_run(out: Path) -> list[str]:
+    done = json.loads((out / "state.json").read_text())["stages"]
+    return [stage for stage in STAGES if stage not in done]
+
+
+@settings(max_examples=10, deadline=None)
+@given(reruns=st.lists(st.sampled_from(STAGES), min_size=1, max_size=4))
+def test_rerun_stages_then_completing_the_run_equals_a_fresh_run(short_run, reruns):
+    # Any stages re-run after a full run, then each stage state.json lists
+    # as not run, leave the output tree of a fresh run: a re-run keeps
+    # nothing stale, and marks what it invalidates as not run.
+    config, fresh = short_run
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out"
+        run = ["--config", str(config), "--out", str(out)]
+        for stage in STAGES:
+            assert main(run + [stage]) == 0
+        for stage in reruns:
+            assert main(run + [stage]) in (0, 3)
+        while not_run(out):
+            assert main(run + [not_run(out)[0]]) == 0
+        assert main(run + ["export"]) == 0
+        assert tree_digest(out) == fresh
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -325,9 +367,18 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
     ("riskConfig.controlOverrides.misconfig_scale", 1.5, "build --validate-only",
      "controlOverrides.misconfig_scale must be a finite number from 0 to 1, got 1.5"),
     # Misconfigurations scaled by 0.5 against failed checks scaled by 0.05
-    # give 20 checks a session, over the cap of 10.
-    ("riskConfig.controlOverrides.fail_check_scale", 0.05, "synth-logs",
+    # give 20 checks a session, over the cap of 10; build derives the
+    # secured profile that synth-logs generates from.
+    ("riskConfig.controlOverrides.fail_check_scale", 0.05, "build --validate-only",
      "controlOverrides: in the secured profile, misconfigRate / failCheckFrac exceeds"),
+    ("controlProfile", "nosuch", "build --validate-only",
+     "controlProfile: testbed declares no control profile named 'nosuch'"),
+    ("scenarios.0.k", 0, "build --validate-only",
+     "scenario S01: k must be an integer of at least 1, got 0"),
+    ("predictionMinConfidence", 1.5, "build --validate-only",
+     "predictionMinConfidence must be a finite number from 0 to 1, got 1.5"),
+    ("riskConfig.zoneDefaultWeakness.DMZ", [5, 0, 0, 0], "build --validate-only",
+     "zoneDefaultWeakness.DMZ[0] must be a finite number from 0 to 1, got 5"),
 ], ids=["durationHours-bool", "durationHours-string", "durationHours-infinity",
         "clientIpPoolSize-300", "criticalityDefaults-float", "criticalityDefaults-bool",
         "predictionMinConfidence-bool", "predictionMinConfidence-string",
@@ -336,12 +387,14 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
         "durationHours-overflow", "anonFrac-above-1", "anonFrac-plus-certFrac",
         "durationHours-negative", "epss-above-1", "baseScore-above-10",
         "criticality-above-10", "criticalityDefaults-above-10", "cert_frac_floor-above-1",
-        "misconfig_scale-above-1", "secured-profile-check-cap"])
+        "misconfig_scale-above-1", "secured-profile-check-cap", "controlProfile-unknown",
+        "scenario-k-0", "predictionMinConfidence-above-1", "zoneDefaultWeakness-above-1"])
 def test_numeric_setting_must_be_in_range(tmp_path, pipeline_out, capsys,
                                           key, value, stage, needle):
     # ``key`` is a dotted path into the run config, or into the document a
     # run-config path names when it starts with that path's key
-    # (``riskConfig``, ``testbed``, ``advisories``); a list index is a number.
+    # (``riskConfig``, ``testbed``, ``advisories``, ``scenarios``); a list
+    # index is a number.
     raw = json.loads(fixture_config(tmp_path).read_text())
     document, (*parents, name) = raw, key.split(".")
     file = parents.pop(0) if parents[:1] and parents[0] in raw["paths"] else None

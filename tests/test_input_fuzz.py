@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from icskg.cli import RunConfig, default_config_path, main
 from icskg.config import BOOLEAN, ControlOverrides
 from icskg.errors import IcskgError, IngestError
-from icskg.ingest import load_testbed
 from icskg.logsynth import secured_profile
 from icskg.scenarios import load_scenarios
 
@@ -75,7 +74,8 @@ RUN_CONFIG = fixture_run_config()
 BUILD_INPUTS = {name: (key, RUN_CONFIG if key is None
                        else json.loads(Path(RUN_CONFIG["paths"][key]).read_text()))
                 for name, key in [("config", None), ("riskConfig", "riskConfig"),
-                                  ("testbed", "testbed"), ("advisories", "advisories")]}
+                                  ("testbed", "testbed"), ("advisories", "advisories"),
+                                  ("scenarios", "scenarios")]}
 
 
 def validate_only(name, path, value) -> tuple[int, str]:
@@ -124,8 +124,6 @@ def test_scenario_catalog_reads_or_rejects_any_setting(data, value):
 
 
 FIXTURE_CONFIG = RunConfig.load(default_config_path())
-SECURED = FIXTURE_CONFIG.controls(load_testbed(FIXTURE_CONFIG.paths["testbed"]),
-                                  FIXTURE_CONFIG.risk_config())
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,11 +137,11 @@ def test_synth_profile_reads_or_rejects_any_setting(data, value):
         config = Path(work) / "config.json"
         config.write_text(substituted(RUN_CONFIG, path, value))
         try:
-            profile = RunConfig.load(config).profile()
+            profile = RunConfig.load(config).profile
         except IcskgError:
             return
     assert profile.broken_rule() is None
-    assert secured_profile(profile, SECURED).broken_rule() is None
+    assert secured_profile(profile, FIXTURE_CONFIG.controls).broken_rule() is None
 
 
 RATES = ("anonFrac", "insecureModeFrac", "certFrac", "misconfigRate", "failedWriteFrac",
@@ -159,7 +157,9 @@ BOUNDED = [
      "synthProfile.clientIpPoolSize"),
     ("config", ("enrichment", "dim"), 1, 4096, True, "enrichment.dim"),
     ("config", ("enrichment", "topK"), 0, None, True, "enrichment.topK"),
+    ("config", ("predictionMinConfidence",), 0, 1, False, "predictionMinConfidence"),
     ("riskConfig", ("criticalityDefaults", "PLC"), 0, 10, True, "criticalityDefaults.PLC"),
+    ("riskConfig", ("zoneDefaultWeakness", "DMZ", 0), 0, 1, False, "zoneDefaultWeakness.DMZ[0]"),
     *[("riskConfig", ("controlOverrides", f.name), 0, 1, False, f"controlOverrides.{f.name}")
       for f in fields(ControlOverrides)],
     ("testbed", ("products", 0, "criticality"), 0, 10, True,
@@ -167,6 +167,7 @@ BOUNDED = [
     ("advisories", (0, "epss"), 0, 1, False, "advisory 'CVE-2024-1000': epss"),
     ("advisories", (0, "cvss", "baseScore"), 0, 10, False,
      "advisory 'CVE-2024-1000': cvss.baseScore"),
+    ("scenarios", (0, "k"), 1, None, True, "scenario S01: k"),
 ]
 
 
