@@ -230,7 +230,7 @@ def _write(path: Path, data: bytes) -> None:
 # Stages
 # ---------------------------------------------------------------------------
 
-def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool = False) -> int:
+def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool) -> int:
     # Read the inputs only later stages use too, to reject what they would.
     logsynth.secured_profile(cfg.profile, cfg.controls)
     cfg.catalog
@@ -329,7 +329,7 @@ def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
     return _EXIT_OK
 
 
-def cmd_controls(cfg: RunConfig, out_dir: Path, profile: Optional[str] = None) -> int:
+def cmd_controls(cfg: RunConfig, out_dir: Path, profile: Optional[str]) -> int:
     if profile:
         cfg = replace(cfg, control_profile=profile)
     state = PipelineState.open(cfg, out_dir, "controls")
@@ -348,7 +348,7 @@ def cmd_controls(cfg: RunConfig, out_dir: Path, profile: Optional[str] = None) -
     return _EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, sim_config: str = "all") -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: Path, sim_config: str) -> int:
     state = PipelineState.open(cfg, out_dir, "simulate")
     wanted = list(Configuration) if sim_config == "all" \
         else [Configuration(sim_config)]
@@ -366,8 +366,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, sim_config: str = "all") -> int:
     return _EXIT_OK
 
 
-def cmd_report(cfg: RunConfig, out_dir: Path, table: str = "all",
-               top: int = 10, view: str = "Enriched") -> int:
+def cmd_report(cfg: RunConfig, out_dir: Path, table: str, top: int, view: str) -> int:
     if top < 0:
         raise IcskgError(f"--top must not be negative, got {top}")
     state = PipelineState.open(cfg, out_dir, "report")
@@ -398,8 +397,7 @@ def cmd_report(cfg: RunConfig, out_dir: Path, table: str = "all",
     return _EXIT_OK
 
 
-def cmd_export(cfg: RunConfig, out_dir: Path, view: str = "Original",
-               fmt: str = "all") -> int:
+def cmd_export(cfg: RunConfig, out_dir: Path, view: str, fmt: str) -> int:
     state = PipelineState.open(cfg, out_dir, "export")
     config = Configuration(view)
     projected = state.views(config)[config]

@@ -453,10 +453,8 @@ class GraphView:
             '  <key id="kind" for="all" attr.name="kind" attr.type="string"/>',
             '  <key id="zone" for="node" attr.name="zone" attr.type="string"/>',
             '  <key id="criticality" for="node" attr.name="criticality" attr.type="int"/>',
-            '  <key id="riskWeight" for="edge" attr.name="riskWeight" attr.type="double"/>',
-            '  <key id="pExploit" for="edge" attr.name="pExploit" attr.type="double"/>',
-            '  <key id="attackCost" for="edge" attr.name="attackCost" attr.type="double"/>',
-            '  <key id="controlStrength" for="edge" attr.name="controlStrength" attr.type="double"/>',
+            *(f'  <key id="{column}" for="edge" attr.name="{column}" attr.type="double"/>'
+              for column in RISK_COLUMNS),
             f'  <graph id={q(self.config.value)} edgedefault="directed">',
         ]
         for node in self.graph.nodes():
@@ -471,11 +469,8 @@ class GraphView:
             lines.append(f'    <edge source={q(e.src)} target={q(e.dst)}>')
             lines.append(f'      <data key="kind">{esc(e.kind.value)}</data>')
             if e.risk is not None:
-                r = e.risk
-                lines.append(f'      <data key="riskWeight">{r.risk_weight!r}</data>')
-                lines.append(f'      <data key="pExploit">{r.p_exploit!r}</data>')
-                lines.append(f'      <data key="attackCost">{r.attack_cost!r}</data>')
-                lines.append(f'      <data key="controlStrength">{r.control_strength!r}</data>')
+                lines.extend(f'      <data key="{column}">{cell}</data>'
+                             for column, cell in zip(RISK_COLUMNS, RiskAttributes.encode(e.risk)))
             lines.append('    </edge>')
         lines.append('  </graph>')
         lines.append('</graphml>')

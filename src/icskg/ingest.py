@@ -14,6 +14,7 @@ File formats (all UTF-8, comma-separated, first row is the header; see
   HAS_POSSIBLE_CWE / HAS_POSSIBLE_TECHNIQUE / SUGGESTED_TACTIC
 * testbed spec  JSON document, see :class:`TestbedSpec`
 * advisories    JSON list of vulnerability records, see :class:`VulnRecord`
+* Vulnerability props  see :func:`vulnerability_props`, :func:`vulnerability_scores`
 
 Row-level problems (bad enum cell, dangling node reference, invariant
 violations) are collected as :class:`RowIssue` entries with their line
@@ -109,17 +110,19 @@ class VulnRecord:
         return record
 
 
+EPSS = number(0, 1)
+CVSS = {
+    "baseScore": number(0, 10),
+    "accessComplexity": one_of(("Low", "High")),
+    "attackVector": one_of(("Network", "Adjacent", "Local", "Physical")),
+}
 ADVISORY = obj({
     "cveId": STRING,
     "description": STRING,
     "status": one_of(("ACTIVE", "REJECTED", "RESOLVED")),
-    "epss": number(0, 1),
+    "epss": EPSS,
     "kev": BOOLEAN,
-    "cvss": obj({
-        "baseScore": number(0, 10),
-        "accessComplexity": one_of(("Low", "High")),
-        "attackVector": one_of(("Network", "Adjacent", "Local", "Physical")),
-    }, make=CvssSummary),
+    "cvss": obj(CVSS, make=CvssSummary),
     "vendorStatements": list_of(STRING),
     "cpes": list_of(STRING),
 }, required=("cveId",), make=VulnRecord, label=("cveId", "advisory {!r}"))
@@ -127,6 +130,34 @@ ADVISORY = obj({
 
 def load_advisories(path: str | Path) -> list[VulnRecord]:
     return list_of(VulnRecord.from_dict)(read_json(path), "advisories")
+
+
+def vulnerability_props(record: VulnRecord) -> dict[str, str]:
+    """The props of an advisory's Vulnerability node, numbers as their
+    ``repr``; :func:`vulnerability_scores` reads back the scoring ones."""
+    cvss = record.cvss
+    return {"name": record.cve_id, "epss": repr(record.epss),
+            "kev": "true" if record.kev else "false", "baseScore": repr(cvss.base_score),
+            "accessComplexity": cvss.access_complexity, "attackVector": cvss.attack_vector,
+            "status": record.status, "vendorStatements": " | ".join(record.vendor_statements)}
+
+
+# A Vulnerability node's scoring props: its advisory's settings, as text cells.
+_SCORING = {"epss": EPSS, **CVSS}
+_SCORES = obj(_SCORING, make=lambda epss=VulnRecord.epss, **cvss: (epss, CvssSummary(**cvss)))
+
+
+def vulnerability_scores(node: Node) -> tuple[float, CvssSummary]:
+    """The EPSS and CVSS summary in a Vulnerability node's props, read by the
+    advisory's rules: an absent prop takes its default, a bad one raises IngestError."""
+    raw = {key: node.props[key] for key in _SCORING if key in node.props}
+    for key, cell in raw.items():
+        if not cell.isalpha():   # a word stays text; a number is read as one
+            try:
+                raw[key] = float(cell)
+            except ValueError:
+                pass
+    return _SCORES(raw, node.id, f"vulnerability {node.id!r}: ")
 
 
 _WS_RE = re.compile(r"\s+")
@@ -209,19 +240,28 @@ TESTBED = obj({
 
 
 def load_testbed(path: str | Path) -> TestbedSpec:
-    """The testbed spec at ``path``, read by :data:`TESTBED`.  Each product
-    must be in a declared zone, when zones are declared, and each dataflow
-    endpoint a declared product."""
+    """The testbed spec at ``path``, read by :data:`TESTBED`.  Product names
+    must be unique, each product in a declared zone, when zones are declared,
+    and each dataflow endpoint, allowlisted name and ``cpeOverrides`` key a
+    declared product."""
     testbed = TESTBED(read_json(path), "testbed", "")
     zones = set(testbed.zones)
+    names: set[str] = set()
     for p in testbed.products:
+        if p.name in names:
+            raise IngestError(f"products: product {p.name!r} is declared twice")
+        names.add(p.name)
         if zones and p.zone not in zones:
             raise BadEnum(f"product {p.name!r} declares unknown zone {p.zone!r}")
-    names = {p.name for p in testbed.products}
-    for f in testbed.dataflows:
-        for role, end in (("source", f.src), ("target", f.dst)):
-            if end not in names:
-                raise DanglingReference(f"dataflow {role} {end!r} is not a declared product")
+    references = [(f"dataflow {role}", end) for f in testbed.dataflows
+                  for role, end in (("source", f.src), ("target", f.dst))]
+    references += [(f"controlProfiles.{profile}.allowlist", name)
+                   for profile, controls in testbed.control_profiles.items()
+                   for pair in sorted(controls.allowlist) for name in pair]
+    references += [("cpeOverrides key", name) for name in testbed.cpe_overrides]
+    for setting, name in references:
+        if name not in names:
+            raise DanglingReference(f"{setting} {name!r} is not a declared product")
     return testbed
 
 
@@ -350,20 +390,7 @@ def link_products(graph: Graph, testbed: TestbedSpec,
             unmatched.append(product.name)
             continue
         for rec in sorted(records, key=lambda r: r.cve_id):
-            graph.upsert_node(Node(
-                id=rec.cve_id,
-                kind=NodeKind.VULNERABILITY,
-                props={
-                    "name": rec.cve_id,
-                    "epss": repr(rec.epss),
-                    "kev": "true" if rec.kev else "false",
-                    "baseScore": repr(rec.cvss.base_score),
-                    "accessComplexity": rec.cvss.access_complexity,
-                    "attackVector": rec.cvss.attack_vector,
-                    "status": rec.status,
-                    "vendorStatements": " | ".join(rec.vendor_statements),
-                },
-            ))
+            graph.upsert_node(Node(rec.cve_id, NodeKind.VULNERABILITY, vulnerability_props(rec)))
             graph.upsert_edge(Edge(product.name, rec.cve_id, EdgeKind.HAS_VULNERABILITY))
             edges += 1
     if unmatched:
@@ -443,7 +470,8 @@ def _props(raw: str) -> dict[str, str]:
 
 
 def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
-    """Load node.csv rows; returns distinct accepted nodes and row issues."""
+    """Load node.csv rows; returns distinct accepted nodes and row issues.  A
+    Vulnerability row's props are checked by :func:`vulnerability_scores`."""
     # Each distinct props cell of the file is parsed once; rows with equal
     # cells share the dict, which is never changed (records copy their props).
     props_of = cache(_props)
@@ -457,23 +485,25 @@ def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
         props = props_of(props_json)
         if name and "name" not in props:
             props = {**props, "name": name}
-        return graph.upsert_node(Node(id=node_id, kind=kind, props=props,
-                                      criticality=int(crit_raw) if crit_raw else 0,
-                                      zone=zone or None))
+        node = Node(id=node_id, kind=kind, props=props,
+                    criticality=int(crit_raw) if crit_raw else 0, zone=zone or None)
+        if kind is NodeKind.VULNERABILITY:
+            vulnerability_scores(node)
+        return graph.upsert_node(node)
     return _load_rows(path, NODE_CSV_HEADER, load_row)
 
 
-def _edge_loader(graph: Graph) -> Callable[..., tuple[str, str, str]]:
-    """The row loader of relation.csv (``src,dst,kind,props_json``) and of
-    the state's edges.csv, whose :data:`RISK_COLUMNS` cells follow ``kind``."""
-    props_of = cache(_props)   # as in load_nodes: one parse per distinct cell
+def _edge_loader(graph: Graph, read_props: Optional[Callable] = None) -> Callable[..., tuple]:
+    """The row loader of every edge file: ``src,dst,kind``, any :data:`RISK_COLUMNS`
+    cells, and last the edge's props, read by ``read_props`` (default: props_json)."""
+    read_props = read_props or cache(_props)   # as in load_nodes: one parse per distinct cell
 
     def load_row(src: str, dst: str, kind: str, *cells: str) -> tuple[str, str, str]:
         risk = RiskAttributes.decode(*cells[:-1]) if len(cells) > 1 else None
         edge_kind = _edge_kind(kind)
         src, dst = _endpoints(graph, src, dst)
         return graph.upsert_edge(Edge(src, dst, edge_kind, risk=risk,
-                                      props=props_of(cells[-1])))
+                                      props=read_props(cells[-1])))
     return load_row
 
 
@@ -485,14 +515,8 @@ def load_relations(graph: Graph, path: str | Path) -> LoadResult:
 
 def load_edge_csv(graph: Graph, path: str | Path) -> LoadResult:
     """Re-ingest the edge-CSV export format (round-trip of view exports)."""
-    def load_row(src: str, dst: str, kind: str, *cells: str) -> tuple[str, str, str]:
-        *risk_cells, protocol = cells
-        edge_kind = _edge_kind(kind)
-        src, dst = _endpoints(graph, src, dst)
-        return graph.upsert_edge(Edge(src, dst, edge_kind,
-                                      risk=RiskAttributes.decode(*risk_cells),
-                                      props={"protocol": protocol} if protocol else {}))
-    return _load_rows(path, EDGE_CSV_HEADER, load_row)
+    return _load_rows(path, EDGE_CSV_HEADER, _edge_loader(
+        graph, lambda protocol: {"protocol": protocol} if protocol else {}))
 
 
 def import_predictions(graph: Graph, path: str | Path,

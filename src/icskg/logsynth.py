@@ -13,19 +13,19 @@ half-even to the microsecond and then truncated to the millisecond.
 
 Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientIp``
 
-A log CSV is read as a fold: each distinct row less its timestamp is
-counted, and the counts go into a :class:`~icskg.risk.LogIndex`.
+The log row lives here alone: its header, its vocabularies, the generator and
+the fold that counts a log CSV's distinct rows into a :class:`LogIndex`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,16 +33,17 @@ from icskg.config import ControlProfile, integer, number, obj
 from icskg.errors import IngestError
 from icskg.graph import csv_line, parse_csv
 from icskg.ingest import Dataflow, TestbedSpec
-from icskg.risk import LogIndex
 
 LOG_CSV_HEADER = ["timestamp", "src", "dst", "protocol", "authMode",
                   "securityMode", "event", "clientIp"]
 _HEADER_LINE = ",".join(LOG_CSV_HEADER)
 
-AUTH_MODES = ("Anonymous", "Password", "Certificate")
-SECURITY_MODES = ("None", "Sign", "SignAndEncrypt")
-EVENTS = ("Read", "Write", "FailedWrite", "AuditWrite", "Session",
-          "ConfigCheckPass", "ConfigCheckFail")
+# The authMode, securityMode and event words, each named; a word's code is its position.
+AUTH_MODES = ANONYMOUS, PASSWORD, CERTIFICATE = ("Anonymous", "Password", "Certificate")
+SECURITY_MODES = NO_SECURITY, SIGN, SIGN_AND_ENCRYPT = ("None", "Sign", "SignAndEncrypt")
+EVENTS = (READ, WRITE, FAILED_WRITE, AUDIT_WRITE, SESSION, CONFIG_CHECK_PASS, CONFIG_CHECK_FAIL) = (
+    "Read", "Write", "FailedWrite", "AuditWrite", "Session", "ConfigCheckPass", "ConfigCheckFail")
+_CODE = {word: i for words in (AUTH_MODES, SECURITY_MODES, EVENTS) for i, word in enumerate(words)}
 
 _BASE_MS = np.datetime64("2025-01-06T00:00:00", "ms")
 
@@ -199,11 +200,13 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
     session = np.repeat(np.arange(n), counts)
     position = np.arange(len(session)) - np.repeat(np.cumsum(counts) - counts, counts)
     offsets = session * slot + (slot / (counts + 1))[session] * position
-    event = np.where(failed, 2, np.where(audit, 3, 1))[session]
-    event[position == 0] = 4
-    event[position >= 2] = np.where(check_fail, 6, 5)
-    auth = np.where(anon, 0, np.where(cert, 2, 1))[session]
-    security = np.where(insecure, 0, np.where(sign_only, 1, 2))[session]
+    c = _CODE
+    event = np.where(failed, c[FAILED_WRITE], np.where(audit, c[AUDIT_WRITE], c[WRITE]))[session]
+    event[position == 0] = c[SESSION]
+    event[position >= 2] = np.where(check_fail, c[CONFIG_CHECK_FAIL], c[CONFIG_CHECK_PASS])
+    auth = np.where(anon, c[ANONYMOUS], np.where(cert, c[CERTIFICATE], c[PASSWORD]))[session]
+    security = np.where(insecure, c[NO_SECURITY],
+                        np.where(sign_only, c[SIGN], c[SIGN_AND_ENCRYPT]))[session]
     # Each distinct (auth mode, security mode, event, client IP) of the
     # flow gets its tail built once.  The vocabularies and the IPs never
     # need quoting; the flow's endpoints and protocol are quoted once.
@@ -253,8 +256,94 @@ def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization
+# CSV serialization, and the fold that reads a log back
 # ---------------------------------------------------------------------------
+
+@dataclass
+class PairStats:
+    """Additive event counts for one communication pair (or a merged set)."""
+
+    sessions: int = 0
+    anon: int = 0
+    insecure: int = 0
+    cert: int = 0
+    writes: int = 0
+    failed_writes: int = 0
+    audit_writes: int = 0
+    checks: int = 0
+    check_fails: int = 0
+    client_ips: set[str] = field(default_factory=set)
+
+    def add(self, other: "PairStats") -> None:
+        self.sessions += other.sessions
+        self.anon += other.anon
+        self.insecure += other.insecure
+        self.cert += other.cert
+        self.writes += other.writes
+        self.failed_writes += other.failed_writes
+        self.audit_writes += other.audit_writes
+        self.checks += other.checks
+        self.check_fails += other.check_fails
+        self.client_ips |= other.client_ips
+
+    @property
+    def empty(self) -> bool:
+        return self.sessions == 0 and self.writes == 0 and self.checks == 0
+
+    def count(self, row: Sequence[str], n: int) -> None:
+        """Add ``n`` log events of one row: its fields after the timestamp,
+        (src, dst, protocol, authMode, securityMode, event, clientIp)."""
+        _, _, _, auth_mode, security_mode, event, client_ip = row
+        self.client_ips.add(client_ip)
+        if event == SESSION:
+            self.sessions += n
+            self.anon += n * (auth_mode == ANONYMOUS)
+            self.cert += n * (auth_mode == CERTIFICATE)
+            self.insecure += n * (security_mode == NO_SECURITY)
+        elif event in (WRITE, FAILED_WRITE, AUDIT_WRITE):
+            self.writes += n
+            self.failed_writes += n * (event == FAILED_WRITE)
+            self.audit_writes += n * (event == AUDIT_WRITE)
+        elif event in (CONFIG_CHECK_PASS, CONFIG_CHECK_FAIL):
+            self.checks += n
+            self.check_fails += n * (event == CONFIG_CHECK_FAIL)
+
+
+class LogIndex:
+    """Per-pair event counts of a log, folded from its distinct rows.
+
+    ``rows`` maps each distinct row less its timestamp, as
+    :meth:`PairStats.count` takes it, to the number of times it occurs;
+    ``len()`` of the index is the number of rows folded.
+    """
+
+    def __init__(self, rows: Mapping[tuple[str, ...], int]) -> None:
+        counts: defaultdict[frozenset[str], PairStats] = defaultdict(PairStats)
+        for row, n in rows.items():
+            counts[frozenset(row[:2])].count(row, n)
+        self._rows = sum(rows.values())
+        self._pair_stats = dict(counts)
+        self._by_endpoint: dict[str, list[frozenset[str]]] = {}
+        for pair in sorted(self._pair_stats, key=sorted):
+            for endpoint in pair:
+                self._by_endpoint.setdefault(endpoint, []).append(pair)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def pair(self, u: str, v: str) -> Optional[PairStats]:
+        return self._pair_stats.get(frozenset((u, v)))
+
+    def merged(self, u: str, v: str) -> Optional[PairStats]:
+        """Union of all events touching either endpoint (for inferred links)."""
+        pairs = set(self._by_endpoint.get(u, ())) | set(self._by_endpoint.get(v, ()))
+        if not pairs:
+            return None
+        merged = PairStats()
+        for pair in sorted(pairs, key=sorted):
+            merged.add(self._pair_stats[pair])
+        return merged
+
 
 def write_log_csv(lines: Sequence[str], path: str | Path) -> None:
     """Write a log CSV: the header, then the lines of :func:`generate`,
@@ -264,7 +353,7 @@ def write_log_csv(lines: Sequence[str], path: str | Path) -> None:
 
 def load_log_csv(path: str | Path) -> LogIndex:
     """The per-pair statistics of a log CSV: each distinct row, less its
-    timestamp, counted and folded into a :class:`~icskg.risk.LogIndex`.
+    timestamp, counted and folded into a :class:`LogIndex`.
 
     Columns are found by name.  A row whose field count differs from the
     header's raises :class:`IngestError`.

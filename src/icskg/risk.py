@@ -1,6 +1,7 @@
 """Edge-level risk scoring from operational logs and vulnerability metadata.
 
-The scoring chain per communication edge (u, v):
+It reads logs as :mod:`icskg.logsynth`'s per-pair counts and CVEs through
+:func:`icskg.ingest.vulnerability_scores`.  The scoring chain per edge (u, v):
 
 1. derive four weakness fractions (accessibility, configuration hygiene,
    exploitability, hardening residual) from the pair's log event counts;
@@ -19,10 +20,9 @@ and drop out of the Controlled view.
 
 from __future__ import annotations
 
-import logging
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import cache
+from typing import Iterable, Iterator, Optional, Sequence
 
 from icskg.config import ControlProfile, Convention, FactorCoefficients, RiskConfig
 from icskg.graph import (
@@ -32,9 +32,8 @@ from icskg.graph import (
     GraphView,
     RiskAttributes,
 )
-from icskg.ingest import CvssSummary
-
-logger = logging.getLogger(__name__)
+from icskg.ingest import CvssSummary, vulnerability_scores
+from icskg.logsynth import LogIndex, PairStats
 
 
 # ---------------------------------------------------------------------------
@@ -55,66 +54,6 @@ class ControlFactors:
         return (self.a, self.c, self.e, self.h)
 
 
-_WRITE_EVENTS = {"Write", "FailedWrite", "AuditWrite"}
-_CHECK_EVENTS = {"ConfigCheckPass", "ConfigCheckFail"}
-
-
-@dataclass
-class PairStats:
-    """Additive event counts for one communication pair (or a merged set)."""
-
-    sessions: int = 0
-    anon: int = 0
-    insecure: int = 0
-    cert: int = 0
-    writes: int = 0
-    failed_writes: int = 0
-    audit_writes: int = 0
-    checks: int = 0
-    check_fails: int = 0
-    client_ips: set[str] = field(default_factory=set)
-
-    def add(self, other: "PairStats") -> None:
-        self.sessions += other.sessions
-        self.anon += other.anon
-        self.insecure += other.insecure
-        self.cert += other.cert
-        self.writes += other.writes
-        self.failed_writes += other.failed_writes
-        self.audit_writes += other.audit_writes
-        self.checks += other.checks
-        self.check_fails += other.check_fails
-        self.client_ips |= other.client_ips
-
-    @property
-    def empty(self) -> bool:
-        return self.sessions == 0 and self.writes == 0 and self.checks == 0
-
-    def count(self, row: Sequence[str], n: int) -> None:
-        """Add ``n`` log events of one row: its fields after the timestamp,
-        (src, dst, protocol, authMode, securityMode, event, clientIp)."""
-        _, _, _, auth_mode, security_mode, event, client_ip = row
-        self.client_ips.add(client_ip)
-        if event == "Session":
-            self.sessions += n
-            if auth_mode == "Anonymous":
-                self.anon += n
-            elif auth_mode == "Certificate":
-                self.cert += n
-            if security_mode == "None":
-                self.insecure += n
-        elif event in _WRITE_EVENTS:
-            self.writes += n
-            if event == "FailedWrite":
-                self.failed_writes += n
-            elif event == "AuditWrite":
-                self.audit_writes += n
-        elif event in _CHECK_EVENTS:
-            self.checks += n
-            if event == "ConfigCheckFail":
-                self.check_fails += n
-
-
 def weakness_from_stats(stats: PairStats,
                         coeffs: Optional[FactorCoefficients] = None) -> ControlFactors:
     k = coeffs or FactorCoefficients()
@@ -133,42 +72,6 @@ def weakness_from_stats(stats: PairStats,
     e = min(1.0, k.e_failed * failed_frac + k.e_audit * audit_frac + k.e_access * a)
     h = min(1.0, k.h_scale * ((1.0 - cert_frac) + insecure_frac + fail_check_frac))
     return ControlFactors(a, c, e, h)
-
-
-class LogIndex:
-    """Per-pair event counts of a log, folded from its distinct rows.
-
-    ``rows`` maps each distinct row less its timestamp, as
-    :meth:`PairStats.count` takes it, to the number of times it occurs;
-    ``len()`` of the index is the number of rows folded.
-    """
-
-    def __init__(self, rows: Mapping[tuple[str, ...], int]) -> None:
-        counts: defaultdict[frozenset[str], PairStats] = defaultdict(PairStats)
-        for row, n in rows.items():
-            counts[frozenset(row[:2])].count(row, n)
-        self._rows = sum(rows.values())
-        self._pair_stats = dict(counts)
-        self._by_endpoint: dict[str, list[frozenset[str]]] = {}
-        for pair in sorted(self._pair_stats, key=sorted):
-            for endpoint in pair:
-                self._by_endpoint.setdefault(endpoint, []).append(pair)
-
-    def __len__(self) -> int:
-        return self._rows
-
-    def pair(self, u: str, v: str) -> Optional[PairStats]:
-        return self._pair_stats.get(frozenset((u, v)))
-
-    def merged(self, u: str, v: str) -> Optional[PairStats]:
-        """Union of all events touching either endpoint (for inferred links)."""
-        pairs = set(self._by_endpoint.get(u, ())) | set(self._by_endpoint.get(v, ()))
-        if not pairs:
-            return None
-        merged = PairStats()
-        for pair in sorted(pairs, key=sorted):
-            merged.add(self._pair_stats[pair])
-        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +157,10 @@ _Vulns = dict[str, list[tuple[float, CvssSummary]]]
 
 def _product_vulns(graph: Graph) -> _Vulns:
     """(epss, CVSS summary) of each product's CVEs, in CVE id order."""
+    scores = cache(lambda cve: vulnerability_scores(graph.node(cve)))
     vulns: _Vulns = {}
     for edge in graph.edges(EdgeKind.HAS_VULNERABILITY):
-        props = graph.node(edge.dst).props
-        vulns.setdefault(edge.src, []).append((
-            float(props.get("epss", 0.0)),
-            CvssSummary(base_score=float(props.get("baseScore", 5.0)),
-                        access_complexity=props.get("accessComplexity", "Low"),
-                        attack_vector=props.get("attackVector", "Network"))))
+        vulns.setdefault(edge.src, []).append(scores(edge.dst))
     return vulns
 
 

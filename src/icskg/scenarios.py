@@ -20,9 +20,6 @@ from icskg.graph import Configuration, Graph, GraphView, NodeKind, read_json
 
 DEFAULT_K = 20
 
-CONFIG_ORDER = (Configuration.ORIGINAL, Configuration.ENRICHED,
-                Configuration.CONTROLLED)
-
 
 @dataclass
 class Selector:
@@ -109,7 +106,7 @@ def run_scenario(views: dict[Configuration, GraphView],
     if not targets:
         raise SelectorEmpty(f"{scenario.id}: target selector matched no product")
     reports = []
-    for config in CONFIG_ORDER:
+    for config in Configuration:
         if config not in views:
             continue
         view = views[config]
@@ -163,7 +160,7 @@ def run_suite(views: dict[Configuration, GraphView],
     for scenario in scenarios:
         rows.extend(run_scenario(views, scenario))
     aggregates = []
-    for config in CONFIG_ORDER:
+    for config in Configuration:
         if config not in views:
             continue
         samples = [h for r in rows if r.config == config.value for h in r.hop_samples]

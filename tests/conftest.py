@@ -28,7 +28,7 @@ from icskg.graph import (
     NodeKind,
     RiskAttributes,
 )
-from icskg.risk import LogIndex
+from icskg.logsynth import LogIndex
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,66 @@ def test_run_config_sections_must_be_objects(tmp_path, pipeline_out, capsys,
     assert tree_digest(out) == tree_digest(pipeline_out)
 
 
+def _duplicate_product(testbed: dict) -> None:
+    testbed["products"].append({**testbed["products"][0], "zone": "DMZ"})
+
+
+def _unknown_allowlisted_product(testbed: dict) -> None:
+    testbed["controlProfiles"]["secured"]["allowlist"].append(["NoSuch_Product", "PLC_CellA_1"])
+
+
+def _unknown_overridden_product(testbed: dict) -> None:
+    testbed["cpeOverrides"]["NoSuch_Product"] = "cpe:2.3:a:nosuch:product:1.0"
+
+
+# Inputs each well formed by itself that contradict another part of the
+# run: (testbed edit or None, props of a node.csv CVE that relation.csv
+# links to a product or None, the error text).  The CVE is node.csv row 41.
+INCONSISTENT_INPUTS = [
+    (_duplicate_product, None, "products: product 'ERP_Server_1' is declared twice"),
+    (_unknown_allowlisted_product, None,
+     "controlProfiles.secured.allowlist 'NoSuch_Product' is not a declared product"),
+    (_unknown_overridden_product, None,
+     "cpeOverrides key 'NoSuch_Product' is not a declared product"),
+    (None, {"epss": "high"}, "row 41: vulnerability 'CVE-2099-0001': "
+     "epss must be a finite number from 0 to 1, got 'high'"),
+    # advisories.json rejects an EPSS of 5 by the same rule.
+    (None, {"epss": "5"}, "row 41: vulnerability 'CVE-2099-0001': "
+     "epss must be a finite number from 0 to 1, got 5.0"),
+    (None, {"accessComplexity": "Medium"}, "row 41: vulnerability 'CVE-2099-0001': "
+     "accessComplexity must be \"Low\" or \"High\", got 'Medium'"),
+]
+
+
+@pytest.mark.parametrize("edit_testbed, cve_props, needle", INCONSISTENT_INPUTS,
+                         ids=["duplicate-product", "allowlist-unknown-product",
+                              "cpeOverrides-unknown-product", "node-csv-epss-high",
+                              "node-csv-epss-5", "node-csv-accessComplexity-Medium"])
+def test_inconsistent_input_fails_validate_only(tmp_path, capsys,
+                                                edit_testbed, cve_props, needle):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    if edit_testbed:
+        testbed = json.loads(Path(raw["paths"]["testbed"]).read_text())
+        edit_testbed(testbed)
+        raw["paths"]["testbed"] = str(tmp_path / "testbed.json")
+        Path(raw["paths"]["testbed"]).write_text(json.dumps(testbed))
+    if cve_props:
+        cve = "CVE-2099-0001"
+        for key, row in (("nodes", [cve, "Vulnerability", cve, "", "", json.dumps(cve_props)]),
+                         ("relations", ["PLC_CellA_1", cve, "HAS_VULNERABILITY", "{}"])):
+            path = tmp_path / Path(raw["paths"][key]).name
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(Path(raw["paths"][key]).read_text())
+                csv.writer(fh, lineterminator="\n").writerow(row)
+            raw["paths"][key] = str(path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "build", "--validate-only"]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_advisory_kev_must_be_json_boolean(tmp_path, capsys):
     raw = json.loads(fixture_config(tmp_path).read_text())
     advisories = json.loads(Path(raw["paths"]["advisories"]).read_text())

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import icskg
+from icskg.logsynth import AUTH_MODES, EVENTS, SECURITY_MODES
 
 MODULES = sorted(Path(icskg.__file__).parent.glob("*.py"))
 
@@ -82,3 +84,13 @@ def test_no_import_hides_behind_type_checking(path):
     hidden = [f"{path.name}:{line}" for name, line in imported_names(tree)
               if name == "TYPE_CHECKING"]
     assert hidden == []
+
+
+def test_each_log_word_is_spelled_once():
+    # The generator writes the log vocabularies and the fold reads them by
+    # the names logsynth binds, so no word is spelled a second time.
+    words = [*AUTH_MODES, *SECURITY_MODES, *EVENTS]
+    literals = Counter(node.value for path in MODULES
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    assert {word: literals[word] for word in words} == dict.fromkeys(words, 1)

@@ -15,6 +15,7 @@ from icskg.errors import BadEnum, DanglingReference, IcskgError, IngestError, Mi
 from icskg.graph import (Edge, EdgeKind, Graph, Node, NodeKind, RiskAttributes, audit_hierarchy,
                          csv_line, props_from_json, read_csv, write_csv)
 from icskg.ingest import (
+    CvssSummary,
     Dataflow,
     TestbedProduct,
     TestbedSpec,
@@ -32,6 +33,8 @@ from icskg.ingest import (
     match_product_cpes,
     preprocess_cves,
     save_state,
+    vulnerability_props,
+    vulnerability_scores,
 )
 
 
@@ -222,6 +225,34 @@ def test_edge_csv_unreadable_risk_cell_is_a_skipped_row(tmp_path):
         ("MES_1", "PLC_1", "COMMUNICATES_WITH")]
     assert [(i.row, i.kind, i.message) for i in result.issues] == [
         (1, "InvalidRow", "row 1: could not convert string to float: 'abc'")]
+
+
+@pytest.mark.parametrize("props, needle", [
+    ({"epss": "high"}, "epss must be a finite number from 0 to 1, got 'high'"),
+    ({"epss": "5"}, "epss must be a finite number from 0 to 1, got 5.0"),
+    ({"baseScore": "nan"}, "baseScore must be a finite number from 0 to 10, got 'nan'"),
+    ({"baseScore": "1e999"}, "baseScore must be a finite number from 0 to 10, got inf"),
+    ({"accessComplexity": "Medium"}, 'accessComplexity must be "Low" or "High", got \'Medium\''),
+    ({"attackVector": ""}, "attackVector must be \"Network\", \"Adjacent\", \"Local\" or "
+                           "\"Physical\", got ''"),
+])
+def test_vulnerability_rows_are_read_by_the_advisory_rules(tmp_path, props, needle):
+    csv_text = NODE_CSV + csv_line(["CVE-9", "Vulnerability", "", "", "", json.dumps(props)]) + "\n"
+    with pytest.raises(IngestError, match=f"^row 4: vulnerability 'CVE-9': {re.escape(needle)}$"):
+        load_nodes(Graph(), write(tmp_path, "n.csv", csv_text))
+
+
+def test_vulnerability_props_round_trip(tmp_path):
+    # Absent scoring props take the advisory's defaults.
+    csv_text = NODE_CSV + csv_line(["CVE-9", "Vulnerability", "", "", "",
+                                    json.dumps({"epss": "0.25", "attackVector": "Local"})])
+    g = Graph()
+    assert load_nodes(g, write(tmp_path, "n.csv", csv_text + "\n")).count == 4
+    assert vulnerability_scores(g.node("CVE-9")) == (0.25, CvssSummary(attack_vector="Local"))
+    record = VulnRecord.from_dict({"cveId": "CVE-1", "epss": 0.125, "cvss": {
+        "baseScore": 9.8, "accessComplexity": "High", "attackVector": "Adjacent"}})
+    node = Node(id="CVE-1", kind=NodeKind.VULNERABILITY, props=vulnerability_props(record))
+    assert vulnerability_scores(node) == (record.epss, record.cvss)
 
 
 def test_bad_enum_node_row_skipped(tmp_path):

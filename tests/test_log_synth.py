@@ -22,6 +22,7 @@ from icskg.ingest import TESTBED, Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
     LOG_CSV_HEADER,
     SYNTH_PROFILE,
+    PairStats,
     SynthProfile,
     _flow_rng,
     _generate_flow,
@@ -33,7 +34,6 @@ from icskg.logsynth import (
     load_log_csv,
     write_log_csv,
 )
-from icskg.risk import PairStats
 
 
 def one_flow_testbed() -> TestbedSpec:

@@ -25,10 +25,9 @@ from icskg.ingest import (
     link_products,
     load_testbed_into_graph,
 )
-from icskg.logsynth import SynthProfile, generate, generate_secured
+from icskg.logsynth import LogIndex, SynthProfile, generate, generate_secured
 from icskg.risk import (
     ControlFactors,
-    LogIndex,
     aggregate_attack_cost,
     annotate,
     apply_controls,
