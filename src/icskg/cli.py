@@ -237,15 +237,18 @@ def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool) -> int:
     state = PipelineState(cfg, out_dir, "build")
     graph = Graph()
     product_count = ingest.load_testbed_into_graph(graph, cfg.testbed, cfg.risk)
-    node_result = ingest.load_nodes(graph, cfg.paths["nodes"])
+    with ingest.naming_file(cfg.paths["nodes"]):
+        node_result = ingest.load_nodes(graph, cfg.paths["nodes"])
     advisories = ingest.preprocess_cves(ingest.load_advisories(cfg.paths["advisories"]))
     vuln_edges = ingest.link_products(graph, cfg.testbed, advisories)
-    rel_result = ingest.load_relations(graph, cfg.paths["relations"])
+    with ingest.naming_file(cfg.paths["relations"]):
+        rel_result = ingest.load_relations(graph, cfg.paths["relations"])
     flow_count = ingest.build_dataflow_edges(graph, cfg.testbed)
     prediction_count = 0
     if "predictions" in cfg.paths:
-        pred = ingest.import_predictions(graph, cfg.paths["predictions"],
-                                         cfg.prediction_min_confidence)
+        with ingest.naming_file(cfg.paths["predictions"]):
+            pred = ingest.import_predictions(graph, cfg.paths["predictions"],
+                                             cfg.prediction_min_confidence)
         prediction_count = pred.count
         for issue in pred.issues:
             logger.warning("predictions row %d: %s", issue.row, issue.message)

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from icskg.config import (BOOLEAN, CONTROL_NAMES, STRING, ControlProfile, RiskConfig,
                           integer, list_of, number, obj, one_of, table)
@@ -419,7 +420,8 @@ def _load_rows(path: str | Path, columns: Sequence[str],
     (None skips the row silently).  A row whose field count differs from
     the header's, row problems, cells that do not parse (``ValueError``,
     named with their row) and rejected upserts become row issues; any other
-    ingest error aborts the load, naming its row."""
+    ingest error aborts the load, naming its row (and holding it as ``row``,
+    so that :func:`naming_file` can name the file too)."""
     header, rows = read_csv(path, columns)
     position = {name: i for i, name in enumerate(header)}
     picks = [position[name] for name in columns]
@@ -440,11 +442,27 @@ def _load_rows(path: str | Path, columns: Sequence[str],
         except ValueError as exc:
             issues.append(RowIssue(row_num, "InvalidRow", f"row {row_num}: {exc}"))
         except IngestError as exc:
-            raise type(exc)(f"row {row_num}: {exc}") from None
+            error = type(exc)(f"row {row_num}: {exc}")
+            error.row = row_num
+            raise error from None
         else:
             if key is not None:
                 accepted.add(key)
     return LoadResult(len(accepted), issues)
+
+
+@contextmanager
+def naming_file(name: str | Path) -> Iterator[None]:
+    """Put ``name: `` before the message of an ingest error that a row of
+    a CSV file raises inside the ``with`` statement (see :func:`_load_rows`),
+    so the message names the file as well as the row; errors in reading the
+    file name it already."""
+    try:
+        yield
+    except IngestError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def _edge_kind(raw: str) -> EdgeKind:
@@ -587,12 +605,16 @@ def load_state(directory: str | Path) -> Graph:
     directory = Path(directory)
     graph = Graph()
     nodes = directory / STATE_NODE_FILE
-    _require_clean_state(nodes, load_nodes(graph, nodes))
+    _load_state_file(nodes, lambda: load_nodes(graph, nodes))
     edges = directory / STATE_EDGE_FILE
-    _require_clean_state(edges, _load_rows(edges, _STATE_EDGE_HEADER, _edge_loader(graph)))
+    _load_state_file(edges, lambda: _load_rows(edges, _STATE_EDGE_HEADER, _edge_loader(graph)))
     return graph
 
 
-def _require_clean_state(path: Path, result: LoadResult) -> None:
+def _load_state_file(path: Path, load: Callable[[], LoadResult]) -> None:
+    """Run ``load`` on the state file ``path``; a row that aborts it or
+    that it reports as an issue is corrupt state, named with the file."""
+    with naming_file(f"corrupt state in {path}"):
+        result = load()
     if result.issues:
         raise DanglingReference(f"corrupt state in {path}: {result.issues[0].message}")

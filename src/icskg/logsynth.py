@@ -7,9 +7,11 @@ assigned to sessions through a counter-based Philox stream keyed by
 (seed, flow index), so a fixed seed yields byte-identical output on every
 platform and per-flow generation can run in any order.  Each flow is built
 column-wise: its event offsets and categorical fields are numpy arrays, and
-its CSV lines are joined from them, the text after the timestamp built once
-per distinct row.  Timestamps count from 2025-01-06T00:00:00Z, rounded
-half-even to the microsecond and then truncated to the millisecond.
+the text after the timestamp is built once per distinct row.  A generated log
+is a :class:`LogStream` that keeps only each record's offset and a pointer to
+its row text, and formats its CSV lines :data:`CHUNK_LINES` at a time as it is
+iterated.  Timestamps count from 2025-01-06T00:00:00Z, rounded half-even to the
+microsecond and then truncated to the millisecond.
 
 Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientIp``
 
@@ -22,10 +24,11 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +49,12 @@ EVENTS = (READ, WRITE, FAILED_WRITE, AUDIT_WRITE, SESSION, CONFIG_CHECK_PASS, CO
 _CODE = {word: i for words in (AUTH_MODES, SECURITY_MODES, EVENTS) for i, word in enumerate(words)}
 
 _BASE_MS = np.datetime64("2025-01-06T00:00:00", "ms")
+
+# A log is formatted and written this many lines at a time, and read this
+# many bytes at a time, so the log layer's memory is bounded by these and not
+# by the number of records.
+CHUNK_LINES = 4096
+BLOCK_BYTES = 1 << 18
 
 # Per-session config checks are capped to keep streams bounded when
 # misconfigRate far exceeds failCheckFrac.
@@ -221,28 +230,49 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
     return _milliseconds(offsets), tails[inverse]
 
 
+class LogStream:
+    """A generated log: the CSV data lines (without line ends) of its
+    records in time order, formatted :data:`CHUNK_LINES` at a time each time
+    the stream is iterated.  It holds each record's millisecond offset and a
+    pointer to its line tail, one of the few distinct tails of its flow;
+    ``len()`` is the number of records."""
+
+    def __init__(self, ms: np.ndarray, tails: np.ndarray) -> None:
+        self._ms = ms
+        self._tails = tails
+
+    def __len__(self) -> int:
+        return len(self._ms)
+
+    def __iter__(self) -> Iterator[str]:
+        for start in range(0, len(self._ms), CHUNK_LINES):
+            window = slice(start, start + CHUNK_LINES)
+            yield from (_timestamps(self._ms[window]) + self._tails[window]).tolist()
+
+
 def _merged_flows(testbed: TestbedSpec, profile: SynthProfile,
-                  silent: Callable[[Dataflow], bool]) -> list[str]:
-    """The CSV lines of one sub-stream per dataflow that is not ``silent``,
+                  silent: Callable[[Dataflow], bool]) -> LogStream:
+    """The records of one sub-stream per dataflow that is not ``silent``,
     merged by time; the sort is stable, so ties keep flow order, then
     position in the flow."""
     flows = [_generate_flow(flow_index, flow, profile)
              for flow_index, flow in enumerate(testbed.dataflows) if not silent(flow)]
     if not flows:
-        return []
+        return LogStream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object))
     ms, tails = (np.concatenate(column) for column in zip(*flows))
     order = np.argsort(ms, kind="stable")
-    return (_timestamps(ms[order]) + tails[order]).tolist()
+    return LogStream(ms[order], tails[order])
 
 
-def generate(testbed: TestbedSpec, profile: SynthProfile) -> list[str]:
-    """Baseline log stream: one sub-stream per dataflow, merged by time,
-    as the CSV data lines (without line ends) of its records."""
+def generate(testbed: TestbedSpec, profile: SynthProfile) -> LogStream:
+    """Baseline log stream: one sub-stream per dataflow, merged by time.
+    Iterating it yields the CSV data lines (without line ends) of its
+    records; ``len()`` is their number."""
     return _merged_flows(testbed, profile, lambda flow: False)
 
 
 def generate_secured(testbed: TestbedSpec, profile: SynthProfile,
-                     controls: ControlProfile) -> list[str]:
+                     controls: ControlProfile) -> LogStream:
     """Secured log stream reflecting the enabled controls.
 
     Rate overrides are applied before generation (:func:`secured_profile`);
@@ -345,10 +375,16 @@ class LogIndex:
         return merged
 
 
-def write_log_csv(lines: Sequence[str], path: str | Path) -> None:
-    """Write a log CSV: the header, then the lines of :func:`generate`,
-    each ending in LF."""
-    Path(path).write_bytes("\n".join([_HEADER_LINE, *lines, ""]).encode("utf-8"))
+def write_log_csv(lines: Iterable[str], path: str | Path) -> None:
+    """Write a log CSV: the header, then the lines of a :class:`LogStream`
+    or of any iterable of data lines, each ending in LF.  The lines are
+    joined, encoded and written :data:`CHUNK_LINES` at a time."""
+    pending = iter(lines)
+    with open(path, "wb") as file:
+        file.write(f"{_HEADER_LINE}\n".encode("utf-8"))
+        while chunk := list(islice(pending, CHUNK_LINES)):
+            chunk.append("")
+            file.write("\n".join(chunk).encode("utf-8"))
 
 
 def load_log_csv(path: str | Path) -> LogIndex:
@@ -356,26 +392,69 @@ def load_log_csv(path: str | Path) -> LogIndex:
     timestamp, counted and folded into a :class:`LogIndex`.
 
     Columns are found by name.  A row whose field count differs from the
-    header's raises :class:`IngestError`.
+    header's raises :class:`IngestError`.  A file whose header is
+    :data:`LOG_CSV_HEADER` in order and that holds no double quote and no
+    carriage return is folded :data:`BLOCK_BYTES` at a time; any other file
+    is parsed whole by ``csv.reader``.
     """
-    text = Path(path).read_bytes().decode("utf-8")
-    lines = text.split("\n")
     width = len(LOG_CSV_HEADER)
-    if lines[0] == _HEADER_LINE and '"' not in text and "\r" not in text:
+    tails = _fold_unquoted(path)
+    if tails is not None:
         # Nothing is quoted, so a line's fields are its comma-separated
         # parts, in header order.
-        data = [line for line in islice(lines, 1, None) if line]
-        tails = Counter(line.partition(",")[2] for line in data)
         rows = {tuple(tail.split(",")): n for tail, n in tails.items()}
         if any(len(row) != width - 1 for row in rows):
-            _check_widths(path, (line.split(",") for line in data), width)
+            lines = (line for text in _text_blocks(path) for line in text.split("\n") if line)
+            _check_widths(path, (line.split(",") for line in islice(lines, 1, None)), width)
     else:
-        header, records = parse_csv(text, path, LOG_CSV_HEADER)
+        header, records = parse_csv(Path(path).read_bytes().decode("utf-8"), path,
+                                    LOG_CSV_HEADER)
         records = list(records)
         _check_widths(path, records, len(header))
         columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
         rows = Counter(map(columns, records))
     return LogIndex(rows)
+
+
+def _text_blocks(path: str | Path) -> Iterator[str]:
+    """The UTF-8 text of a file about :data:`BLOCK_BYTES` at a time, each
+    block but the last cut after its last LF.  No multibyte character holds
+    the byte of LF, so no cut splits one."""
+    with open(path, "rb") as file:
+        rest = b""
+        for block in iter(partial(file.read, BLOCK_BYTES), b""):
+            rest += block
+            cut = rest.rfind(b"\n") + 1
+            if cut:
+                yield rest[:cut].decode("utf-8")
+                rest = rest[cut:]
+        if rest:
+            yield rest.decode("utf-8")
+
+
+def _fold_unquoted(path: str | Path) -> Optional[Counter]:
+    """How often each line tail (the text after a line's first comma) of a
+    log CSV's data rows occurs; blank lines are skipped.  None, and the
+    partial counts dropped, when the file is not the unquoted log CSV that
+    this fold reads: its header is not :data:`LOG_CSV_HEADER` in order, or a
+    block holds a double quote, a carriage return or bytes that are not
+    UTF-8."""
+    tails: Counter = Counter()
+    header_read = False
+    try:
+        for text in _text_blocks(path):
+            if '"' in text or "\r" in text:
+                return None
+            lines = text.split("\n")
+            if not header_read:
+                if lines[0] != _HEADER_LINE:
+                    return None
+                lines[0] = ""   # skipped as a blank line
+                header_read = True
+            tails.update(line.partition(",")[2] for line in lines if line)
+    except UnicodeDecodeError:
+        return None
+    return tails if header_read else None
 
 
 def _check_widths(path: str | Path, rows: Iterable[Sequence[str]], width: int) -> None:

@@ -309,9 +309,9 @@ def random_testbed(rng: random.Random):
     return testbed, advisories
 
 
-def log_index(lines: list[str]) -> LogIndex:
-    """The :class:`LogIndex` of log CSV data lines, as ``logsynth.generate``
-    returns them, read with ``csv.reader``."""
+def log_index(lines) -> LogIndex:
+    """The :class:`LogIndex` of log CSV data lines, as the stream that
+    ``logsynth.generate`` returns yields them, read with ``csv.reader``."""
     return LogIndex(Counter(tuple(row[1:]) for row in csv.reader(lines)))
 
 

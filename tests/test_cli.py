@@ -520,6 +520,51 @@ def test_advisory_kev_must_be_json_boolean(tmp_path, capsys):
     assert not out.exists()
 
 
+def append_row(source: Path, dest: Path, row: list[str]) -> int:
+    """Copy the CSV file ``source`` to ``dest`` with ``row`` appended; return
+    the new row's number, counted from 1 after the header."""
+    text = source.read_text(encoding="utf-8")
+    with open(dest, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+        csv.writer(fh, lineterminator="\n").writerow(row)
+    return len(read_csv(dest))
+
+
+BAD_CVE = ["CVE-2099-0001", "Vulnerability", "CVE-2099-0001", "", "", json.dumps({"epss": "high"})]
+BAD_CVE_ERROR = ("vulnerability 'CVE-2099-0001': "
+                 "epss must be a finite number from 0 to 1, got 'high'")
+
+
+@pytest.mark.parametrize("key, row, needle", [
+    ("nodes", BAD_CVE, BAD_CVE_ERROR),
+    ("predictions", ["PLC_CellA_1", "PLC_CellB_1", "COMMUNICATES_WITH", "0.9"],
+     "COMMUNICATES_WITH is not a prediction kind"),
+], ids=["node-csv", "predictions-csv"])
+def test_row_that_aborts_build_names_its_file(tmp_path, capsys, key, row, needle):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    path = tmp_path / Path(raw["paths"][key]).name
+    number = append_row(Path(raw["paths"][key]), path, row)
+    raw["paths"][key] = str(path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "build"]) == 2
+    assert f"error: {path}: row {number}: {needle}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_row_that_aborts_a_state_load_names_the_state_file(tmp_path, pipeline_out, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    nodes = out / "graph" / "nodes.csv"
+    number = append_row(pipeline_out / "graph" / "nodes.csv", nodes, BAD_CVE)
+    before = tree_digest(out)
+    assert main(["--out", str(out), "annotate"]) == 2
+    assert f"error: corrupt state in {nodes}: row {number}: {BAD_CVE_ERROR}" \
+        in capsys.readouterr().err
+    assert tree_digest(out) == before
+
+
 # One case per setting that ended in a traceback (exit 1) before the typed
 # reader: (document, key path, value, stage, text the error must hold).  The
 # document is the run config or the file of one of its paths; the

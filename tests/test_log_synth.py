@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from itertools import chain
 from operator import itemgetter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import log_index
+from icskg import logsynth
 from icskg.config import ControlOverrides, ControlProfile
 from icskg.errors import IngestError
-from icskg.graph import write_csv
+from icskg.graph import csv_line, write_csv
 from icskg.ingest import TESTBED, Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
+    AUTH_MODES,
+    EVENTS,
     LOG_CSV_HEADER,
+    SECURITY_MODES,
     SYNTH_PROFILE,
     PairStats,
     SynthProfile,
@@ -83,17 +89,17 @@ def test_rate_fidelity_at_10k_sessions():
 def test_zero_rate_empty_log():
     testbed = one_flow_testbed()
     profile = SynthProfile(per_flow_session_rate=0.0)
-    assert generate(testbed, profile) == []
+    assert list(generate(testbed, profile)) == []
 
 
 def test_determinism_byte_identical():
     testbed = one_flow_testbed()
     profile = SynthProfile(seed=11, duration_hours=3, per_flow_session_rate=40)
-    first = generate(testbed, profile)
-    second = generate(testbed, profile)
+    first = list(generate(testbed, profile))
+    second = list(generate(testbed, profile))
     assert first == second
-    other_seed = generate(testbed, SynthProfile(
-        seed=12, duration_hours=3, per_flow_session_rate=40))
+    other_seed = list(generate(testbed, SynthProfile(
+        seed=12, duration_hours=3, per_flow_session_rate=40)))
     assert other_seed != first
 
 
@@ -149,8 +155,8 @@ def test_segmentation_drops_cross_zone_flows():
 def test_no_controls_identical_to_baseline():
     testbed = one_flow_testbed()
     profile = SynthProfile(seed=8, duration_hours=2, per_flow_session_rate=50)
-    baseline = generate(testbed, profile)
-    secured = generate_secured(testbed, profile, ControlProfile(controls=set()))
+    baseline = list(generate(testbed, profile))
+    secured = list(generate_secured(testbed, profile, ControlProfile(controls=set())))
     assert baseline == secured
 
 
@@ -420,3 +426,134 @@ def test_log_csv_matches_csv_module_and_per_row_count(tmp_path_factory, flows, s
     write_log_csv(generate(testbed, profile), path)
     assert path.read_bytes() == write_csv(LOG_CSV_HEADER, rows)
     assert_folds_rows(load_log_csv(path), rows)
+
+
+# ---------------------------------------------------------------------------
+# Memory bounded by the chunk and the block, and results that do not see them
+# ---------------------------------------------------------------------------
+
+def traced(work):
+    """The result of ``work()``, the bytes still traced after it and the
+    traced peak during it, as tracemalloc counts them (numpy included)."""
+    tracemalloc.start()
+    try:
+        result = work()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+def test_log_layer_memory_does_not_grow_with_the_log_window(tmp_path):
+    """Writing and loading one flow's log peak below a fixed bound at 8 h
+    and at 64 h, while the 64 h file is three times that bound; the stream
+    :func:`generate` returns keeps 16 bytes a record, not the records' text."""
+    bound = 3 << 20
+    testbed = TestbedSpec(zones=["OT"], products=[],
+                          dataflows=[Dataflow("SRC", "DST", "OPC_UA")])
+    for hours in (8, 64):
+        profile = SynthProfile(seed=1, duration_hours=hours, per_flow_session_rate=400)
+        stream, kept, _ = traced(lambda: generate(testbed, profile))
+        assert kept <= 24 * len(stream), hours
+        path = tmp_path / f"{hours}h.csv"
+        _, _, write_peak = traced(lambda: write_log_csv(stream, path))
+        index, _, load_peak = traced(lambda: load_log_csv(path))
+        assert len(index) == len(stream) == 1600 * hours
+        assert write_peak < bound and load_peak < bound, (hours, write_peak, load_peak)
+    assert path.stat().st_size > 2.5 * bound
+
+
+NAMES = st.sampled_from(["PLC_1", "HMI_é", "Ventil_Ø", "泵站_2", "Zelle🙂"])
+LOG_ROWS = st.tuples(
+    st.sampled_from(["2025-01-06T00:00:00.000Z", "2025-01-06T07:59:59.999Z"]),
+    NAMES, NAMES, st.sampled_from(["OPC_UA", "Modbus"]), st.sampled_from(AUTH_MODES),
+    st.sampled_from(SECURITY_MODES), st.sampled_from(EVENTS),
+    st.sampled_from(["10.1.0.1", "10.2.0.7"])).map(list)
+# A quoted field, a carriage return, a blank line or a row of the wrong width,
+# each put in at a drawn line.
+ODDITIES = st.sampled_from(["quoted", "crlf", "blank", "short", "long"])
+
+
+@st.composite
+def log_files(draw) -> tuple[str, bool]:
+    """The text of a log CSV, and whether it is one the fast path reads.
+    The drawn rows have multibyte product names; an oddity may land in any
+    line, the last block's included; the final LF may be missing."""
+    lines = [",".join(row) for row in draw(st.lists(LOG_ROWS, max_size=40))]
+    unquoted = True
+    for oddity in draw(st.lists(ODDITIES, max_size=3)):
+        at = draw(st.integers(0, len(lines)))
+        row = draw(LOG_ROWS)
+        if oddity == "quoted":
+            row[1] = 'PLC "7", cell A'
+            unquoted = False
+        elif oddity == "short":
+            row = row[:draw(st.integers(1, 7))]
+        elif oddity == "long":
+            row.append("extra")
+        line = "" if oddity == "blank" else csv_line(row)
+        if oddity == "crlf":
+            line += "\r"
+            unquoted = False
+        lines.insert(at, line)
+    text = "\n".join([",".join(LOG_CSV_HEADER), *lines])
+    return (text + "\n" if draw(st.booleans()) else text), unquoted
+
+
+def load_outcome(path):
+    """What :func:`load_log_csv` makes of ``path``: the error it raises, or
+    the row count and every pair and merged statistic of the index."""
+    try:
+        index = load_log_csv(path)
+    except IngestError as exc:
+        return str(exc)
+    names = ["PLC_1", "HMI_é", "Ventil_Ø", "泵站_2", "Zelle🙂", 'PLC "7", cell A']
+    return len(index), [(index.pair(u, v), index.merged(u, v)) for u in names for v in names]
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_files(), st.sampled_from([1, 7, 64]))
+def test_load_log_csv_does_not_depend_on_the_block_size(tmp_path_factory, file, block):
+    text, unquoted = file
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = load_outcome(path)
+    with mock.patch.object(logsynth, "BLOCK_BYTES", block):
+        assert load_outcome(path) == expected
+    if unquoted:
+        # The fast path names the first data row of the wrong width, rows
+        # counted from 1 after the header and blank lines skipped.
+        data = [line.split(",") for line in text.split("\n")[1:] if line]
+        ragged = [(n, len(row)) for n, row in enumerate(data, start=1) if len(row) != 8]
+        if ragged:
+            n, width = ragged[0]
+            assert expected == f"{path}: row {n} has {width} fields, not 8"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(NAMES, NAMES), min_size=1, max_size=3), st.integers(0, 2**32),
+       st.sampled_from([1, 7, 64]))
+def test_write_log_csv_does_not_depend_on_the_chunk_size(tmp_path_factory, pairs, seed, chunk):
+    testbed = TestbedSpec(zones=["OT"], products=[],
+                          dataflows=[Dataflow(src, dst, "OPC_UA") for src, dst in pairs])
+    stream = generate(testbed, SynthProfile(seed=seed, duration_hours=0.1,
+                                            per_flow_session_rate=100))
+    folder = tmp_path_factory.mktemp("log")
+    write_log_csv(stream, folder / "default.csv")
+    with mock.patch.object(logsynth, "CHUNK_LINES", chunk):
+        write_log_csv(stream, folder / "stream.csv")
+        write_log_csv(list(stream), folder / "list.csv")
+    expected = (folder / "default.csv").read_bytes()
+    assert (folder / "stream.csv").read_bytes() == (folder / "list.csv").read_bytes() == expected
+    assert expected.decode("utf-8").split("\n")[1:-1] == list(stream)
+
+
+def test_header_only_log_is_empty(tmp_path):
+    for text in (",".join(LOG_CSV_HEADER), ",".join(LOG_CSV_HEADER) + "\n"):
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        for block in (1, 7, logsynth.BLOCK_BYTES):
+            with mock.patch.object(logsynth, "BLOCK_BYTES", block):
+                assert len(load_log_csv(path)) == 0
+    write_log_csv([], path)
+    assert path.read_text(encoding="utf-8") == ",".join(LOG_CSV_HEADER) + "\n"

@@ -2,9 +2,12 @@
 """Stage, Yen and betweenness times on generated plants, with output digests.
 
 For each plant size, ``perfbench/plant.py`` generates the inputs (seed 1,
-0.25 h of logs; 3 cells is the bundled fixture's topology), and the seven
-stages run in order, each timed once, through ``icskg.cli.main`` in this
-process.  Two kernels are timed inside those stages, over every call and
+0.25 h of logs unless ``--hours`` says otherwise; 3 cells is the bundled
+fixture's topology), and the seven stages run in order, each timed once,
+through ``icskg.cli.main`` in this process.  After each stage the process's
+peak resident set (``ru_maxrss``, a high-water mark that never falls, so
+run plant sizes in increasing order to read each one's own) is recorded in
+MB.  Two kernels are timed inside those stages, over every call and
 through every icskg module that binds them:
 
 * ``yen``: ``analytics.yen_k_shortest``, one call per (source, target) pair
@@ -21,6 +24,7 @@ Usage, from the repository root::
 
     python3 tools/scaling.py                 # 24, 48 and 96 cells
     python3 tools/scaling.py --cells 3 6     # smaller plants
+    python3 tools/scaling.py --cells 24 --hours 2   # a longer log window
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import io
 import json
 import os
 import platform
+import resource
 import sys
 import tempfile
 import time
@@ -92,45 +97,53 @@ def run_stage(config: Path, out: Path, stage: str) -> None:
         raise SystemExit(f"{stage} exited {code}")
 
 
-def measure(cells: int, work: Path) -> dict:
+def measure(cells: int, hours: float, work: Path) -> dict:
     inputs, out = work / "inputs", work / "out"
     sizes = plant.generate(ROOT / "src" / "icskg" / "data" / "fixture", inputs,
-                           cells, SEED, LOG_HOURS)
+                           cells, SEED, hours)
     config = inputs / "config.json"
     totals = dict.fromkeys(KERNELS, 0.0)
     calls = dict.fromkeys(KERNELS, 0)
+    stage_s, stage_peak_rss_mb = {}, {}
     with kernel_timers(totals, calls):
-        stage_s = {stage: timed(lambda: run_stage(config, out, stage))
-                   for stage in STAGE_ORDER}
+        for stage in STAGE_ORDER:
+            stage_s[stage] = timed(lambda: run_stage(config, out, stage))
+            stage_peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
         "cells": cells,
         "products": sizes["products"],
         "scenarios": sizes["scenarios"],
         "stage_s": stage_s,
+        "stage_peak_rss_mb": stage_peak_rss_mb,
         **{f"{name}_s": totals[name] for name in KERNELS},
         **{f"{name}_calls": calls[name] for name in KERNELS},
         "output_digest": tree_digest(out),
     }
 
 
-def run(cells: list[int]) -> dict:
+def run(cells: list[int], hours: float) -> dict:
     rows = []
     for n in cells:
         with tempfile.TemporaryDirectory() as tmp:
-            rows.append(measure(n, Path(tmp)))
+            rows.append(measure(n, hours, Path(tmp)))
     return {"python": platform.python_version(), "nproc": os.cpu_count(),
-            "seed": SEED, "log_hours": LOG_HOURS, "plants": rows}
+            "seed": SEED, "log_hours": hours, "plants": rows}
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cells", type=int, nargs="+", default=list(CELLS),
                         help="plant sizes in production cells (default: 24 48 96)")
+    parser.add_argument("--hours", type=float, default=LOG_HOURS,
+                        help=f"log window in hours (default: {LOG_HOURS})")
     args = parser.parse_args(argv)
     if min(args.cells) < 1:
         parser.error("--cells must be positive")
+    if not 0 < args.hours < float("inf"):
+        parser.error("--hours must be positive and finite")
     return args
 
 
 if __name__ == "__main__":
-    print(json.dumps(run(parse_args().cells), indent=2))
+    args = parse_args()
+    print(json.dumps(run(args.cells, args.hours), indent=2))
