@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import log_index
@@ -86,10 +86,12 @@ def test_rate_fidelity_at_10k_sessions():
     assert abs(stats.anon - 300) <= 100
 
 
-def test_zero_rate_empty_log():
+def test_zero_rate_empty_log(tmp_path):
     testbed = one_flow_testbed()
     profile = SynthProfile(per_flow_session_rate=0.0)
     assert list(generate(testbed, profile)) == []
+    write_log_csv(generate(testbed, profile), tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_text(encoding="utf-8") == ",".join(LOG_CSV_HEADER) + "\n"
 
 
 def test_determinism_byte_identical():
@@ -513,6 +515,8 @@ def load_outcome(path):
 
 @settings(max_examples=150, deadline=None)
 @given(log_files(), st.sampled_from([1, 7, 64]))
+@example((",".join(LOG_CSV_HEADER), True), 1)           # header only, no final LF
+@example((",".join(LOG_CSV_HEADER) + "\n", True), 7)    # header only
 def test_load_log_csv_does_not_depend_on_the_block_size(tmp_path_factory, file, block):
     text, unquoted = file
     path = tmp_path_factory.mktemp("log") / "log.csv"
@@ -546,14 +550,3 @@ def test_write_log_csv_does_not_depend_on_the_chunk_size(tmp_path_factory, pairs
     expected = (folder / "default.csv").read_bytes()
     assert (folder / "stream.csv").read_bytes() == (folder / "list.csv").read_bytes() == expected
     assert expected.decode("utf-8").split("\n")[1:-1] == list(stream)
-
-
-def test_header_only_log_is_empty(tmp_path):
-    for text in (",".join(LOG_CSV_HEADER), ",".join(LOG_CSV_HEADER) + "\n"):
-        path = tmp_path / "log.csv"
-        path.write_text(text, encoding="utf-8")
-        for block in (1, 7, logsynth.BLOCK_BYTES):
-            with mock.patch.object(logsynth, "BLOCK_BYTES", block):
-                assert len(load_log_csv(path)) == 0
-    write_log_csv([], path)
-    assert path.read_text(encoding="utf-8") == ",".join(LOG_CSV_HEADER) + "\n"
