@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import xml.sax.saxutils as saxutils
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -445,6 +444,9 @@ class GraphView:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def _export_graphml(self) -> bytes:
+        # Imported here: xml.sax loads urllib.request, http, email and ssl,
+        # which every other command would pay for at start-up.
+        import xml.sax.saxutils as saxutils
         esc = saxutils.escape
         q = saxutils.quoteattr
         lines = [
@@ -558,17 +560,24 @@ def read_csv(path: str | Path, required: Sequence[str]
              ) -> tuple[list[str], Iterator[list[str]]]:
     """The header and the data rows of a UTF-8 CSV file, each row its list
     of fields; blank lines are skipped and not counted.  A required column
-    missing from the header raises :class:`MissingColumn`."""
+    missing from the header raises :class:`MissingColumn`, and a file that
+    is not UTF-8 raises :class:`IngestError` naming the file and the line."""
     # Bytes are decoded without newline translation: csv splits the rows
     # itself, and a quoted carriage return is part of its field.
-    return parse_csv(Path(path).read_bytes().decode("utf-8"), path, required)
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    return parse_csv(StringIO(text), path, required)
 
 
-def parse_csv(text: str, source: str | Path, required: Sequence[str]
+def parse_csv(lines: Iterable[str], source: str | Path, required: Sequence[str]
               ) -> tuple[list[str], Iterator[list[str]]]:
-    """:func:`read_csv` of the text of the file ``source``.  Text that is
-    not CSV raises :class:`IngestError` naming the file and the line."""
-    rows = _csv_rows(text, source)
+    """:func:`read_csv` of the lines of the file ``source``, each with its
+    line end and split only at LF, as a file opened with ``newline="\\n"``
+    yields them; the rows are read as they are iterated.  Text that is not
+    CSV raises :class:`IngestError` naming the file and the line."""
+    rows = _csv_rows(lines, source)
     header = next(rows, [])
     for col in required:
         if col not in header:
@@ -576,12 +585,26 @@ def parse_csv(text: str, source: str | Path, required: Sequence[str]
     return header, filter(None, rows)
 
 
-def _csv_rows(text: str, source: str | Path) -> Iterator[list[str]]:
-    reader = csv.reader(StringIO(text))
+def _csv_rows(lines: Iterable[str], source: str | Path) -> Iterator[list[str]]:
+    reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as exc:
         raise IngestError(f"{source}: line {reader.line_num}: {exc}") from None
+
+
+def not_utf8(path: str | Path) -> IngestError:
+    """The error for the file ``path``, which is not UTF-8: it names the
+    file, its first line that does not decode and the byte in that line.
+    No UTF-8 character holds the byte of LF, so a line decodes on its own
+    as it does in the whole text."""
+    with open(path, "rb") as file:
+        for number, line in enumerate(file, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestError(f"{path}: line {number}: {exc}")
+    return IngestError(f"{path}: not UTF-8 text")
 
 
 def read_json(path: str | Path):

@@ -16,7 +16,9 @@ microsecond and then truncated to the millisecond.
 Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientIp``
 
 The log row lives here alone: its header, its vocabularies, the generator and
-the fold that counts a log CSV's distinct rows into a :class:`LogIndex`.
+the fold that counts a log CSV's distinct rows into a :class:`LogIndex`.  A
+log CSV is read a line at a time (:func:`load_log_csv`), so reading it holds
+memory for the distinct rows, not for the length of the file.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -34,7 +35,7 @@ import numpy as np
 
 from icskg.config import ControlProfile, integer, number, obj
 from icskg.errors import IngestError
-from icskg.graph import csv_line, parse_csv
+from icskg.graph import csv_line, not_utf8, parse_csv
 from icskg.ingest import Dataflow, TestbedSpec
 
 LOG_CSV_HEADER = ["timestamp", "src", "dst", "protocol", "authMode",
@@ -50,11 +51,9 @@ _CODE = {word: i for words in (AUTH_MODES, SECURITY_MODES, EVENTS) for i, word i
 
 _BASE_MS = np.datetime64("2025-01-06T00:00:00", "ms")
 
-# A log is formatted and written this many lines at a time, and read this
-# many bytes at a time, so the log layer's memory is bounded by these and not
-# by the number of records.
+# A log is formatted and written this many lines at a time, so the
+# generator's memory is bounded by it and not by the number of records.
 CHUNK_LINES = 4096
-BLOCK_BYTES = 1 << 18
 
 # Per-session config checks are capped to keep streams bounded when
 # misconfigRate far exceeds failCheckFrac.
@@ -391,75 +390,49 @@ def load_log_csv(path: str | Path) -> LogIndex:
     """The per-pair statistics of a log CSV: each distinct row, less its
     timestamp, counted and folded into a :class:`LogIndex`.
 
-    Columns are found by name.  A row whose field count differs from the
-    header's raises :class:`IngestError`.  A file whose header is
-    :data:`LOG_CSV_HEADER` in order and that holds no double quote and no
-    carriage return is folded :data:`BLOCK_BYTES` at a time; any other file
-    is parsed whole by ``csv.reader``.
+    The file is read a line at a time: by :func:`_tail_rows` when its header
+    is :data:`LOG_CSV_HEADER` in order, and again by ``csv.reader`` when that
+    fold cannot read it or the header differs.  There columns are found by
+    name, and a row whose field count differs from the header's raises
+    :class:`IngestError` with its number.  A file that is not UTF-8 raises
+    :class:`IngestError` naming its first line that does not decode.
     """
-    width = len(LOG_CSV_HEADER)
-    tails = _fold_unquoted(path)
-    if tails is not None:
-        # Nothing is quoted, so a line's fields are its comma-separated
-        # parts, in header order.
-        rows = {tuple(tail.split(",")): n for tail, n in tails.items()}
-        if any(len(row) != width - 1 for row in rows):
-            lines = (line for text in _text_blocks(path) for line in text.split("\n") if line)
-            _check_widths(path, (line.split(",") for line in islice(lines, 1, None)), width)
-    else:
-        header, records = parse_csv(Path(path).read_bytes().decode("utf-8"), path,
-                                    LOG_CSV_HEADER)
-        records = list(records)
-        _check_widths(path, records, len(header))
-        columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
-        rows = Counter(map(columns, records))
+    try:
+        with open(path, encoding="utf-8", newline="\n") as file:
+            header_line = next(file, "").removesuffix("\n")
+            rows = _tail_rows(file) if header_line == _HEADER_LINE else None
+            if rows is None:
+                file.seek(0)
+                header, records = parse_csv(file, path, LOG_CSV_HEADER)
+                columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
+                rows = Counter(map(columns, _checked(path, records, len(header))))
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return LogIndex(rows)
 
 
-def _text_blocks(path: str | Path) -> Iterator[str]:
-    """The UTF-8 text of a file about :data:`BLOCK_BYTES` at a time, each
-    block but the last cut after its last LF.  No multibyte character holds
-    the byte of LF, so no cut splits one."""
-    with open(path, "rb") as file:
-        rest = b""
-        for block in iter(partial(file.read, BLOCK_BYTES), b""):
-            rest += block
-            cut = rest.rfind(b"\n") + 1
-            if cut:
-                yield rest[:cut].decode("utf-8")
-                rest = rest[cut:]
-        if rest:
-            yield rest.decode("utf-8")
+def _tail_rows(lines: Iterable[str]) -> Optional[Counter]:
+    """How often each distinct row, less its timestamp, occurs in the data
+    lines of a log CSV in :data:`LOG_CSV_HEADER` order, counted by the text
+    after each line's first comma; blank lines are skipped.  None when a
+    line holds a double quote or a carriage return, in any field, or a row
+    has not eight fields: only ``csv.reader`` reads such a file right."""
+    # A line that holds either character is counted as the key '"': a row
+    # of one field, so the width check below turns the file away.
+    tails = Counter('"' if '"' in line or "\r" in line else line.partition(",")[2]
+                    for line in lines if line != "\n")
+    rows: Counter = Counter()
+    for tail, n in tails.items():
+        rows[tuple(tail.removesuffix("\n").split(","))] += n
+    return rows if all(len(row) == len(LOG_CSV_HEADER) - 1 for row in rows) else None
 
 
-def _fold_unquoted(path: str | Path) -> Optional[Counter]:
-    """How often each line tail (the text after a line's first comma) of a
-    log CSV's data rows occurs; blank lines are skipped.  None, and the
-    partial counts dropped, when the file is not the unquoted log CSV that
-    this fold reads: its header is not :data:`LOG_CSV_HEADER` in order, or a
-    block holds a double quote, a carriage return or bytes that are not
-    UTF-8."""
-    tails: Counter = Counter()
-    header_read = False
-    try:
-        for text in _text_blocks(path):
-            if '"' in text or "\r" in text:
-                return None
-            lines = text.split("\n")
-            if not header_read:
-                if lines[0] != _HEADER_LINE:
-                    return None
-                lines[0] = ""   # skipped as a blank line
-                header_read = True
-            tails.update(line.partition(",")[2] for line in lines if line)
-    except UnicodeDecodeError:
-        return None
-    return tails if header_read else None
-
-
-def _check_widths(path: str | Path, rows: Iterable[Sequence[str]], width: int) -> None:
-    """Raise :class:`IngestError` at the first row that has not ``width``
-    fields; rows count from 1 after the header, blank lines skipped."""
+def _checked(path: str | Path, rows: Iterable[Sequence[str]], width: int
+             ) -> Iterator[Sequence[str]]:
+    """``rows``, raising :class:`IngestError` at the first that has not
+    ``width`` fields; rows count from 1 after the header, blank lines
+    skipped."""
     for number, row in enumerate(rows, start=1):
         if len(row) != width:
             raise IngestError(f"{path}: row {number} has {len(row)} fields, not {width}")
+        yield row

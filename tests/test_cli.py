@@ -733,6 +733,22 @@ def test_bare_carriage_return_in_csv_exits_2(tmp_path, pipeline_out, capsys):
     assert tree_digest(out) == before
 
 
+
+@pytest.mark.parametrize("name", ["logs/baseline.csv", "graph/nodes.csv"])
+def test_file_that_is_not_utf8_names_its_line(tmp_path, pipeline_out, capsys, name):
+    # A byte that is not UTF-8 in a log annotate reads, or in a state file.
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    path = out / name
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = lines[3][:5] + b"\xff" + lines[3][5:]
+    path.write_bytes(b"\n".join(lines))
+    before = tree_digest(out)
+    assert main(["--out", str(out), "annotate"]) == 2
+    assert f"error: {path}: line 4: 'utf-8' codec can't decode byte 0xff in position 5: " \
+        "invalid start byte" in capsys.readouterr().err
+    assert tree_digest(out) == before
+
 # The fixture's log CSVs at its config seed 42, as the row-by-row csv.writer
 # path wrote them.
 FIXTURE_LOG_SHA256 = {

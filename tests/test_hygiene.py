@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -94,3 +97,16 @@ def test_each_log_word_is_spelled_once():
                        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                        if isinstance(node, ast.Constant) and isinstance(node.value, str))
     assert {word: literals[word] for word in words} == dict.fromkeys(words, 1)
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # xml.sax, which only the graphml export needs, pulls in urllib.request,
+    # http, email and ssl: a cost every command would pay at start-up.
+    # (urllib itself stays: pathlib loads urllib.parse.)
+    heavy = ["xml.sax", "urllib.request", "http.client", "email", "ssl"]
+    code = f"import sys, icskg.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(icskg.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded.strip() == "[]"

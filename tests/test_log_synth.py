@@ -6,7 +6,9 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
+from collections import Counter
 from datetime import datetime, timedelta, timezone
+from io import StringIO
 from itertools import chain
 from operator import itemgetter
 from unittest import mock
@@ -20,7 +22,7 @@ from conftest import log_index
 from icskg import logsynth
 from icskg.config import ControlOverrides, ControlProfile
 from icskg.errors import IngestError
-from icskg.graph import csv_line, write_csv
+from icskg.graph import csv_line, parse_csv, write_csv
 from icskg.ingest import TESTBED, Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
     AUTH_MODES,
@@ -28,6 +30,7 @@ from icskg.logsynth import (
     LOG_CSV_HEADER,
     SECURITY_MODES,
     SYNTH_PROFILE,
+    LogIndex,
     PairStats,
     SynthProfile,
     _flow_rng,
@@ -92,6 +95,7 @@ def test_zero_rate_empty_log(tmp_path):
     assert list(generate(testbed, profile)) == []
     write_log_csv(generate(testbed, profile), tmp_path / "log.csv")
     assert (tmp_path / "log.csv").read_text(encoding="utf-8") == ",".join(LOG_CSV_HEADER) + "\n"
+    assert len(load_log_csv(tmp_path / "log.csv")) == 0
 
 
 def test_determinism_byte_identical():
@@ -264,16 +268,11 @@ def ragged_log(path, width: int, quoted: bool):
     return path
 
 
-@pytest.mark.parametrize("width", [3, 9])
-def test_load_log_csv_rejects_ragged_rows(tmp_path, width):
+@pytest.mark.parametrize("width, quoted", [(3, False), (9, False), (3, True), (9, True)],
+                         ids=["3", "9", "quoted-3", "quoted-9"])
+def test_load_log_csv_rejects_ragged_rows(tmp_path, width, quoted):
     with pytest.raises(IngestError, match=f"row 2 has {width} fields, not 8$"):
-        load_log_csv(ragged_log(tmp_path / "log.csv", width, quoted=False))
-
-
-@pytest.mark.parametrize("width", [3, 9])
-def test_load_log_csv_rejects_ragged_rows_read_by_csv(tmp_path, width):
-    with pytest.raises(IngestError, match=f"row 2 has {width} fields, not 8$"):
-        load_log_csv(ragged_log(tmp_path / "log.csv", width, quoted=True))
+        load_log_csv(ragged_log(tmp_path / "log.csv", width, quoted))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +430,8 @@ def test_log_csv_matches_csv_module_and_per_row_count(tmp_path_factory, flows, s
 
 
 # ---------------------------------------------------------------------------
-# Memory bounded by the chunk and the block, and results that do not see them
+# Memory bounded by the chunk and the distinct rows, and the read that the
+# line-at-a-time reader replaced as its oracle
 # ---------------------------------------------------------------------------
 
 def traced(work):
@@ -449,89 +449,133 @@ def traced(work):
 def test_log_layer_memory_does_not_grow_with_the_log_window(tmp_path):
     """Writing and loading one flow's log peak below a fixed bound at 8 h
     and at 64 h, while the 64 h file is three times that bound; the stream
-    :func:`generate` returns keeps 16 bytes a record, not the records' text."""
+    :func:`generate` returns keeps 16 bytes a record, not the records' text.
+    A source that needs quoting sends every line through ``csv.reader``,
+    which is bounded the same way."""
     bound = 3 << 20
-    testbed = TestbedSpec(zones=["OT"], products=[],
-                          dataflows=[Dataflow("SRC", "DST", "OPC_UA")])
-    for hours in (8, 64):
-        profile = SynthProfile(seed=1, duration_hours=hours, per_flow_session_rate=400)
-        stream, kept, _ = traced(lambda: generate(testbed, profile))
-        assert kept <= 24 * len(stream), hours
-        path = tmp_path / f"{hours}h.csv"
-        _, _, write_peak = traced(lambda: write_log_csv(stream, path))
-        index, _, load_peak = traced(lambda: load_log_csv(path))
-        assert len(index) == len(stream) == 1600 * hours
-        assert write_peak < bound and load_peak < bound, (hours, write_peak, load_peak)
-    assert path.stat().st_size > 2.5 * bound
+    for source in ("SRC", 'PLC "7", cell A'):
+        testbed = TestbedSpec(zones=["OT"], products=[],
+                              dataflows=[Dataflow(source, "DST", "OPC_UA")])
+        for hours in (8, 64):
+            profile = SynthProfile(seed=1, duration_hours=hours, per_flow_session_rate=400)
+            stream, kept, _ = traced(lambda: generate(testbed, profile))
+            assert kept <= 24 * len(stream), (source, hours)
+            path = tmp_path / f"{hours}h.csv"
+            _, _, write_peak = traced(lambda: write_log_csv(stream, path))
+            index, _, load_peak = traced(lambda: load_log_csv(path))
+            assert len(index) == len(stream) == 1600 * hours
+            assert index.pair(source, "DST").sessions == 400 * hours
+            assert write_peak < bound and load_peak < bound, \
+                (source, hours, write_peak, load_peak)
+        assert path.stat().st_size > 2.5 * bound
+
+
+def whole_file_load(path) -> LogIndex:
+    """The read that :func:`load_log_csv` replaced, kept as its oracle: the
+    whole file decoded and parsed by ``csv.reader``, then the picked columns
+    of every row counted, each row's width checked as it is counted.  (The
+    replaced read checked the widths after parsing the whole file, so a csv
+    error after a ragged row was the one it raised; both now raise the
+    first fault in the file.)"""
+    header, records = parse_csv(StringIO(path.read_bytes().decode("utf-8")), path,
+                                LOG_CSV_HEADER)
+
+    def checked():
+        for number, row in enumerate(records, start=1):
+            if len(row) != len(header):
+                raise IngestError(f"{path}: row {number} has {len(row)} fields, "
+                                  f"not {len(header)}")
+            yield row
+    columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
+    return LogIndex(Counter(map(columns, checked())))
 
 
 NAMES = st.sampled_from(["PLC_1", "HMI_é", "Ventil_Ø", "泵站_2", "Zelle🙂"])
+# Endpoints that only the oddities below write.
+ODD_NAMES = ['PLC "7", cell A', "PLC\n7", "PLC\r7"]
 LOG_ROWS = st.tuples(
     st.sampled_from(["2025-01-06T00:00:00.000Z", "2025-01-06T07:59:59.999Z"]),
     NAMES, NAMES, st.sampled_from(["OPC_UA", "Modbus"]), st.sampled_from(AUTH_MODES),
     st.sampled_from(SECURITY_MODES), st.sampled_from(EVENTS),
     st.sampled_from(["10.1.0.1", "10.2.0.7"])).map(list)
-# A quoted field, a carriage return, a blank line or a row of the wrong width,
-# each put in at a drawn line.
-ODDITIES = st.sampled_from(["quoted", "crlf", "blank", "short", "long"])
+# Oddities put in at a drawn line: a field that needs quoting (one with a
+# quote and a comma, with an LF or with a CR), a quoted timestamp, a bare CR
+# in a drawn field, a CRLF line end, a blank line, or a row of the wrong
+# width.
+ODDITIES = st.sampled_from(["quoted", "lf-in-quotes", "cr-in-quotes", "quoted-timestamp",
+                            "bare-cr", "crlf", "blank", "short", "long"])
 
 
 @st.composite
-def log_files(draw) -> tuple[str, bool]:
-    """The text of a log CSV, and whether it is one the fast path reads.
-    The drawn rows have multibyte product names; an oddity may land in any
-    line, the last block's included; the final LF may be missing."""
-    lines = [",".join(row) for row in draw(st.lists(LOG_ROWS, max_size=40))]
-    unquoted = True
+def log_files(draw) -> str:
+    """The text of a log CSV.  The drawn rows have multibyte product names;
+    the columns may be reordered and an extra column put in; an oddity may
+    land in any line; the final LF may be missing."""
+    columns = [*LOG_CSV_HEADER, "site"] if draw(st.booleans()) else LOG_CSV_HEADER
+    order = draw(st.permutations(range(len(columns))) | st.just(range(len(columns))))
+
+    def line(row: list[str]) -> str:
+        # A full row gets the extra column's cell; a ragged row keeps its
+        # width.
+        if len(row) == 8:
+            row = [*row, "cell A"][:len(columns)]
+        return csv_line([row[i] for i in order if i < len(row)])
+
+    lines = [line(row) for row in draw(st.lists(LOG_ROWS, max_size=40))]
     for oddity in draw(st.lists(ODDITIES, max_size=3)):
         at = draw(st.integers(0, len(lines)))
         row = draw(LOG_ROWS)
-        if oddity == "quoted":
-            row[1] = 'PLC "7", cell A'
-            unquoted = False
+        if oddity in ("quoted", "lf-in-quotes", "cr-in-quotes"):
+            row[draw(st.sampled_from([1, 2]))] = ODD_NAMES[
+                ("quoted", "lf-in-quotes", "cr-in-quotes").index(oddity)]
         elif oddity == "short":
             row = row[:draw(st.integers(1, 7))]
         elif oddity == "long":
             row.append("extra")
-        line = "" if oddity == "blank" else csv_line(row)
-        if oddity == "crlf":
-            line += "\r"
-            unquoted = False
-        lines.insert(at, line)
-    text = "\n".join([",".join(LOG_CSV_HEADER), *lines])
-    return (text + "\n" if draw(st.booleans()) else text), unquoted
+        text = "" if oddity == "blank" else line(row)
+        if oddity == "quoted-timestamp":
+            text = text.replace(row[0], f'"{row[0]}"')
+        elif oddity == "bare-cr":
+            cut = draw(st.integers(1, len(text) - 1))
+            text = text[:cut] + "\r" + text[cut:]
+        elif oddity == "crlf":
+            text += "\r"
+        lines.insert(at, text)
+    text = "\n".join([",".join(columns[i] for i in order), *lines])
+    return text + "\n" if draw(st.booleans()) else text
 
 
-def load_outcome(path):
-    """What :func:`load_log_csv` makes of ``path``: the error it raises, or
-    the row count and every pair and merged statistic of the index."""
+def load_outcome(load, path):
+    """What ``load`` makes of ``path``: the error it raises, or the row
+    count and every pair and merged statistic of the index."""
     try:
-        index = load_log_csv(path)
+        index = load(path)
     except IngestError as exc:
         return str(exc)
-    names = ["PLC_1", "HMI_é", "Ventil_Ø", "泵站_2", "Zelle🙂", 'PLC "7", cell A']
+    names = ["PLC_1", "HMI_é", "Ventil_Ø", "泵站_2", "Zelle🙂", *ODD_NAMES]
     return len(index), [(index.pair(u, v), index.merged(u, v)) for u in names for v in names]
 
 
-@settings(max_examples=150, deadline=None)
-@given(log_files(), st.sampled_from([1, 7, 64]))
-@example((",".join(LOG_CSV_HEADER), True), 1)           # header only, no final LF
-@example((",".join(LOG_CSV_HEADER) + "\n", True), 7)    # header only
-def test_load_log_csv_does_not_depend_on_the_block_size(tmp_path_factory, file, block):
-    text, unquoted = file
+@settings(max_examples=300, deadline=None)
+@given(log_files())
+@example(",".join(LOG_CSV_HEADER))           # header only, no final LF
+@example(",".join(LOG_CSV_HEADER) + "\n")    # header only
+def test_load_log_csv_equals_the_whole_file_read(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("log") / "log.csv"
     path.write_bytes(text.encode("utf-8"))
-    expected = load_outcome(path)
-    with mock.patch.object(logsynth, "BLOCK_BYTES", block):
-        assert load_outcome(path) == expected
-    if unquoted:
-        # The fast path names the first data row of the wrong width, rows
-        # counted from 1 after the header and blank lines skipped.
+    outcome = load_outcome(load_log_csv, path)
+    assert outcome == load_outcome(whole_file_load, path)
+    if text.rstrip("\n") == ",".join(LOG_CSV_HEADER):
+        assert outcome[0] == 0
+    if '"' not in text and "\r" not in text:
+        # Rows are named by their number from 1 after the header, blank
+        # lines skipped: an oracle independent of csv.reader.
         data = [line.split(",") for line in text.split("\n")[1:] if line]
-        ragged = [(n, len(row)) for n, row in enumerate(data, start=1) if len(row) != 8]
+        width = text.split("\n")[0].count(",") + 1
+        ragged = [(n, len(row)) for n, row in enumerate(data, start=1) if len(row) != width]
         if ragged:
-            n, width = ragged[0]
-            assert expected == f"{path}: row {n} has {width} fields, not 8"
+            n, length = ragged[0]
+            assert outcome == f"{path}: row {n} has {length} fields, not {width}"
 
 
 @settings(max_examples=30, deadline=None)
