@@ -1,16 +1,18 @@
 """Graph algorithms over configuration views.
 
 All algorithms are read-only, deterministic, and tie-broken lexicographically
-by external node id.  Views are multigraphs (a pair can carry both an
+by external node id.  Every algorithm reads the view's one adjacency,
+``GraphView.adjacency``: for each product position, the active edges it
+shares with each neighbour.  Views are multigraphs (a pair can carry both an
 observed and an inferred link): path finding collapses parallel edges to the
 cheapest one under the active weight policy and betweenness to one hop,
 while PageRank and community detection count each parallel edge, weight 1.
 
-A view builds its path graph once per weight policy, on first use, and keeps
-it in ``view.path_graphs``; views and their edges are frozen, so the graph is
-never rebuilt.  Path searches take banned nodes and ``banned_first``, the
-steps out of the source a Yen spur search excludes: the branches that
-accepted paths already took.
+A view builds its path graph from that adjacency once per weight policy, on
+first use, and keeps it in ``view.path_graphs``; views and their edges are
+frozen, so the graph is never rebuilt.  Path searches take banned nodes and
+``banned_first``, the steps out of the source a Yen spur search excludes:
+the branches that accepted paths already took.
 """
 
 from __future__ import annotations
@@ -64,9 +66,10 @@ class PathResult:
 class _PathGraph:
     """Integer-indexed undirected adjacency for one (view, policy) pair.
 
-    Node ids are ranked in sorted order so integer tuple comparisons realize
-    lexicographic id tie-breaking; parallel edges collapse to the cheapest
-    one under the policy (ties broken by edge kind name).
+    Nodes are the positions of the view's sorted ids, so integer tuple
+    comparisons realize lexicographic id tie-breaking; each pair of
+    ``view.adjacency`` collapses to its cheapest edge under the policy (ties
+    broken by edge kind value, then by edge order).
     """
 
     def __init__(self, view: GraphView, policy: WeightPolicy) -> None:
@@ -75,30 +78,18 @@ class _PathGraph:
         # Unit costs make every route of one length tie, so Hop graphs use
         # the breadth-first search; the others the heap search.
         self.search = _bfs_raw if policy is WeightPolicy.HOP else _dijkstra_raw
-        best: dict[tuple[int, int], tuple[float, str, Edge]] = {}
-        for e in view.edges:
-            i, j = self.rank[e.src], self.rank[e.dst]
-            key = (i, j) if i < j else (j, i)
-            cand = (policy.edge_cost(e), e.kind.value, e)
-            if key not in best or (cand[0], cand[1]) < (best[key][0], best[key][1]):
-                best[key] = cand
-        self.adj: list[list[tuple[int, float]]] = [[] for _ in ids]
+        self.adj: list[list[tuple[int, float]]] = []
         self.edge_for: dict[tuple[int, int], Edge] = {}
         self.cost_of: dict[tuple[int, int], float] = {}
-        for (i, j), (cost, _, edge) in best.items():
-            self.adj[i].append((j, cost))
-            self.adj[j].append((i, cost))
-            self.edge_for[(i, j)] = self.edge_for[(j, i)] = edge
-            self.cost_of[(i, j)] = self.cost_of[(j, i)] = cost
-        for lst in self.adj:
-            lst.sort()
-        self.nbrs = [frozenset(j for j, _ in lst) for lst in self.adj]
-
-    def names(self, path: tuple[int, ...]) -> list[str]:
-        return [self.ids[i] for i in path]
-
-    def edges_along(self, path: tuple[int, ...]) -> list[Edge]:
-        return [self.edge_for[(a, b)] for a, b in zip(path, path[1:])]
+        for i, pairs in enumerate(view.adjacency):
+            row = []
+            for j in sorted(pairs):
+                edge = min(pairs[j], key=lambda e: (policy.edge_cost(e), e.kind.value))
+                self.edge_for[i, j] = edge
+                self.cost_of[i, j] = cost = policy.edge_cost(edge)
+                row.append((j, cost))
+            self.adj.append(row)
+        self.nbrs = [frozenset(pairs) for pairs in view.adjacency]
 
 
 def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
@@ -113,18 +104,9 @@ def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
     return pg
 
 
-def _weight_adjacency(view: GraphView) -> dict[str, dict[str, float]]:
-    """Undirected adjacency of the view's products, each parallel edge
-    adding weight 1 to its pair."""
-    adj: dict[str, dict[str, float]] = {n: {} for n in view.nodes()}
-    for e in view.edges:
-        adj[e.src][e.dst] = adj[e.src].get(e.dst, 0.0) + 1.0
-        adj[e.dst][e.src] = adj[e.dst].get(e.src, 0.0) + 1.0
-    return adj
-
-
 def _make_result(pg: _PathGraph, path: tuple[int, ...], cost: float) -> PathResult:
-    return PathResult(pg.names(path), p_exploit_product(pg.edges_along(path)), cost)
+    edges = [pg.edge_for[a, b] for a, b in zip(path, path[1:])]
+    return PathResult([pg.ids[i] for i in path], p_exploit_product(edges), cost)
 
 
 # ---------------------------------------------------------------------------
@@ -274,33 +256,33 @@ def pagerank(view: GraphView) -> dict[str, float]:
     nodes = view.nodes()
     if not nodes:
         raise EmptyGraph("pagerank requires a non-empty view")
-    adj = _weight_adjacency(view)
+    # Neighbours in order of first appearance in view.edges: the order of
+    # each node's float sum.
+    links = [[(j, len(edges)) for j, edges in pairs.items()] for pairs in view.adjacency]
     n = len(nodes)
-    out_weight = {u: sum(adj[u].values()) for u in nodes}
-    rank = {u: 1.0 / n for u in nodes}
+    out_weight = [sum(w for _, w in row) for row in links]
+    rank = [1.0 / n] * n
     for _ in range(_MAX_ITERATIONS):
-        dangling = sum(rank[u] for u in nodes if out_weight[u] == 0.0)
-        nxt = {}
-        for v in nodes:
+        dangling = sum(r for r, w in zip(rank, out_weight) if w == 0)
+        nxt = []
+        for row in links:
             incoming = 0.0
-            for u, w in adj[v].items():
-                if out_weight[u] > 0.0:
-                    incoming += rank[u] * w / out_weight[u]
-            nxt[v] = (1.0 - _DAMPING) / n + _DAMPING * (incoming + dangling / n)
-        delta = sum(abs(nxt[u] - rank[u]) for u in nodes)
+            for j, w in row:
+                incoming += rank[j] * w / out_weight[j]
+            nxt.append((1.0 - _DAMPING) / n + _DAMPING * (incoming + dangling / n))
+        delta = sum(abs(a - b) for a, b in zip(nxt, rank))
         rank = nxt
         if delta < _TOLERANCE:
             break
-    return {u: rank[u] for u in nodes}
+    return dict(zip(nodes, rank))
 
 
 def betweenness(view: GraphView) -> dict[str, float]:
     """Exact betweenness over hop counts by Brandes' accumulation (unnormalized
     pair counts, each unordered pair counted once): one breadth-first search
-    per source on the view's Hop path graph, where parallel edges are one hop.
+    per source over the view's adjacency, where parallel edges are one hop.
     A node's predecessors are its neighbours one hop closer to the source."""
-    pg = _path_graph(view, WeightPolicy.HOP)
-    nodes, nbrs = pg.ids, [[j for j, _ in lst] for lst in pg.adj]
+    nodes, nbrs = view.nodes(), [sorted(pairs) for pairs in view.adjacency]
     if not nodes:
         raise EmptyGraph("betweenness requires a non-empty view")
     n = len(nodes)
@@ -349,16 +331,17 @@ class CommunityReport:
     modularity_trace: list[float]
 
 
-def _modularity(partition: dict[str, int], adj: dict[str, dict[str, float]],
-                two_m: float) -> float:
-    if two_m == 0.0:
+def _modularity(partition: dict[int, int], adjacency: list[dict[int, list[Edge]]],
+                degree: list[int], two_m: int) -> float:
+    """Modularity of ``partition`` (each node's community) over the view's
+    adjacency, each edge weight 1, summed in adjacency order."""
+    if two_m == 0:
         return 0.0
-    degree = {u: sum(nbrs.values()) for u, nbrs in adj.items()}
     q = 0.0
-    for u, nbrs in adj.items():
-        for v, w in nbrs.items():
+    for u, pairs in enumerate(adjacency):
+        for v, edges in pairs.items():
             if partition[u] == partition[v]:
-                q += w - degree[u] * degree[v] / two_m
+                q += len(edges) - degree[u] * degree[v] / two_m
     return q / two_m
 
 
@@ -373,25 +356,28 @@ def louvain(view: GraphView, seed: int = 0) -> CommunityReport:
     nodes = view.nodes()
     if not nodes:
         raise EmptyGraph("louvain requires a non-empty view")
-    base_adj = _weight_adjacency(view)
-    two_m = sum(sum(nbrs.values()) for nbrs in base_adj.values())
+    adjacency = view.adjacency
+    node_degree = [sum(map(len, pairs.values())) for pairs in adjacency]
+    two_m = sum(node_degree)
 
-    # Current aggregation level: community of each original node, plus the
-    # super-graph adjacency between communities.
-    node_comm = {u: u for u in nodes}
-    level_adj: dict[str, dict[str, float]] = {
-        u: dict(nbrs) for u, nbrs in base_adj.items()}
-    self_loops = {u: 0.0 for u in nodes}
+    # The current aggregation level: each super-node's original members and
+    # its links to the other super-nodes, labelled by a member's position.
+    # Weights and degrees are edge counts, so every sum of them is exact.
+    contents = {u: [u] for u in range(len(nodes))}
+    level_adj = {u: {v: len(edges) for v, edges in pairs.items()}
+                 for u, pairs in enumerate(adjacency)}
     trace: list[float] = []
     rng = random.Random(seed)
 
     while True:
         members = sorted(level_adj)
         comm = {u: u for u in members}
-        degree = {u: sum(level_adj[u].values()) + 2.0 * self_loops[u] for u in members}
+        # A super-node's degree is the sum of its members' degrees (Blondel
+        # et al. 2008): its links out plus twice the edges inside it.
+        degree = {u: sum(node_degree[i] for i in contents[u]) for u in members}
         comm_total = dict(degree)
         improved = False
-        if two_m > 0.0:
+        if two_m > 0:
             moving = True
             while moving:
                 moving = False
@@ -399,12 +385,11 @@ def louvain(view: GraphView, seed: int = 0) -> CommunityReport:
                 rng.shuffle(order)
                 for u in order:
                     current = comm[u]
-                    links: dict[str, float] = {}
+                    links: dict[int, int] = {}
                     for v, w in level_adj[u].items():
-                        if v != u:
-                            links[comm[v]] = links.get(comm[v], 0.0) + w
+                        links[comm[v]] = links.get(comm[v], 0) + w
                     comm_total[current] -= degree[u]
-                    base_gain = links.get(current, 0.0) - comm_total[current] * degree[u] / two_m
+                    base_gain = links.get(current, 0) - comm_total[current] * degree[u] / two_m
                     # Only strictly improving moves are taken, so modularity
                     # rises monotonically; ties go to the smallest community id.
                     best_comm, best_gain = current, base_gain
@@ -419,9 +404,8 @@ def louvain(view: GraphView, seed: int = 0) -> CommunityReport:
                         comm[u] = best_comm
                         moving = True
                         improved = True
-        partition = {orig: comm[node_comm[orig]] for orig in nodes}
-        comm_index = {c: i for i, c in enumerate(sorted(set(partition.values())))}
-        q = _modularity({u: comm_index[partition[u]] for u in nodes}, base_adj, two_m)
+        partition = {i: comm[u] for u in members for i in contents[u]}
+        q = _modularity(partition, adjacency, node_degree, two_m)
         if trace and q <= trace[-1] + 1e-12:
             # The pass brought no real gain; keep the previous partition.
             break
@@ -429,45 +413,31 @@ def louvain(view: GraphView, seed: int = 0) -> CommunityReport:
         if not improved:
             break
         # Aggregate communities into super-nodes for the next pass.
-        node_comm = partition
-        groups: dict[str, list[str]] = {}
+        next_contents: dict[int, list[int]] = {}
+        next_adj: dict[int, dict[int, int]] = {}
         for u in members:
-            groups.setdefault(comm[u], []).append(u)
-        new_adj: dict[str, dict[str, float]] = {c: {} for c in groups}
-        new_loops = {c: 0.0 for c in groups}
-        for c, group in groups.items():
-            for u in group:
-                new_loops[c] += self_loops[u]
-                for v, w in level_adj[u].items():
-                    cv = comm[v]
-                    if cv == c:
-                        if u < v:
-                            new_loops[c] += w
-                    else:
-                        new_adj[c][cv] = new_adj[c].get(cv, 0.0) + w
-        level_adj = new_adj
-        self_loops = new_loops
+            c = comm[u]
+            next_contents.setdefault(c, []).extend(contents[u])
+            row = next_adj.setdefault(c, {})
+            for v, w in level_adj[u].items():
+                if comm[v] != c:
+                    row[comm[v]] = row.get(comm[v], 0) + w
+        contents, level_adj = next_contents, next_adj
 
-    groups2: dict[str, list[str]] = {}
-    for u in nodes:
-        groups2.setdefault(node_comm[u], []).append(u)
-    zone_of = {u: view.graph.node(u).zone for u in nodes}
-    cascade: dict[str, bool] = {c: False for c in groups2}
-    for e in view.edges:
-        if e.risk is None or e.risk.p_exploit <= 0.5:
-            continue
-        if zone_of.get(e.src) == zone_of.get(e.dst):
-            continue
-        if node_comm[e.src] == node_comm[e.dst]:
-            cascade[node_comm[e.src]] = True
-    ordered = sorted(groups2.items(), key=lambda kv: (-len(kv[1]), min(kv[1])))
+    node = view.graph.node
     communities = []
-    for i, (c, ms) in enumerate(ordered):
-        members_sorted = sorted(ms)
-        risk = sum(exposure(view, m) for m in members_sorted)
+    for k, group in enumerate(sorted(contents.values(), key=lambda g: (-len(g), min(g)))):
+        group.sort()
+        inside = set(group)
+        cascade = any(
+            e.risk is not None and e.risk.p_exploit > 0.5
+            and node(e.src).zone != node(e.dst).zone
+            for u in group for v, edges in adjacency[u].items() if v in inside
+            for e in edges)
+        members_sorted = [nodes[i] for i in group]
         communities.append(Community(
-            id=f"C{i}", size=len(ms), members=members_sorted,
-            risk=risk, cascade=cascade[c]))
+            id=f"C{k}", size=len(group), members=members_sorted,
+            risk=sum(exposure(view, m) for m in members_sorted), cascade=cascade))
     return CommunityReport(communities=communities, modularity=trace[-1],
                            modularity_trace=trace)
 

@@ -51,7 +51,6 @@ def fastrp_embed(view: GraphView, dim: int = DEFAULT_DIM,
     if not nodes:
         raise EmptyGraph("fastrp_embed requires a non-empty view")
     n = len(nodes)
-    index = {u: i for i, u in enumerate(nodes)}
 
     s = math.sqrt(dim)
     rng = np.random.Generator(np.random.Philox(key=np.array(
@@ -61,12 +60,7 @@ def fastrp_embed(view: GraphView, dim: int = DEFAULT_DIM,
     state[draws < 1.0 / (2.0 * s)] = math.sqrt(s)
     state[draws > 1.0 - 1.0 / (2.0 * s)] = -math.sqrt(s)
 
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    for e in view.edges:
-        i, j = index[e.src], index[e.dst]
-        neighbor_sets[i].add(j)
-        neighbor_sets[j].add(i)
-    neighbors = [sorted(nbrs) for nbrs in neighbor_sets]
+    neighbors = [sorted(pairs) for pairs in view.adjacency]
 
     weights = tuple(float(w) for w in iteration_weights)
     final = weights[0] * state

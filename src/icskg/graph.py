@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from io import StringIO
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -376,9 +375,10 @@ class GraphView:
 
     The node universe of a view is every Product node of the base graph;
     communication edges are traversed as undirected.  Views of one graph
-    (by identity) with equal configuration and edges are equal.  Product ids
-    and the in-edge index are built on first use; ``path_graphs`` holds the
-    path graphs :mod:`icskg.analytics` builds, one per weight policy.
+    (by identity) with equal configuration and edges are equal.  Product ids,
+    the in-edge index and the undirected product adjacency are built on first
+    use; ``path_graphs`` holds the path graphs :mod:`icskg.analytics` builds
+    from the adjacency, one per weight policy.
     """
 
     graph: Graph
@@ -397,6 +397,22 @@ class GraphView:
         for e in self.edges:
             index.setdefault(e.dst, []).append(e)
         return index
+
+    @cached_property
+    def adjacency(self) -> list[dict[int, list[Edge]]]:
+        """The view as an undirected multigraph of products: for each
+        position in :meth:`nodes`, a map from each neighbour's position to
+        the active edges the pair shares.  Both endpoints hold the same list
+        of a pair; every map and list is in the order of :attr:`edges`."""
+        position = {u: i for i, u in enumerate(self._ids)}
+        adjacency: list[dict[int, list[Edge]]] = [{} for _ in self._ids]
+        for e in self.edges:
+            i, j = position[e.src], position[e.dst]
+            shared = adjacency[i].get(j)
+            if shared is None:
+                shared = adjacency[i][j] = adjacency[j][i] = []
+            shared.append(e)
+        return adjacency
 
     def nodes(self) -> list[str]:
         return list(self._ids)
@@ -556,27 +572,26 @@ def csv_line(fields: Sequence[str]) -> str:
     return line[0]
 
 
-def read_csv(path: str | Path, required: Sequence[str]
-             ) -> tuple[list[str], Iterator[list[str]]]:
-    """The header and the data rows of a UTF-8 CSV file, each row its list
-    of fields; blank lines are skipped and not counted.  A required column
-    missing from the header raises :class:`MissingColumn`, and a file that
-    is not UTF-8 raises :class:`IngestError` naming the file and the line."""
-    # Bytes are decoded without newline translation: csv splits the rows
-    # itself, and a quoted carriage return is part of its field.
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of the UTF-8 text file ``path``, read as they are iterated,
+    each with its line end and split only at LF: csv splits the rows itself,
+    and a quoted carriage return is part of its field.  A file that is not
+    UTF-8 raises :class:`IngestError` naming the file and the line."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        with open(path, encoding="utf-8", newline="\n") as file:
+            yield from file
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    return parse_csv(StringIO(text), path, required)
 
 
 def parse_csv(lines: Iterable[str], source: str | Path, required: Sequence[str]
               ) -> tuple[list[str], Iterator[list[str]]]:
-    """:func:`read_csv` of the lines of the file ``source``, each with its
-    line end and split only at LF, as a file opened with ``newline="\\n"``
-    yields them; the rows are read as they are iterated.  Text that is not
-    CSV raises :class:`IngestError` naming the file and the line."""
+    """The header and the data rows of the CSV file ``source``, from its
+    lines as :func:`read_lines` yields them, each row its list of fields;
+    the rows are read as they are iterated, and blank lines are skipped and
+    not counted.  A required column missing from the header raises
+    :class:`MissingColumn`, and text that is not CSV raises
+    :class:`IngestError` naming the file and the line."""
     rows = _csv_rows(lines, source)
     header = next(rows, [])
     for col in required:

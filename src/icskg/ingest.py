@@ -49,10 +49,11 @@ from icskg.graph import (
     Node,
     NodeKind,
     RiskAttributes,
+    parse_csv,
     props_from_json,
     props_to_json,
-    read_csv,
     read_json,
+    read_lines,
     write_csv,
 )
 
@@ -302,12 +303,11 @@ def load_testbed_into_graph(graph: Graph, testbed: TestbedSpec,
 
 def build_dataflow_edges(graph: Graph, testbed: TestbedSpec) -> int:
     """One COMMUNICATES_WITH edge per observed dataflow; duplicates merge."""
-    before = {e.key for e in graph.edges(EdgeKind.COMMUNICATES_WITH)}
+    before = graph.edge_count()
     for flow in testbed.dataflows:
         graph.upsert_edge(Edge(flow.src, flow.dst, EdgeKind.COMMUNICATES_WITH,
                                props={"protocol": flow.protocol}))
-    after = {e.key for e in graph.edges(EdgeKind.COMMUNICATES_WITH)}
-    return len(after - before)
+    return graph.edge_count() - before
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ def _load_rows(path: str | Path, columns: Sequence[str],
     named with their row) and rejected upserts become row issues; any other
     ingest error aborts the load, naming its row (and holding it as ``row``,
     so that :func:`naming_file` can name the file too)."""
-    header, rows = read_csv(path, columns)
+    header, rows = parse_csv(read_lines(path), path, columns)
     position = {name: i for i, name in enumerate(header)}
     picks = [position[name] for name in columns]
     accepted: set[Hashable] = set()

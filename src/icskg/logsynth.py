@@ -35,7 +35,7 @@ import numpy as np
 
 from icskg.config import ControlProfile, integer, number, obj
 from icskg.errors import IngestError
-from icskg.graph import csv_line, not_utf8, parse_csv
+from icskg.graph import csv_line, parse_csv, read_lines
 from icskg.ingest import Dataflow, TestbedSpec
 
 LOG_CSV_HEADER = ["timestamp", "src", "dst", "protocol", "authMode",
@@ -397,17 +397,13 @@ def load_log_csv(path: str | Path) -> LogIndex:
     :class:`IngestError` with its number.  A file that is not UTF-8 raises
     :class:`IngestError` naming its first line that does not decode.
     """
-    try:
-        with open(path, encoding="utf-8", newline="\n") as file:
-            header_line = next(file, "").removesuffix("\n")
-            rows = _tail_rows(file) if header_line == _HEADER_LINE else None
-            if rows is None:
-                file.seek(0)
-                header, records = parse_csv(file, path, LOG_CSV_HEADER)
-                columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
-                rows = Counter(map(columns, _checked(path, records, len(header))))
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    lines = read_lines(path)
+    header_line = next(lines, "").removesuffix("\n")
+    rows = _tail_rows(lines) if header_line == _HEADER_LINE else None
+    if rows is None:
+        header, records = parse_csv(read_lines(path), path, LOG_CSV_HEADER)
+        columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
+        rows = Counter(map(columns, _checked(path, records, len(header))))
     return LogIndex(rows)
 
 

@@ -11,6 +11,7 @@ from collections import Counter, deque
 from dataclasses import FrozenInstanceError
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,8 @@ from conftest import (
     random_graphs,
 )
 from icskg.analytics import (
+    Community,
+    CommunityReport,
     WeightPolicy,
     _bfs_raw,
     _dijkstra_raw,
@@ -37,8 +40,10 @@ from icskg.analytics import (
     residual_risk_report,
     yen_k_shortest,
 )
+from icskg.enrich import fastrp_embed
 from icskg.errors import EmptyGraph
-from icskg.graph import Configuration, EdgeKind, Graph
+from icskg.graph import COMMUNICATION_KINDS, Configuration, EdgeKind, Graph
+from icskg.risk import exposure
 
 POLICIES = (WeightPolicy.HOP, WeightPolicy.RISK_COST, WeightPolicy.MAX_LIKELIHOOD)
 
@@ -560,3 +565,239 @@ def test_reports_pure():
     assert rank_interproduct_risk(view, 5) == rank_interproduct_risk(view, 5)
     views = {c: g.project_view(c) for c in Configuration}
     assert residual_risk_report(views) == residual_risk_report(views)
+
+
+# ---------------------------------------------------------------------------
+# Exact oracles: the per-algorithm adjacencies that the view's one
+# adjacency replaced, kept as they were.  A last-ulp difference changes a
+# digit of a report, so results must be equal, not close.
+# ---------------------------------------------------------------------------
+
+def weight_adjacency_oracle(view) -> dict[str, dict[str, float]]:
+    adj: dict[str, dict[str, float]] = {n: {} for n in view.nodes()}
+    for e in view.edges:
+        adj[e.src][e.dst] = adj[e.src].get(e.dst, 0.0) + 1.0
+        adj[e.dst][e.src] = adj[e.dst].get(e.src, 0.0) + 1.0
+    return adj
+
+
+def pagerank_oracle_by_ids(view) -> dict[str, float]:
+    nodes = view.nodes()
+    adj = weight_adjacency_oracle(view)
+    n = len(nodes)
+    out_weight = {u: sum(adj[u].values()) for u in nodes}
+    rank = {u: 1.0 / n for u in nodes}
+    for _ in range(1000):
+        dangling = sum(rank[u] for u in nodes if out_weight[u] == 0.0)
+        nxt = {}
+        for v in nodes:
+            incoming = 0.0
+            for u, w in adj[v].items():
+                if out_weight[u] > 0.0:
+                    incoming += rank[u] * w / out_weight[u]
+            nxt[v] = (1.0 - 0.85) / n + 0.85 * (incoming + dangling / n)
+        delta = sum(abs(nxt[u] - rank[u]) for u in nodes)
+        rank = nxt
+        if delta < 1e-8:
+            break
+    return {u: rank[u] for u in nodes}
+
+
+def modularity_oracle(partition, adj, two_m) -> float:
+    if two_m == 0.0:
+        return 0.0
+    degree = {u: sum(nbrs.values()) for u, nbrs in adj.items()}
+    q = 0.0
+    for u, nbrs in adj.items():
+        for v, w in nbrs.items():
+            if partition[u] == partition[v]:
+                q += w - degree[u] * degree[v] / two_m
+    return q / two_m
+
+
+def louvain_oracle(view, seed: int) -> CommunityReport:
+    """Louvain on id-keyed dicts with self-loop state per super-node."""
+    nodes = view.nodes()
+    base_adj = weight_adjacency_oracle(view)
+    two_m = sum(sum(nbrs.values()) for nbrs in base_adj.values())
+    node_comm = {u: u for u in nodes}
+    level_adj = {u: dict(nbrs) for u, nbrs in base_adj.items()}
+    self_loops = {u: 0.0 for u in nodes}
+    trace: list[float] = []
+    rng = random.Random(seed)
+    while True:
+        members = sorted(level_adj)
+        comm = {u: u for u in members}
+        degree = {u: sum(level_adj[u].values()) + 2.0 * self_loops[u] for u in members}
+        comm_total = dict(degree)
+        improved = False
+        if two_m > 0.0:
+            moving = True
+            while moving:
+                moving = False
+                order = list(members)
+                rng.shuffle(order)
+                for u in order:
+                    current = comm[u]
+                    links: dict[str, float] = {}
+                    for v, w in level_adj[u].items():
+                        if v != u:
+                            links[comm[v]] = links.get(comm[v], 0.0) + w
+                    comm_total[current] -= degree[u]
+                    base_gain = links.get(current, 0.0) - comm_total[current] * degree[u] / two_m
+                    best_comm, best_gain = current, base_gain
+                    for target in sorted(links):
+                        if target == current:
+                            continue
+                        gain = links[target] - comm_total[target] * degree[u] / two_m
+                        if gain > best_gain + 1e-12:
+                            best_comm, best_gain = target, gain
+                    comm_total[best_comm] += degree[u]
+                    if best_comm != current:
+                        comm[u] = best_comm
+                        moving = True
+                        improved = True
+        partition = {orig: comm[node_comm[orig]] for orig in nodes}
+        comm_index = {c: i for i, c in enumerate(sorted(set(partition.values())))}
+        q = modularity_oracle({u: comm_index[partition[u]] for u in nodes}, base_adj, two_m)
+        if trace and q <= trace[-1] + 1e-12:
+            break
+        trace.append(q)
+        if not improved:
+            break
+        node_comm = partition
+        groups: dict[str, list[str]] = {}
+        for u in members:
+            groups.setdefault(comm[u], []).append(u)
+        new_adj: dict[str, dict[str, float]] = {c: {} for c in groups}
+        new_loops = {c: 0.0 for c in groups}
+        for c, group in groups.items():
+            for u in group:
+                new_loops[c] += self_loops[u]
+                for v, w in level_adj[u].items():
+                    cv = comm[v]
+                    if cv == c:
+                        if u < v:
+                            new_loops[c] += w
+                    else:
+                        new_adj[c][cv] = new_adj[c].get(cv, 0.0) + w
+        level_adj = new_adj
+        self_loops = new_loops
+    groups2: dict[str, list[str]] = {}
+    for u in nodes:
+        groups2.setdefault(node_comm[u], []).append(u)
+    zone_of = {u: view.graph.node(u).zone for u in nodes}
+    cascade = {c: False for c in groups2}
+    for e in view.edges:
+        if e.risk is None or e.risk.p_exploit <= 0.5:
+            continue
+        if zone_of.get(e.src) == zone_of.get(e.dst):
+            continue
+        if node_comm[e.src] == node_comm[e.dst]:
+            cascade[node_comm[e.src]] = True
+    ordered = sorted(groups2.items(), key=lambda kv: (-len(kv[1]), min(kv[1])))
+    communities = []
+    for i, (c, ms) in enumerate(ordered):
+        members_sorted = sorted(ms)
+        communities.append(Community(
+            id=f"C{i}", size=len(ms), members=members_sorted,
+            risk=sum(exposure(view, m) for m in members_sorted), cascade=cascade[c]))
+    return CommunityReport(communities=communities, modularity=trace[-1],
+                           modularity_trace=trace)
+
+
+def fastrp_oracle(view, dim: int, seed: int) -> np.ndarray:
+    """FastRP vectors with the neighbour sets built from ``view.edges``."""
+    nodes = view.nodes()
+    n = len(nodes)
+    index = {u: i for i, u in enumerate(nodes)}
+    s = math.sqrt(dim)
+    rng = np.random.Generator(np.random.Philox(key=np.array(
+        [seed & 0xFFFFFFFFFFFFFFFF, 0xFA57], dtype=np.uint64)))
+    draws = rng.random((n, dim))
+    state = np.zeros((n, dim))
+    state[draws < 1.0 / (2.0 * s)] = math.sqrt(s)
+    state[draws > 1.0 - 1.0 / (2.0 * s)] = -math.sqrt(s)
+    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    for e in view.edges:
+        i, j = index[e.src], index[e.dst]
+        neighbor_sets[i].add(j)
+        neighbor_sets[j].add(i)
+    neighbors = [sorted(nbrs) for nbrs in neighbor_sets]
+    weights = (0.0, 1.0, 1.0)
+    final = weights[0] * state
+    for w in weights[1:]:
+        nxt = np.zeros_like(state)
+        for i, nbrs in enumerate(neighbors):
+            if nbrs:
+                nxt[i] = state[nbrs].mean(axis=0)
+        state = nxt
+        final = final + w * state
+    return final
+
+
+def path_graph_oracle(view, policy):
+    """(adj, cost_of, edge_for) by a pass over ``view.edges`` that keeps,
+    per pair, the first edge of the least (cost, kind value)."""
+    rank = {u: i for i, u in enumerate(view.nodes())}
+    best = {}
+    for e in view.edges:
+        i, j = rank[e.src], rank[e.dst]
+        key = (i, j) if i < j else (j, i)
+        cand = (policy.edge_cost(e), e.kind.value, e)
+        if key not in best or (cand[0], cand[1]) < (best[key][0], best[key][1]):
+            best[key] = cand
+    adj = [[] for _ in rank]
+    edge_for, cost_of = {}, {}
+    for (i, j), (cost, _, edge) in best.items():
+        adj[i].append((j, cost))
+        adj[j].append((i, cost))
+        edge_for[(i, j)] = edge_for[(j, i)] = edge
+        cost_of[(i, j)] = cost_of[(j, i)] = cost
+    for lst in adj:
+        lst.sort()
+    return adj, cost_of, edge_for
+
+
+@st.composite
+def multigraph_views(draw, max_nodes: int = 16):
+    """A view of a random product multigraph: a pair can carry observed,
+    inferred and controlled links, each in either orientation; some
+    products have no links, and zones, riskWeights (some below the prune
+    threshold, many tied) and pExploits vary."""
+    n = draw(st.integers(1, max_nodes))
+    density = draw(st.sampled_from([0.0, 0.15, 0.3, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = Graph()
+    ids = [f"P{i:02d}" for i in range(n)]
+    for node_id in ids:
+        add_product(g, node_id, zone=rng.choice(["OT", "DMZ"]))
+    linked = [u for u in ids if rng.random() < 0.8]
+    kinds = sorted(COMMUNICATION_KINDS, key=lambda k: k.value)
+    for a, b in combinations(linked, 2):
+        if rng.random() < density:
+            for kind in kinds:
+                for src, dst in ((a, b), (b, a)):
+                    if rng.random() < 0.4:
+                        add_comm(g, src, dst, kind=kind,
+                                 risk_weight=rng.choice([0.01, 0.1, 0.2, 0.5]),
+                                 p_exploit=rng.choice([0.2, 0.6, 0.9]))
+    g.finalize()
+    return g.project_view(draw(st.sampled_from(list(Configuration))))
+
+
+ORACLE_VIEWS = st.one_of(
+    random_graphs(2, 40, inferred=True).map(lambda g: g.project_view(Configuration.ENRICHED)),
+    multigraph_views())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ORACLE_VIEWS, st.integers(0, 2**16))
+def test_view_analytics_equal_their_own_adjacency_oracles(view, seed):
+    assert pagerank(view) == pagerank_oracle_by_ids(view)
+    assert louvain(view, seed) == louvain_oracle(view, seed)
+    assert np.array_equal(fastrp_embed(view, dim=16, seed=seed).vectors,
+                          fastrp_oracle(view, 16, seed))
+    for policy in POLICIES:
+        pg = _path_graph(view, policy)
+        assert (pg.adj, pg.cost_of, pg.edge_for) == path_graph_oracle(view, policy)

@@ -186,6 +186,15 @@ def test_view_indexes_match_edge_scans():
             view = g.project_view(config)
             for node in products:
                 assert view.incoming(node) == [e for e in view.edges if e.dst == node]
+            position = {u: i for i, u in enumerate(products)}
+            scan: list[dict[int, list[Edge]]] = [{} for _ in products]
+            for e in view.edges:
+                for a, b in ((e.src, e.dst), (e.dst, e.src)):
+                    scan[position[a]].setdefault(position[b], []).append(e)
+            assert view.adjacency == scan
+            assert [list(pairs) for pairs in view.adjacency] == [list(pairs) for pairs in scan]
+            assert all(view.adjacency[j][i] is edges
+                       for i, pairs in enumerate(view.adjacency) for j, edges in pairs.items())
             view.nodes().clear()
             assert view.nodes() == products
 
@@ -197,7 +206,11 @@ def test_view_indexes_match_edge_scans():
 def test_views_compare_by_configuration_and_edges(graph, projections):
     views = [graph.project_view(config, threshold) for config, threshold in projections]
     for view in views[::2]:
-        betweenness(view)       # a cached path graph takes no part in equality
+        # The cached adjacency and path graph take no part in equality.
+        betweenness(view)
+        ids = view.nodes()
+        yen_k_shortest(view, ids[0], ids[-1], 2, WeightPolicy.HOP)
+        assert "adjacency" in vars(view) and view.path_graphs
     for (key_a, a), (key_b, b) in combinations(zip(projections, views), 2):
         if key_a == key_b:
             assert a == b

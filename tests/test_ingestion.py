@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from icskg.config import RiskConfig
 from icskg.errors import BadEnum, DanglingReference, IcskgError, IngestError, MissingColumn
 from icskg.graph import (Edge, EdgeKind, Graph, Node, NodeKind, RiskAttributes, audit_hierarchy,
-                         csv_line, props_from_json, read_csv, write_csv)
+                         csv_line, parse_csv, props_from_json, read_lines, write_csv)
 from icskg.ingest import (
     CvssSummary,
     Dataflow,
@@ -192,7 +192,7 @@ def test_load_state_rejects_props_that_are_not_strings(tmp_path, file_name):
     load_testbed_into_graph(g, mini_testbed(), RiskConfig())
     save_state(g, tmp_path)
     path = tmp_path / file_name
-    header, rows = read_csv(path, [])
+    header, rows = parse_csv(read_lines(path), path, [])
     rows = list(rows)
     rows[0][-1] = '{"a": true}'
     path.write_bytes(write_csv(header, rows))

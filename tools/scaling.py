@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stage, Yen and betweenness times on generated plants, with output digests.
+"""Stage and view-kernel times on generated plants, with output digests.
 
 For each plant size, ``perfbench/plant.py`` generates the inputs (seed 1,
 0.25 h of logs unless ``--hours`` says otherwise; 3 cells is the bundled
@@ -7,13 +7,18 @@ fixture's topology), and the seven stages run in order, each timed once,
 through ``icskg.cli.main`` in this process.  After each stage the process's
 peak resident set (``ru_maxrss``, a high-water mark that never falls, so
 run plant sizes in increasing order to read each one's own) is recorded in
-MB.  Two kernels are timed inside those stages, over every call and
+MB.  The view kernels are timed inside those stages, over every call and
 through every icskg module that binds them:
 
 * ``yen``: ``analytics.yen_k_shortest``, one call per (source, target) pair
   of every scenario and view in ``simulate``;
-* ``betweenness``: ``analytics.betweenness``, which ``report`` runs on the
-  Original and Enriched views for ``centrality.csv``.
+* ``betweenness`` and ``pagerank``: ``analytics.betweenness`` and
+  ``analytics.pagerank``, which ``report`` runs on the Original and Enriched
+  views for ``centrality.csv``;
+* ``louvain``: ``analytics.louvain``, which ``report`` runs on the Enriched
+  view for ``communities.csv``;
+* ``fastrp``: ``enrich.fastrp_embed``, which ``enrich`` runs on the
+  Original view before proposing links.
 
 Each plant also gets the sha256 digest of its output tree, computed as
 ``perfbench/run.py`` computes it, so two commits can be compared at scale:
@@ -50,13 +55,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import plant  # noqa: E402
 from run import tree_digest  # noqa: E402
-from icskg import analytics  # noqa: E402
+from icskg import analytics, enrich  # noqa: E402
 from icskg.cli import STAGE_ORDER, main  # noqa: E402
 
 CELLS = (24, 48, 96)
 SEED = 1
 LOG_HOURS = 0.25
-KERNELS = {"yen": analytics.yen_k_shortest, "betweenness": analytics.betweenness}
+KERNELS = {"yen": analytics.yen_k_shortest, "betweenness": analytics.betweenness,
+           "pagerank": analytics.pagerank, "louvain": analytics.louvain,
+           "fastrp": enrich.fastrp_embed}
 
 
 @contextlib.contextmanager
