@@ -237,24 +237,20 @@ def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool) -> int:
     state = PipelineState(cfg, out_dir, "build")
     graph = Graph()
     product_count = ingest.load_testbed_into_graph(graph, cfg.testbed, cfg.risk)
-    with ingest.naming_file(cfg.paths["nodes"]):
-        node_result = ingest.load_nodes(graph, cfg.paths["nodes"])
+    node_result = ingest.load_nodes(graph, cfg.paths["nodes"])
     advisories = ingest.preprocess_cves(ingest.load_advisories(cfg.paths["advisories"]))
     vuln_edges = ingest.link_products(graph, cfg.testbed, advisories)
-    with ingest.naming_file(cfg.paths["relations"]):
-        rel_result = ingest.load_relations(graph, cfg.paths["relations"])
+    rel_result = ingest.load_relations(graph, cfg.paths["relations"])
     flow_count = ingest.build_dataflow_edges(graph, cfg.testbed)
+    results = {"nodes": node_result, "relations": rel_result}
     prediction_count = 0
     if "predictions" in cfg.paths:
-        with ingest.naming_file(cfg.paths["predictions"]):
-            pred = ingest.import_predictions(graph, cfg.paths["predictions"],
-                                             cfg.prediction_min_confidence)
-        prediction_count = pred.count
-        for issue in pred.issues:
-            logger.warning("predictions row %d: %s", issue.row, issue.message)
-    for result, name in ((node_result, "nodes"), (rel_result, "relations")):
+        results["predictions"] = ingest.import_predictions(
+            graph, cfg.paths["predictions"], cfg.prediction_min_confidence)
+        prediction_count = results["predictions"].count
+    for key, result in results.items():
         for issue in result.issues:
-            logger.warning("%s row %d [%s]: %s", name, issue.row, issue.kind,
+            logger.warning("%s: row %d [%s]: %s", cfg.paths[key], issue.row, issue.kind,
                            issue.message)
     violations = audit_hierarchy(graph)
     if violations:

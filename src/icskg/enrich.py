@@ -28,8 +28,6 @@ class EmbeddingMatrix:
     node_ids: list[str]
     vectors: np.ndarray          # shape (len(node_ids), dim)
     dim: int
-    iteration_weights: tuple[float, ...]
-    seed: int
 
     def to_csv(self) -> bytes:
         return write_csv(["id"] + [f"e{i}" for i in range(self.dim)], (
@@ -71,8 +69,7 @@ def fastrp_embed(view: GraphView, dim: int = DEFAULT_DIM,
                 nxt[i] = state[nbrs].mean(axis=0)
         state = nxt
         final = final + w * state
-    return EmbeddingMatrix(node_ids=nodes, vectors=final, dim=dim,
-                           iteration_weights=weights, seed=seed)
+    return EmbeddingMatrix(node_ids=nodes, vectors=final, dim=dim)
 
 
 def cosine_similarity_matrix(emb: EmbeddingMatrix) -> np.ndarray:

@@ -134,6 +134,18 @@ _ENDPOINT_RULES: dict[EdgeKind, tuple[frozenset[NodeKind], frozenset[NodeKind]]]
 }
 
 
+def _breach(edge: Edge, src: Node, dst: Node) -> str | None:
+    """The rule ``edge`` breaks, from ``src`` to ``dst``, or None: its kind
+    admits their node kinds, and only a communication edge carries risk."""
+    src_ok, dst_ok = _ENDPOINT_RULES[edge.kind]
+    if src.kind not in src_ok or dst.kind not in dst_ok:
+        return (f"{edge.kind.value} does not admit "
+                f"{src.kind.value} -> {dst.kind.value} ({edge.src!r} -> {edge.dst!r})")
+    if edge.risk is not None and not edge.is_communication():
+        return f"{edge.kind.value} edges cannot carry risk attributes"
+    return None
+
+
 class Configuration(Enum):
     ORIGINAL = "Original"
     ENRICHED = "Enriched"
@@ -270,14 +282,9 @@ class Graph:
             raise MissingEndpoint(f"edge endpoint {missing!r} does not exist")
         if edge.src == edge.dst:
             raise KindConstraintViolation(f"self-loop on {edge.src!r} is not allowed")
-        src_ok, dst_ok = _ENDPOINT_RULES[edge.kind]
-        if src.kind not in src_ok or dst.kind not in dst_ok:
-            raise KindConstraintViolation(
-                f"{edge.kind.value} does not admit "
-                f"{src.kind.value} -> {dst.kind.value} ({edge.src!r} -> {edge.dst!r})")
-        if edge.risk is not None and not edge.is_communication():
-            raise KindConstraintViolation(
-                f"{edge.kind.value} edges cannot carry risk attributes")
+        breach = _breach(edge, src, dst)
+        if breach:
+            raise KindConstraintViolation(breach)
         self._edges[edge.key] = edge
         return edge.key
 
@@ -511,23 +518,11 @@ def _dot_quote(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 def audit_hierarchy(graph: Graph) -> list[str]:
-    """Re-check every stored edge against the endpoint-kind rules.
-
-    Returns human-readable violation strings; an empty list means the
-    taxonomy chain and the communication-family constraints all hold.
-    """
-    violations = []
-    for e in graph.edges():
-        src_ok, dst_ok = _ENDPOINT_RULES[e.kind]
-        src = graph.node(e.src)
-        dst = graph.node(e.dst)
-        if src.kind not in src_ok or dst.kind not in dst_ok:
-            violations.append(
-                f"{e.src}->{e.dst} [{e.kind.value}]: "
-                f"{src.kind.value}->{dst.kind.value} not admissible")
-        if e.risk is not None and not e.is_communication():
-            violations.append(f"{e.src}->{e.dst} [{e.kind.value}]: risk on taxonomy edge")
-    return violations
+    """Re-check every stored edge by :func:`_breach`, the rules
+    :meth:`Graph.upsert_edge` enforces; returns each edge's breach, in edge
+    order.  An empty list means they all hold."""
+    return list(filter(None, (_breach(e, graph.node(e.src), graph.node(e.dst))
+                              for e in graph.edges())))
 
 
 def audit_risk_completeness(graph: Graph) -> list[str]:

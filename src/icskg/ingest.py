@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import logging
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from icskg.config import (BOOLEAN, CONTROL_NAMES, STRING, ControlProfile, RiskConfig,
                           integer, list_of, number, obj, one_of, table)
@@ -420,8 +419,7 @@ def _load_rows(path: str | Path, columns: Sequence[str],
     (None skips the row silently).  A row whose field count differs from
     the header's, row problems, cells that do not parse (``ValueError``,
     named with their row) and rejected upserts become row issues; any other
-    ingest error aborts the load, naming its row (and holding it as ``row``,
-    so that :func:`naming_file` can name the file too)."""
+    ingest error aborts the load as ``<path>: row N: <message>``."""
     header, rows = parse_csv(read_lines(path), path, columns)
     position = {name: i for i, name in enumerate(header)}
     picks = [position[name] for name in columns]
@@ -442,27 +440,11 @@ def _load_rows(path: str | Path, columns: Sequence[str],
         except ValueError as exc:
             issues.append(RowIssue(row_num, "InvalidRow", f"row {row_num}: {exc}"))
         except IngestError as exc:
-            error = type(exc)(f"row {row_num}: {exc}")
-            error.row = row_num
-            raise error from None
+            raise type(exc)(f"{path}: row {row_num}: {exc}") from None
         else:
             if key is not None:
                 accepted.add(key)
     return LoadResult(len(accepted), issues)
-
-
-@contextmanager
-def naming_file(name: str | Path) -> Iterator[None]:
-    """Put ``name: `` before the message of an ingest error that a row of
-    a CSV file raises inside the ``with`` statement (see :func:`_load_rows`),
-    so the message names the file as well as the row; errors in reading the
-    file name it already."""
-    try:
-        yield
-    except IngestError as exc:
-        if not hasattr(exc, "row"):
-            raise
-        raise type(exc)(f"{name}: {exc}") from None
 
 
 def _edge_kind(raw: str) -> EdgeKind:
@@ -490,6 +472,11 @@ def _props(raw: str) -> dict[str, str]:
 def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
     """Load node.csv rows; returns distinct accepted nodes and row issues.  A
     Vulnerability row's props are checked by :func:`vulnerability_scores`."""
+    return _load_rows(path, NODE_CSV_HEADER, _node_loader(graph))
+
+
+def _node_loader(graph: Graph) -> Callable[..., str]:
+    """The row loader of every node file: node.csv and the state's nodes.csv."""
     # Each distinct props cell of the file is parsed once; rows with equal
     # cells share the dict, which is never changed (records copy their props).
     props_of = cache(_props)
@@ -508,7 +495,7 @@ def load_nodes(graph: Graph, path: str | Path) -> LoadResult:
         if kind is NodeKind.VULNERABILITY:
             vulnerability_scores(node)
         return graph.upsert_node(node)
-    return _load_rows(path, NODE_CSV_HEADER, load_row)
+    return load_row
 
 
 def _edge_loader(graph: Graph, read_props: Optional[Callable] = None) -> Callable[..., tuple]:
@@ -601,20 +588,19 @@ def save_state(graph: Graph, directory: str | Path) -> None:
 
 
 def load_state(directory: str | Path) -> Graph:
-    """Inverse of :func:`save_state`; any row issue means corrupt state."""
+    """Inverse of :func:`save_state`.  Every fault of a state file is corrupt
+    state: an ingest error reads ``corrupt state in <file>: …``, and a row
+    issue raises DanglingReference naming the file and its first issue.
+    nodes.csv is read, and checked, before edges.csv."""
     directory = Path(directory)
     graph = Graph()
-    nodes = directory / STATE_NODE_FILE
-    _load_state_file(nodes, lambda: load_nodes(graph, nodes))
-    edges = directory / STATE_EDGE_FILE
-    _load_state_file(edges, lambda: _load_rows(edges, _STATE_EDGE_HEADER, _edge_loader(graph)))
+    for name, columns, loader in ((STATE_NODE_FILE, NODE_CSV_HEADER, _node_loader),
+                                  (STATE_EDGE_FILE, _STATE_EDGE_HEADER, _edge_loader)):
+        path = directory / name
+        try:
+            issues = _load_rows(path, columns, loader(graph)).issues
+        except IngestError as exc:   # its message names the file first
+            raise type(exc)(f"corrupt state in {exc}") from None
+        if issues:
+            raise DanglingReference(f"corrupt state in {path}: {issues[0].message}")
     return graph
-
-
-def _load_state_file(path: Path, load: Callable[[], LoadResult]) -> None:
-    """Run ``load`` on the state file ``path``; a row that aborts it or
-    that it reports as an issue is corrupt state, named with the file."""
-    with naming_file(f"corrupt state in {path}"):
-        result = load()
-    if result.issues:
-        raise DanglingReference(f"corrupt state in {path}: {result.issues[0].message}")

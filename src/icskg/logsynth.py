@@ -418,8 +418,10 @@ def _tail_rows(lines: Iterable[str]) -> Optional[Counter]:
     tails = Counter('"' if '"' in line or "\r" in line else line.partition(",")[2]
                     for line in lines if line != "\n")
     rows: Counter = Counter()
+    fields: dict[str, str] = {}   # distinct rows share each equal field
     for tail, n in tails.items():
-        rows[tuple(tail.removesuffix("\n").split(","))] += n
+        parts = tail.removesuffix("\n").split(",")
+        rows[tuple(map(fields.setdefault, parts, parts))] += n
     return rows if all(len(row) == len(LOG_CSV_HEADER) - 1 for row in rows) else None
 
 

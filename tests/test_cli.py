@@ -553,6 +553,26 @@ def test_row_that_aborts_build_names_its_file(tmp_path, capsys, key, row, needle
     assert not out.exists()
 
 
+def test_build_logs_each_skipped_row_with_its_file_and_kind(tmp_path, caplog):
+    raw = json.loads(fixture_config(tmp_path).read_text())
+    expected = []
+    for key, row, kind in (
+            ("nodes", ["X-1", "Gadget", "", "", "", "{}"], "BadEnum"),
+            ("relations", ["CWE-79", "CAPEC-404", "HAS_CAPEC", "{}"], "DanglingReference"),
+            ("predictions", ["CVE-404", "CWE-79", "HAS_POSSIBLE_CWE", "0.9"],
+             "DanglingReference")):
+        path = tmp_path / Path(raw["paths"][key]).name
+        number = append_row(Path(raw["paths"][key]), path, row)
+        raw["paths"][key] = str(path)
+        expected.append(f"{path}: row {number} [{kind}]: ")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "build"]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    for prefix in expected:
+        assert sum(message.startswith(prefix) for message in warnings) == 1, prefix
+
+
 def test_row_that_aborts_a_state_load_names_the_state_file(tmp_path, pipeline_out, capsys):
     out = tmp_path / "out"
     shutil.copytree(pipeline_out, out)
@@ -745,7 +765,8 @@ def test_file_that_is_not_utf8_names_its_line(tmp_path, pipeline_out, capsys, na
     path.write_bytes(b"\n".join(lines))
     before = tree_digest(out)
     assert main(["--out", str(out), "annotate"]) == 2
-    assert f"error: {path}: line 4: 'utf-8' codec can't decode byte 0xff in position 5: " \
+    state = "corrupt state in " if name.startswith("graph/") else ""
+    assert f"error: {state}{path}: line 4: 'utf-8' codec can't decode byte 0xff in position 5: " \
         "invalid start byte" in capsys.readouterr().err
     assert tree_digest(out) == before
 

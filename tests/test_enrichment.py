@@ -186,8 +186,7 @@ def test_knn_matches_the_pair_loop(graph, top_k, data):
     n = len(view.nodes())
     rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
                               min_size=n, max_size=n))
-    embeddings.append(EmbeddingMatrix(view.nodes(), np.array(rows, dtype=float), 3,
-                                      (1.0,), 0))
+    embeddings.append(EmbeddingMatrix(view.nodes(), np.array(rows, dtype=float), 3))
     for emb in embeddings:
         assert link_records(knn_possible_links(emb, view, top_k)) == \
             knn_links_oracle(emb, view, top_k)

@@ -114,6 +114,52 @@ def test_load_state_rejects_ragged_rows(tmp_path, file_name):
         load_state(tmp_path)
 
 
+def _break_state_file(path: Path, fault: str) -> str:
+    """Put ``fault`` into the state file ``path``: a row that fails the load
+    (nodes.csv: a CVE whose EPSS is a word, which aborts any node file;
+    edges.csv: a risk cell that is not a number), a byte that is not UTF-8
+    or a missing column.  Returns the text the error must hold after
+    ``corrupt state in <path>: ``."""
+    lines = path.read_bytes().split(b"\n")
+    if fault == "row":
+        row = csv_line(["CVE-9", "Vulnerability", "", "", "", '{"epss": "high"}']
+                       if path.name == "nodes.csv" else
+                       ["PLC_1", "MES_1", "COMMUNICATES_WITH", "abc", "", "", "", "{}"])
+        path.write_bytes(b"\n".join([*lines[:-1], row.encode(), b""]))
+        return (f"row {len(lines) - 1}: " + ("vulnerability 'CVE-9': epss must be"
+                if path.name == "nodes.csv" else "could not convert string to float"))
+    if fault == "utf8":
+        lines[1] = lines[1][:2] + b"\xff" + lines[1][2:]
+        path.write_bytes(b"\n".join(lines))
+        return "line 2: 'utf-8' codec can't decode byte 0xff in position 2"
+    lines[0] = lines[0].replace(b"props_json", b"props")
+    path.write_bytes(b"\n".join(lines))
+    return "missing required column 'props_json'"
+
+
+@pytest.mark.parametrize("fault", ["row", "utf8", "column"])
+@pytest.mark.parametrize("file_name", ["nodes.csv", "edges.csv"])
+def test_every_state_fault_is_corrupt_state_naming_the_file(tmp_path, file_name, fault):
+    g = Graph()
+    load_testbed_into_graph(g, mini_testbed(), RiskConfig())
+    save_state(g, tmp_path)
+    path = tmp_path / file_name
+    needle = _break_state_file(path, fault)
+    with pytest.raises(IngestError, match="^" + re.escape(f"corrupt state in {path}: {needle}")):
+        load_state(tmp_path)
+
+
+def test_load_state_reports_the_nodes_fault_before_reading_edges(tmp_path):
+    g = Graph()
+    load_testbed_into_graph(g, mini_testbed(), RiskConfig())
+    save_state(g, tmp_path)
+    for name in ("edges.csv", "nodes.csv"):
+        needle = _break_state_file(tmp_path / name, "utf8")
+    with pytest.raises(IngestError, match="^" + re.escape(
+            f"corrupt state in {tmp_path / 'nodes.csv'}: {needle}")):
+        load_state(tmp_path)
+
+
 # Cell text that needs CSV quoting (comma, quote, LF, CR) or is not ASCII;
 # id, name and zone cells are read stripped, so they carry no outer blanks.
 CELL_TEXT = st.text(st.sampled_from(list('ab ,"\n\r\té€{}:\\')), min_size=1, max_size=6)
@@ -238,8 +284,10 @@ def test_edge_csv_unreadable_risk_cell_is_a_skipped_row(tmp_path):
 ])
 def test_vulnerability_rows_are_read_by_the_advisory_rules(tmp_path, props, needle):
     csv_text = NODE_CSV + csv_line(["CVE-9", "Vulnerability", "", "", "", json.dumps(props)]) + "\n"
-    with pytest.raises(IngestError, match=f"^row 4: vulnerability 'CVE-9': {re.escape(needle)}$"):
-        load_nodes(Graph(), write(tmp_path, "n.csv", csv_text))
+    path = write(tmp_path, "n.csv", csv_text)
+    with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: row 4: "
+                                          f"vulnerability 'CVE-9': {re.escape(needle)}$"):
+        load_nodes(Graph(), path)
 
 
 def test_vulnerability_props_round_trip(tmp_path):
@@ -521,8 +569,9 @@ def test_import_predictions_rejects_non_prediction_kind(tmp_path):
         csv_text = ("srcId,dstId,kind,confidence\n"
                     "A,B,HAS_POSSIBLE_CWE,0.1\n"
                     f"A,B,{kind},{confidence}\n")
-        with pytest.raises(BadEnum, match="^row 2: "):
-            import_predictions(g, write(tmp_path, "p.csv", csv_text), 0.5)
+        path = write(tmp_path, "p.csv", csv_text)
+        with pytest.raises(BadEnum, match=f"^{re.escape(str(path))}: row 2: "):
+            import_predictions(g, path, 0.5)
 
 
 def test_vuln_record_defaults_for_missing_fields():

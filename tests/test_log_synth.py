@@ -434,6 +434,16 @@ def test_log_csv_matches_csv_module_and_per_row_count(tmp_path_factory, flows, s
 # line-at-a-time reader replaced as its oracle
 # ---------------------------------------------------------------------------
 
+def test_tail_fold_shares_equal_fields_between_rows():
+    """Two distinct rows hold one string object for a field they share, not
+    a copy each (multi-character values: CPython caches one-character ones)."""
+    lines = ["2024-01-01T00:00:00.000Z,PLC_1,HMI_1,OPC_UA,Anonymous,None,Connect,10.0.0.1\n",
+             "2024-01-01T00:00:01.000Z,PLC_1,HMI_2,OPC_UA,Anonymous,None,Connect,10.0.0.1\n"]
+    first, second = logsynth._tail_rows(lines)
+    assert first[0] == second[0] == "PLC_1" and first[0] is second[0]
+    assert first[-1] is second[-1]
+
+
 def traced(work):
     """The result of ``work()``, the bytes still traced after it and the
     traced peak during it, as tracemalloc counts them (numpy included)."""
