@@ -12,7 +12,11 @@ A view builds its path graph from that adjacency once per weight policy, on
 first use, and keeps it in ``view.path_graphs``; views and their edges are
 frozen, so the graph is never rebuilt.  Path searches take banned nodes and
 ``banned_first``, the steps out of the source a Yen spur search excludes:
-the branches that accepted paths already took.
+the branches that accepted paths already took.  A Hop path graph also keeps,
+per target, the breadth-first distances of the whole graph to it: a spur
+search whose best allowed step has a tree route clear of the banned nodes
+takes that route, one that no allowed step can reach the target from finds
+none, and any other falls back to the breadth-first search.
 """
 
 from __future__ import annotations
@@ -48,17 +52,6 @@ class WeightPolicy(Enum):
         return -math.log(max(p, _MIN_PROB))
 
 
-@dataclass
-class PathResult:
-    nodes: list[str]
-    path_probability: float
-    total_cost: float
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.nodes) - 1
-
-
 # ---------------------------------------------------------------------------
 # Pair-collapsed adjacency
 # ---------------------------------------------------------------------------
@@ -90,6 +83,8 @@ class _PathGraph:
                 row.append((j, cost))
             self.adj.append(row)
         self.nbrs = [frozenset(pairs) for pairs in view.adjacency]
+        # Hop graphs: per target, the tree _target_tree builds on first use.
+        self.trees: dict[int, tuple[list[int], list[int], dict[int, list[int]]]] = {}
 
 
 def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
@@ -104,9 +99,56 @@ def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
     return pg
 
 
-def _make_result(pg: _PathGraph, path: tuple[int, ...], cost: float) -> PathResult:
-    edges = [pg.edge_for[a, b] for a, b in zip(path, path[1:])]
-    return PathResult([pg.ids[i] for i in path], p_exploit_product(edges), cost)
+class PathResult:
+    """One path :func:`yen_k_shortest` found: its product ids, the product
+    of pExploit along it (``risk.p_exploit_product``) and its cost under the
+    search's policy.
+
+    ``nodes`` and ``path_probability`` are built from the path graph's rank
+    tuple when first read, and ``hop_count`` reads the tuple itself.
+    Results compare and print by (nodes, path_probability, total_cost).
+    """
+
+    __slots__ = ("total_cost", "_pg", "_path", "_nodes", "_probability")
+
+    def __init__(self, pg: _PathGraph, path: tuple[int, ...], total_cost: float) -> None:
+        self.total_cost = total_cost
+        self._pg, self._path = pg, path
+        self._nodes: Optional[list[str]] = None
+        self._probability: Optional[float] = None
+
+    @property
+    def nodes(self) -> list[str]:
+        if self._nodes is None:
+            ids = self._pg.ids
+            self._nodes = [ids[i] for i in self._path]
+        return self._nodes
+
+    @property
+    def path_probability(self) -> float:
+        if self._probability is None:
+            path, edge_for = self._path, self._pg.edge_for
+            self._probability = p_exploit_product(
+                edge_for[a, b] for a, b in zip(path, path[1:]))
+        return self._probability
+
+    @property
+    def hop_count(self) -> int:
+        return len(self._path) - 1
+
+    def _fields(self) -> tuple[list[str], float, float]:
+        return self.nodes, self.path_probability, self.total_cost
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PathResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        nodes, probability, cost = self._fields()
+        return f"PathResult(nodes={nodes!r}, path_probability={probability!r}, total_cost={cost!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +190,87 @@ def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
     return None
 
 
+def _target_tree(pg: _PathGraph, dst: int
+                 ) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """The breadth-first tree of the whole path graph toward ``dst``, built
+    on first use and kept in ``pg.trees``; threads that build it at once
+    build equal trees.
+
+    Returns ``dist`` (each node's hop distance to ``dst``, -1 where it
+    cannot reach it), ``toward`` (each node's lowest-rank neighbour one hop
+    closer: levels are expanded in rank order, so the first to reach a node
+    is that neighbour) and ``steps``, filled by :func:`_bfs_raw` as it asks:
+    a node's neighbours that reach ``dst``, in (distance, rank) order.
+    """
+    tree = pg.trees.get(dst)
+    if tree is None:
+        nbrs = pg.nbrs
+        dist, toward = [-1] * len(nbrs), [-1] * len(nbrs)
+        dist[dst] = 0
+        level, d = [dst], 0
+        while level:
+            d += 1
+            reached = []
+            for u in sorted(level):
+                for v in nbrs[u]:
+                    if dist[v] < 0:
+                        dist[v], toward[v] = d, u
+                        reached.append(v)
+            level = reached
+        tree = pg.trees[dst] = (dist, toward, {})
+    return tree
+
+
 def _bfs_raw(pg: _PathGraph, src: int, dst: int,
              banned_nodes: frozenset[int] = frozenset(),
              banned_first: AbstractSet[int] = frozenset(),
              ) -> Optional[tuple[float, tuple[int, ...]]]:
     """Unit-cost twin of :func:`_dijkstra_raw`: same arguments, same result.
 
-    A breadth-first search from ``dst``, one level of nodes at a time,
-    avoids the banned nodes and ``src`` until a level holds an allowed first
-    step (a neighbour of ``src`` outside ``banned_first``); the walk from
-    ``src`` then always takes the lowest-rank allowed step one level closer.
-    All shortest routes have the same length, so that walk is the
-    lexicographic minimum the heap search settles first, and
-    ``float(hops)`` equals its sum of unit costs.
+    First from the target's tree (:func:`_target_tree`).  Take the allowed
+    first step ``a`` (a neighbour of ``src`` neither banned nor in
+    ``banned_first``) with the least (distance, rank).  If no allowed step
+    reaches ``dst`` in the whole graph, none reaches it once nodes are
+    banned: there is no route.  If ``a``'s tree route (each node's
+    lowest-rank neighbour one hop closer) avoids the banned nodes and
+    ``src``, it is the answer.  Banning only lengthens routes, so every
+    allowed step ``b`` is still at least ``dist[b] >= dist[a]`` hops away,
+    and ``a``, at exactly ``dist[a]``, is the closest; an equally close
+    ``b`` has ``dist[b] == dist[a]`` and so a higher rank.  Each node on the
+    tree route is at its unbanned distance, so the lowest-rank neighbour one
+    hop closer among all is also the lowest among those left.
+
+    Otherwise a breadth-first search from ``dst``, one level of nodes at a
+    time, avoids the banned nodes and ``src`` until a level holds an allowed
+    first step; the walk from ``src`` then always takes the lowest-rank
+    allowed step one level closer.  All shortest routes have the same
+    length, so that walk is the lexicographic minimum the heap search
+    settles first, and ``float(hops)`` equals its sum of unit costs.
     """
     if src in banned_nodes or dst in banned_nodes:
         return None
     if src == dst:
         return 0.0, (src,)
     nbrs = pg.nbrs
+    dist, toward, steps = _target_tree(pg, dst)
+    ordered = steps.get(src)
+    if ordered is None:
+        ordered = steps[src] = sorted((v for v in nbrs[src] if dist[v] >= 0),
+                                      key=lambda v: (dist[v], v))
+    for step in ordered:
+        if step not in banned_first and step not in banned_nodes:
+            break
+    else:
+        return None
+    path = [src, step]
+    while step != dst:
+        step = toward[step]
+        if step in banned_nodes or step == src:
+            break
+        path.append(step)
+    else:
+        return float(len(path) - 1), tuple(path)
+
     first = nbrs[src] - banned_first
     seen = {src, dst, *banned_nodes}
     levels = [{dst}]                # levels[d]: the nodes d hops from dst
@@ -187,11 +291,14 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
                    ) -> list[PathResult]:
     """Up to k cheapest loopless paths, sorted by (cost, node sequence).
 
-    Returns an empty list when no route exists.  Spur exploration starts at
-    each accepted path's deviation index (Lawler's reduction), which keeps
-    the candidate set complete while skipping already-covered prefixes.
-    ``branches`` maps each root prefix of an accepted path to the nodes
-    accepted paths take next, which the root's spur search may not step to.
+    Returns an empty list when no route exists.  Each accepted path's spur
+    searches start at its deviation index (Lawler's reduction): for every
+    earlier root, ``branches`` already holds the path's next node, which
+    keeps the candidate set complete while skipping already-covered
+    prefixes.  ``branches`` maps each root prefix of an accepted path to the
+    nodes accepted paths take next, which the root's spur search may not
+    step to.  A spur search bans the root's other nodes and never returns to
+    its start, so every candidate is loopless.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -213,26 +320,26 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
 
     while len(accepted) < k:
         prev_nodes = accepted[-1][1]
+        start = deviation[prev_nodes]
         prefix = 0.0
-        for i in range(len(prev_nodes) - 1):
+        for i in range(start):
+            prefix += cost_of[prev_nodes[i], prev_nodes[i + 1]]
+        for i in range(start, len(prev_nodes) - 1):
             root = prev_nodes[:i + 1]
             branches.setdefault(root, set()).add(prev_nodes[i + 1])
-            if i >= deviation[prev_nodes]:
-                spur_found = search(pg, prev_nodes[i], t, frozenset(root[:-1]), branches[root])
-                if spur_found is not None:
-                    spur_cost, spur_nodes = spur_found
-                    total_nodes = root[:-1] + spur_nodes
-                    if len(set(total_nodes)) == len(total_nodes) \
-                            and total_nodes not in deviation:
-                        heapq.heappush(candidates, (prefix + spur_cost, total_nodes))
-                        deviation[total_nodes] = i
-            prefix += cost_of[(prev_nodes[i], prev_nodes[i + 1])]
+            spur_found = search(pg, prev_nodes[i], t, frozenset(root[:-1]), branches[root])
+            if spur_found is not None:
+                spur_cost, spur_nodes = spur_found
+                total_nodes = root[:-1] + spur_nodes
+                if total_nodes not in deviation:
+                    heapq.heappush(candidates, (prefix + spur_cost, total_nodes))
+                    deviation[total_nodes] = i
+            prefix += cost_of[prev_nodes[i], prev_nodes[i + 1]]
         if not candidates:
             break
         accepted.append(heapq.heappop(candidates))
-    results = [_make_result(pg, nodes, cost) for cost, nodes in accepted]
-    results.sort(key=lambda r: (r.total_cost, r.nodes))
-    return results
+    accepted.sort()
+    return [PathResult(pg, path, cost) for cost, path in accepted]
 
 
 # ---------------------------------------------------------------------------

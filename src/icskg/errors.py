@@ -69,6 +69,10 @@ class DanglingReference(IngestError):
     """A relation row references a node id that was never loaded."""
 
 
+class CorruptState(IngestError):
+    """A saved state file holds a row that cannot be loaded back."""
+
+
 # ---------------------------------------------------------------------------
 # Scenario harness / CLI
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from icskg.config import (BOOLEAN, CONTROL_NAMES, STRING, ControlProfile, RiskCo
                           integer, list_of, number, obj, one_of, table)
 from icskg.errors import (
     BadEnum,
+    CorruptState,
     DanglingReference,
     GraphError,
     IngestError,
@@ -590,7 +591,7 @@ def save_state(graph: Graph, directory: str | Path) -> None:
 def load_state(directory: str | Path) -> Graph:
     """Inverse of :func:`save_state`.  Every fault of a state file is corrupt
     state: an ingest error reads ``corrupt state in <file>: …``, and a row
-    issue raises DanglingReference naming the file and its first issue.
+    issue raises CorruptState naming the file and its first issue.
     nodes.csv is read, and checked, before edges.csv."""
     directory = Path(directory)
     graph = Graph()
@@ -602,5 +603,5 @@ def load_state(directory: str | Path) -> Graph:
         except IngestError as exc:   # its message names the file first
             raise type(exc)(f"corrupt state in {exc}") from None
         if issues:
-            raise DanglingReference(f"corrupt state in {path}: {issues[0].message}")
+            raise CorruptState(f"corrupt state in {path}: {issues[0].message}")
     return graph

@@ -3,6 +3,7 @@ oracles, plus the ranking reports."""
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import sys
@@ -43,7 +44,7 @@ from icskg.analytics import (
 from icskg.enrich import fastrp_embed
 from icskg.errors import EmptyGraph
 from icskg.graph import COMMUNICATION_KINDS, Configuration, EdgeKind, Graph
-from icskg.risk import exposure
+from icskg.risk import exposure, p_exploit_product
 
 POLICIES = (WeightPolicy.HOP, WeightPolicy.RISK_COST, WeightPolicy.MAX_LIKELIHOOD)
 
@@ -193,6 +194,102 @@ def test_bfs_search_equals_heap_search_on_hop_graphs(graph, seed):
     assert got == _dijkstra_raw(pg, src, dst, banned_nodes, banned_first)
     if got is not None:
         assert type(got[0]) is float
+
+
+def bfs_levels_oracle(pg, src, dst, banned_nodes=frozenset(), banned_first=frozenset()):
+    """The breadth-first spur search before per-target trees, verbatim."""
+    if src in banned_nodes or dst in banned_nodes:
+        return None
+    if src == dst:
+        return 0.0, (src,)
+    nbrs = pg.nbrs
+    first = nbrs[src] - banned_first
+    seen = {src, dst, *banned_nodes}
+    levels = [{dst}]                # levels[d]: the nodes d hops from dst
+    while first.isdisjoint(levels[-1]):
+        reached = set().union(*[nbrs[u] for u in levels[-1]]) - seen
+        if not reached:
+            return None
+        seen |= reached
+        levels.append(reached)
+    path = [src, min(first & levels[-1])]
+    for level in reversed(levels[:-1]):
+        path.append(min(nbrs[path[-1]] & level))
+    return float(len(path) - 1), tuple(path)
+
+
+def yen_oracle(view, src, dst, k, policy):
+    """Yen's loop before deviation-index starts and lazy results, verbatim
+    but for its searches (today's Dijkstra, or the BFS oracle above) and its
+    results: (nodes, total_cost, path_probability) tuples."""
+    pg = _path_graph(view, policy)
+    search = bfs_levels_oracle if policy is WeightPolicy.HOP else _dijkstra_raw
+    cost_of = pg.cost_of
+    s, t = pg.rank[src], pg.rank[dst]
+    first = search(pg, s, t)
+    if first is None:
+        return []
+
+    accepted = [first]
+    deviation = {first[1]: 0}
+    branches = {}
+    candidates = []
+
+    while len(accepted) < k:
+        prev_nodes = accepted[-1][1]
+        prefix = 0.0
+        for i in range(len(prev_nodes) - 1):
+            root = prev_nodes[:i + 1]
+            branches.setdefault(root, set()).add(prev_nodes[i + 1])
+            if i >= deviation[prev_nodes]:
+                spur_found = search(pg, prev_nodes[i], t, frozenset(root[:-1]), branches[root])
+                if spur_found is not None:
+                    spur_cost, spur_nodes = spur_found
+                    total_nodes = root[:-1] + spur_nodes
+                    if len(set(total_nodes)) == len(total_nodes) \
+                            and total_nodes not in deviation:
+                        heapq.heappush(candidates, (prefix + spur_cost, total_nodes))
+                        deviation[total_nodes] = i
+            prefix += cost_of[(prev_nodes[i], prev_nodes[i + 1])]
+        if not candidates:
+            break
+        accepted.append(heapq.heappop(candidates))
+    results = []
+    for cost, path in accepted:
+        edges = [pg.edge_for[a, b] for a, b in zip(path, path[1:])]
+        results.append(([pg.ids[i] for i in path], cost, p_exploit_product(edges)))
+    results.sort(key=lambda r: (r[1], r[0]))
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs(2, 40), st.integers(0, 2**32 - 1))
+def test_bfs_search_equals_the_level_search_with_trees_reused(graph, seed):
+    rng = random.Random(seed)
+    pg = _path_graph(original(graph), WeightPolicy.HOP)
+    n = len(pg.ids)
+    targets = rng.sample(range(n), min(n, 3))
+    for _ in range(12):
+        src, dst = rng.randrange(n), rng.choice(targets)
+        banned_nodes = frozenset(rng.sample(range(n), rng.randint(0, n // 4)))
+        banned_first = frozenset(v for v in pg.nbrs[src] if rng.random() < 0.5)
+        assert _bfs_raw(pg, src, dst, banned_nodes, banned_first) == \
+            bfs_levels_oracle(pg, src, dst, banned_nodes, banned_first)
+    assert set(pg.trees) <= set(targets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(2, 30), st.sampled_from(POLICIES), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_yen_equals_the_loop_before_deviation_starts(graph, policy, k, seed):
+    view = original(graph)
+    rng = random.Random(seed)
+    for _ in range(4):
+        src, dst = rng.sample(view.nodes(), 2)
+        got = yen_k_shortest(view, src, dst, k, policy)
+        assert [(p.nodes, p.total_cost, p.path_probability) for p in got] == \
+            yen_oracle(view, src, dst, k, policy)
+        assert [p.hop_count for p in got] == [len(p.nodes) - 1 for p in got]
 
 
 @settings(max_examples=60, deadline=None)

@@ -585,6 +585,18 @@ def test_row_that_aborts_a_state_load_names_the_state_file(tmp_path, pipeline_ou
     assert tree_digest(out) == before
 
 
+def test_row_issue_of_a_state_file_exits_2_as_corrupt_state(tmp_path, pipeline_out, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    edges = out / "graph" / "edges.csv"
+    number = append_row(pipeline_out / "graph" / "edges.csv", edges, ["PLC_1", "MES_1"])
+    before = tree_digest(out)
+    assert main(["--out", str(out), "annotate"]) == 2
+    assert f"error: corrupt state in {edges}: row {number} has 2 fields, not 8" \
+        in capsys.readouterr().err
+    assert tree_digest(out) == before
+
+
 # One case per setting that ended in a traceback (exit 1) before the typed
 # reader: (document, key path, value, stage, text the error must hold).  The
 # document is the run config or the file of one of its paths; the

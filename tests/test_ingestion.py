@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icskg.config import RiskConfig
-from icskg.errors import BadEnum, DanglingReference, IcskgError, IngestError, MissingColumn
+from icskg.errors import (BadEnum, CorruptState, DanglingReference, IcskgError, IngestError,
+                          MissingColumn)
 from icskg.graph import (Edge, EdgeKind, Graph, Node, NodeKind, RiskAttributes, audit_hierarchy,
                          csv_line, parse_csv, props_from_json, read_lines, write_csv)
 from icskg.ingest import (
@@ -106,11 +107,11 @@ def test_load_state_rejects_ragged_rows(tmp_path, file_name):
     path = tmp_path / file_name
     header, first, *rest = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([header, first + ",x,y", *rest]) + "\n", encoding="utf-8")
-    with pytest.raises(DanglingReference, match=f"corrupt state in .*{file_name}: row 1 has"):
+    with pytest.raises(CorruptState, match=f"corrupt state in .*{file_name}: row 1 has"):
         load_state(tmp_path)
     short = first.rsplit(",", 2)[0]
     path.write_text("\n".join([header, short, *rest]) + "\n", encoding="utf-8")
-    with pytest.raises(DanglingReference, match=f"corrupt state in .*{file_name}: row 1 has"):
+    with pytest.raises(CorruptState, match=f"corrupt state in .*{file_name}: row 1 has"):
         load_state(tmp_path)
 
 
@@ -242,7 +243,7 @@ def test_load_state_rejects_props_that_are_not_strings(tmp_path, file_name):
     rows = list(rows)
     rows[0][-1] = '{"a": true}'
     path.write_bytes(write_csv(header, rows))
-    with pytest.raises(DanglingReference,
+    with pytest.raises(CorruptState,
                        match=f"corrupt state in .*{file_name}: unparseable props_json"):
         load_state(tmp_path)
 
@@ -254,7 +255,7 @@ def test_load_state_names_file_and_row_of_unreadable_risk_cell(tmp_path):
     with (tmp_path / "edges.csv").open("a", encoding="utf-8") as fh:
         fh.write("PLC_1,MES_1,COMMUNICATES_WITH,abc,,,,{}\n")
     row = g.edge_count() + 1
-    with pytest.raises(DanglingReference, match=re.escape(
+    with pytest.raises(CorruptState, match=re.escape(
             f"edges.csv: row {row}: could not convert string to float: 'abc'")):
         load_state(tmp_path)
 
@@ -646,5 +647,5 @@ def test_load_state_rejects_any_bad_edge_row(tmp_path, bad_row):
     save_state(g, tmp_path)
     with (tmp_path / "edges.csv").open("a", encoding="utf-8") as fh:
         fh.write(bad_row + "\n")
-    with pytest.raises(DanglingReference, match="corrupt state"):
+    with pytest.raises(CorruptState, match="corrupt state"):
         load_state(tmp_path)

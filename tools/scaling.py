@@ -30,6 +30,10 @@ Usage, from the repository root::
     python3 tools/scaling.py                 # 24, 48 and 96 cells
     python3 tools/scaling.py --cells 3 6     # smaller plants
     python3 tools/scaling.py --cells 24 --hours 2   # a longer log window
+    python3 tools/scaling.py --cells 24 --policy RiskCost   # every scenario RiskCost
+
+``--policy`` sets every generated scenario's weight policy; without it each
+scenario keeps the policy the catalog gives it.
 """
 
 from __future__ import annotations
@@ -104,10 +108,16 @@ def run_stage(config: Path, out: Path, stage: str) -> None:
         raise SystemExit(f"{stage} exited {code}")
 
 
-def measure(cells: int, hours: float, work: Path) -> dict:
+def measure(cells: int, hours: float, policy: str | None, work: Path) -> dict:
     inputs, out = work / "inputs", work / "out"
     sizes = plant.generate(ROOT / "src" / "icskg" / "data" / "fixture", inputs,
                            cells, SEED, hours)
+    if policy is not None:
+        catalog = inputs / "scenarios.json"
+        scenarios = json.loads(catalog.read_text(encoding="utf-8"))
+        for scenario in scenarios:
+            scenario["policy"] = policy
+        catalog.write_text(json.dumps(scenarios, indent=2), encoding="utf-8")
     config = inputs / "config.json"
     totals = dict.fromkeys(KERNELS, 0.0)
     calls = dict.fromkeys(KERNELS, 0)
@@ -128,13 +138,13 @@ def measure(cells: int, hours: float, work: Path) -> dict:
     }
 
 
-def run(cells: list[int], hours: float) -> dict:
+def run(cells: list[int], hours: float, policy: str | None = None) -> dict:
     rows = []
     for n in cells:
         with tempfile.TemporaryDirectory() as tmp:
-            rows.append(measure(n, hours, Path(tmp)))
+            rows.append(measure(n, hours, policy, Path(tmp)))
     return {"python": platform.python_version(), "nproc": os.cpu_count(),
-            "seed": SEED, "log_hours": hours, "plants": rows}
+            "seed": SEED, "log_hours": hours, "policy": policy, "plants": rows}
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -143,6 +153,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         help="plant sizes in production cells (default: 24 48 96)")
     parser.add_argument("--hours", type=float, default=LOG_HOURS,
                         help=f"log window in hours (default: {LOG_HOURS})")
+    parser.add_argument("--policy", choices=[p.value for p in analytics.WeightPolicy],
+                        help="weight policy for every scenario (default: each "
+                             "scenario's own)")
     args = parser.parse_args(argv)
     if min(args.cells) < 1:
         parser.error("--cells must be positive")
@@ -153,4 +166,4 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 if __name__ == "__main__":
     args = parse_args()
-    print(json.dumps(run(args.cells, args.hours), indent=2))
+    print(json.dumps(run(args.cells, args.hours, args.policy), indent=2))
