@@ -13,10 +13,11 @@ first use, and keeps it in ``view.path_graphs``; views and their edges are
 frozen, so the graph is never rebuilt.  Path searches take banned nodes and
 ``banned_first``, the steps out of the source a Yen spur search excludes:
 the branches that accepted paths already took.  A Hop path graph also keeps,
-per target, the breadth-first distances of the whole graph to it: a spur
-search whose best allowed step has a tree route clear of the banned nodes
-takes that route, one that no allowed step can reach the target from finds
-none, and any other falls back to the breadth-first search.
+per target, the breadth-first tree of the whole graph toward it: a spur
+search whose closest allowed step has a tree route clear of the banned nodes
+takes that route, one whose allowed steps cannot reach the target finds
+none, and any other falls back to the breadth-first search, which Yen puts
+off until its lower bound is the cheapest candidate left.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Collection, Optional, Union
 
 from icskg.errors import EmptyGraph
 from icskg.graph import Configuration, Edge, GraphView
@@ -156,8 +157,8 @@ class PathResult:
 # ---------------------------------------------------------------------------
 
 def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
-                  banned_nodes: frozenset[int] = frozenset(),
-                  banned_first: AbstractSet[int] = frozenset(),
+                  banned_nodes: AbstractSet[int] = frozenset(),
+                  banned_first: Collection[int] = frozenset(),
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
     """Min-cost path with lexicographic tie-breaking on the node sequence,
     avoiding ``banned_nodes`` and any first step to ``banned_first``.
@@ -199,8 +200,8 @@ def _target_tree(pg: _PathGraph, dst: int
     Returns ``dist`` (each node's hop distance to ``dst``, -1 where it
     cannot reach it), ``toward`` (each node's lowest-rank neighbour one hop
     closer: levels are expanded in rank order, so the first to reach a node
-    is that neighbour) and ``steps``, filled by :func:`_bfs_raw` as it asks:
-    a node's neighbours that reach ``dst``, in (distance, rank) order.
+    is that neighbour) and ``steps``, filled by :func:`_tree_route` as it
+    asks: a node's neighbours in (distance, rank) order.
     """
     tree = pg.trees.get(dst)
     if tree is None:
@@ -221,16 +222,17 @@ def _target_tree(pg: _PathGraph, dst: int
     return tree
 
 
-def _bfs_raw(pg: _PathGraph, src: int, dst: int,
-             banned_nodes: frozenset[int] = frozenset(),
-             banned_first: AbstractSet[int] = frozenset(),
-             ) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Unit-cost twin of :func:`_dijkstra_raw`: same arguments, same result.
+def _tree_route(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[int],
+                banned_first: Collection[int]
+                ) -> Union[None, int, tuple[float, tuple[int, ...]]]:
+    """:func:`_bfs_raw`'s answer from the target's tree (:func:`_target_tree`)
+    for ``src != dst``, neither banned: the route, None when there is none,
+    or, when the tree cannot tell, the fewest hops a route can take (an int)
+    for :func:`_level_search` to settle.
 
-    First from the target's tree (:func:`_target_tree`).  Take the allowed
-    first step ``a`` (a neighbour of ``src`` neither banned nor in
-    ``banned_first``) with the least (distance, rank).  If no allowed step
-    reaches ``dst`` in the whole graph, none reaches it once nodes are
+    Take the allowed first step ``a`` (a neighbour of ``src`` neither banned
+    nor in ``banned_first``) with the least (distance, rank).  If no allowed
+    step reaches ``dst`` in the whole graph, none reaches it once nodes are
     banned: there is no route.  If ``a``'s tree route (each node's
     lowest-rank neighbour one hop closer) avoids the banned nodes and
     ``src``, it is the answer.  Banning only lengthens routes, so every
@@ -238,25 +240,15 @@ def _bfs_raw(pg: _PathGraph, src: int, dst: int,
     and ``a``, at exactly ``dist[a]``, is the closest; an equally close
     ``b`` has ``dist[b] == dist[a]`` and so a higher rank.  Each node on the
     tree route is at its unbanned distance, so the lowest-rank neighbour one
-    hop closer among all is also the lowest among those left.
-
-    Otherwise a breadth-first search from ``dst``, one level of nodes at a
-    time, avoids the banned nodes and ``src`` until a level holds an allowed
-    first step; the walk from ``src`` then always takes the lowest-rank
-    allowed step one level closer.  All shortest routes have the same
-    length, so that walk is the lexicographic minimum the heap search
-    settles first, and ``float(hops)`` equals its sum of unit costs.
+    hop closer among all is also the lowest among those left.  Otherwise
+    every route takes at least ``dist[a] + 1`` hops.
     """
-    if src in banned_nodes or dst in banned_nodes:
+    dist, toward, steps = pg.trees.get(dst) or _target_tree(pg, dst)
+    if dist[src] < 0:               # nor can any neighbour of src
         return None
-    if src == dst:
-        return 0.0, (src,)
-    nbrs = pg.nbrs
-    dist, toward, steps = _target_tree(pg, dst)
     ordered = steps.get(src)
     if ordered is None:
-        ordered = steps[src] = sorted((v for v in nbrs[src] if dist[v] >= 0),
-                                      key=lambda v: (dist[v], v))
+        ordered = steps[src] = sorted(sorted(pg.nbrs[src]), key=dist.__getitem__)
     for step in ordered:
         if step not in banned_first and step not in banned_nodes:
             break
@@ -266,12 +258,26 @@ def _bfs_raw(pg: _PathGraph, src: int, dst: int,
     while step != dst:
         step = toward[step]
         if step in banned_nodes or step == src:
-            break
+            return dist[path[1]] + 1
         path.append(step)
-    else:
-        return float(len(path) - 1), tuple(path)
+    return float(len(path) - 1), tuple(path)
 
-    first = nbrs[src] - banned_first
+
+def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[int],
+                  banned_first: Collection[int]
+                  ) -> Optional[tuple[float, tuple[int, ...]]]:
+    """:func:`_bfs_raw` without the tree, for ``src != dst``, neither banned.
+
+    A breadth-first search from ``dst``, one level of nodes at a time,
+    avoids the banned nodes and ``src`` until a level holds an allowed first
+    step (a neighbour of ``src`` outside ``banned_first``); the walk from
+    ``src`` then always takes the lowest-rank allowed step one level closer.
+    All shortest routes have the same length, so that walk is the
+    lexicographic minimum the heap search settles first, and
+    ``float(hops)`` equals its sum of unit costs.
+    """
+    nbrs = pg.nbrs
+    first = nbrs[src].difference(banned_first)
     seen = {src, dst, *banned_nodes}
     levels = [{dst}]                # levels[d]: the nodes d hops from dst
     while first.isdisjoint(levels[-1]):
@@ -286,6 +292,25 @@ def _bfs_raw(pg: _PathGraph, src: int, dst: int,
     return float(len(path) - 1), tuple(path)
 
 
+def _bfs_raw(pg: _PathGraph, src: int, dst: int,
+             banned_nodes: AbstractSet[int] = frozenset(),
+             banned_first: Collection[int] = frozenset(),
+             ) -> Optional[tuple[float, tuple[int, ...]]]:
+    """Unit-cost twin of :func:`_dijkstra_raw`: same arguments, same result.
+
+    The target's tree answers first (:func:`_tree_route`); what it cannot
+    tell, the level search settles (:func:`_level_search`).
+    """
+    if src in banned_nodes or dst in banned_nodes:
+        return None
+    if src == dst:
+        return 0.0, (src,)
+    found = _tree_route(pg, src, dst, banned_nodes, banned_first)
+    if type(found) is int:
+        return _level_search(pg, src, dst, banned_nodes, banned_first)
+    return found
+
+
 def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
                    policy: WeightPolicy = WeightPolicy.RISK_COST
                    ) -> list[PathResult]:
@@ -297,8 +322,19 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
     keeps the candidate set complete while skipping already-covered
     prefixes.  ``branches`` maps each root prefix of an accepted path to the
     nodes accepted paths take next, which the root's spur search may not
-    step to.  A spur search bans the root's other nodes and never returns to
-    its start, so every candidate is loopless.
+    step to.  A spur search bans the root's other
+    nodes and never returns to its start, so every candidate is loopless.
+
+    On Hop graphs a spur search the target's tree cannot settle is put off:
+    it enters the candidate heap keyed (prefix + its least hop count, root)
+    and runs only if that key comes up.  The key is below that of any path
+    the search can find (no cheaper, and the root is a proper prefix), so
+    the search runs before its path could be the cheapest candidate, and
+    before any such path is accepted and adds a branch at its root; a search
+    still waiting when the k-th path is accepted could not have found one of
+    the k.  Hop costs are whole numbers, so a path costs the same from
+    whichever root finds it, and paths are accepted in the same order as
+    when every search runs at once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -313,31 +349,53 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
     if first is None:
         return []
 
-    accepted: list[tuple[float, tuple[int, ...]]] = [first]
+    accepted: list[tuple[float, tuple[int, ...]]] = []
     deviation: dict[tuple[int, ...], int] = {first[1]: 0}
-    branches: dict[tuple[int, ...], set[int]] = {}
-    candidates: list[tuple[float, tuple[int, ...]]] = []
+    branches: dict[tuple[int, ...], list[int]] = {}
+    # Found paths (cost, path) and, on Hop graphs, put-off spur searches
+    # (bound, root, prefix cost).
+    candidates: list[tuple] = [first]
 
-    while len(accepted) < k:
-        prev_nodes = accepted[-1][1]
-        start = deviation[prev_nodes]
+    def add(root: tuple[int, ...], found: Optional[tuple[float, tuple[int, ...]]],
+            prefix: float) -> None:
+        if found is not None:
+            path = root[:-1] + found[1]
+            if path not in deviation:
+                heapq.heappush(candidates, (prefix + found[0], path))
+                deviation[path] = len(root) - 1
+
+    while candidates:
+        entry = heapq.heappop(candidates)
+        if len(entry) > 2:
+            _, root, prefix = entry
+            add(root, _level_search(pg, root[-1], t, frozenset(root[:-1]), branches[root]),
+                prefix)
+            continue
+        accepted.append(entry)
+        if len(accepted) == k:
+            break
+        path = entry[1]
+        start = deviation[path]
         prefix = 0.0
         for i in range(start):
-            prefix += cost_of[prev_nodes[i], prev_nodes[i + 1]]
-        for i in range(start, len(prev_nodes) - 1):
-            root = prev_nodes[:i + 1]
-            branches.setdefault(root, set()).add(prev_nodes[i + 1])
-            spur_found = search(pg, prev_nodes[i], t, frozenset(root[:-1]), branches[root])
-            if spur_found is not None:
-                spur_cost, spur_nodes = spur_found
-                total_nodes = root[:-1] + spur_nodes
-                if total_nodes not in deviation:
-                    heapq.heappush(candidates, (prefix + spur_cost, total_nodes))
-                    deviation[total_nodes] = i
-            prefix += cost_of[prev_nodes[i], prev_nodes[i + 1]]
-        if not candidates:
-            break
-        accepted.append(heapq.heappop(candidates))
+            prefix += cost_of[path[i], path[i + 1]]
+        banned = set(path[:start])      # the root's nodes before its spur node
+        for i in range(start, len(path) - 1):
+            root = path[:i + 1]
+            taken = branches.get(root)
+            if taken is None:
+                taken = branches[root] = []
+            taken.append(path[i + 1])
+            if search is _bfs_raw:
+                found = _tree_route(pg, path[i], t, banned, taken)
+                if type(found) is int:
+                    heapq.heappush(candidates, (prefix + found, root, prefix))
+                else:
+                    add(root, found, prefix)
+            else:
+                add(root, search(pg, path[i], t, banned, taken), prefix)
+            banned.add(path[i])
+            prefix += cost_of[path[i], path[i + 1]]
     accepted.sort()
     return [PathResult(pg, path, cost) for cost, path in accepted]
 

@@ -279,7 +279,7 @@ def test_bfs_search_equals_the_level_search_with_trees_reused(graph, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_graphs(2, 30), st.sampled_from(POLICIES), st.integers(1, 12),
+@given(random_graphs(2, 30), st.sampled_from(POLICIES), st.integers(1, 20),
        st.integers(0, 2**32 - 1))
 def test_yen_equals_the_loop_before_deviation_starts(graph, policy, k, seed):
     view = original(graph)
