@@ -23,6 +23,7 @@ off until its lower bound is the cheapest candidate left.
 from __future__ import annotations
 
 import heapq
+from array import array
 import math
 import random
 from dataclasses import dataclass
@@ -85,7 +86,7 @@ class _PathGraph:
             self.adj.append(row)
         self.nbrs = [frozenset(pairs) for pairs in view.adjacency]
         # Hop graphs: per target, the tree _target_tree builds on first use.
-        self.trees: dict[int, tuple[list[int], list[int], dict[int, list[int]]]] = {}
+        self.trees: dict[int, tuple[array, array, dict[int, list[int]]]] = {}
 
 
 def _path_graph(view: GraphView, policy: WeightPolicy) -> _PathGraph:
@@ -192,21 +193,22 @@ def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
 
 
 def _target_tree(pg: _PathGraph, dst: int
-                 ) -> tuple[list[int], list[int], dict[int, list[int]]]:
+                 ) -> tuple[array, array, dict[int, list[int]]]:
     """The breadth-first tree of the whole path graph toward ``dst``, built
     on first use and kept in ``pg.trees``; threads that build it at once
     build equal trees.
 
-    Returns ``dist`` (each node's hop distance to ``dst``, -1 where it
-    cannot reach it), ``toward`` (each node's lowest-rank neighbour one hop
-    closer: levels are expanded in rank order, so the first to reach a node
-    is that neighbour) and ``steps``, filled by :func:`_tree_route` as it
-    asks: a node's neighbours in (distance, rank) order.
+    Returns two int arrays and a dict: ``dist`` (each node's hop distance
+    to ``dst``, -1 where it cannot reach it), ``toward`` (each node's
+    lowest-rank neighbour one hop closer: levels are expanded in rank order,
+    so the first to reach a node is that neighbour) and ``steps``, filled by
+    :func:`_tree_route` as it asks: a node's neighbours in (distance, rank)
+    order.
     """
     tree = pg.trees.get(dst)
     if tree is None:
         nbrs = pg.nbrs
-        dist, toward = [-1] * len(nbrs), [-1] * len(nbrs)
+        dist, toward = array("i", [-1]) * len(nbrs), array("i", [-1]) * len(nbrs)
         dist[dst] = 0
         level, d = [dst], 0
         while level:
