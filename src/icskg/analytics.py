@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Collection, Optional, Union
+from typing import AbstractSet, Optional, Union
 
 from icskg.errors import EmptyGraph
 from icskg.graph import Configuration, Edge, GraphView
@@ -159,7 +159,7 @@ class PathResult:
 
 def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
                   banned_nodes: AbstractSet[int] = frozenset(),
-                  banned_first: Collection[int] = frozenset(),
+                  banned_first: AbstractSet[int] = frozenset(),
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
     """Min-cost path with lexicographic tie-breaking on the node sequence,
     avoiding ``banned_nodes`` and any first step to ``banned_first``.
@@ -225,7 +225,7 @@ def _target_tree(pg: _PathGraph, dst: int
 
 
 def _tree_route(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[int],
-                banned_first: Collection[int]
+                banned_first: AbstractSet[int]
                 ) -> Union[None, int, tuple[float, tuple[int, ...]]]:
     """:func:`_bfs_raw`'s answer from the target's tree (:func:`_target_tree`)
     for ``src != dst``, neither banned: the route, None when there is none,
@@ -266,7 +266,7 @@ def _tree_route(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[in
 
 
 def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[int],
-                  banned_first: Collection[int]
+                  banned_first: AbstractSet[int]
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
     """:func:`_bfs_raw` without the tree, for ``src != dst``, neither banned.
 
@@ -279,7 +279,7 @@ def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[
     ``float(hops)`` equals its sum of unit costs.
     """
     nbrs = pg.nbrs
-    first = nbrs[src].difference(banned_first)
+    first = nbrs[src] - banned_first
     seen = {src, dst, *banned_nodes}
     levels = [{dst}]                # levels[d]: the nodes d hops from dst
     while first.isdisjoint(levels[-1]):
@@ -296,7 +296,7 @@ def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[
 
 def _bfs_raw(pg: _PathGraph, src: int, dst: int,
              banned_nodes: AbstractSet[int] = frozenset(),
-             banned_first: Collection[int] = frozenset(),
+             banned_first: AbstractSet[int] = frozenset(),
              ) -> Optional[tuple[float, tuple[int, ...]]]:
     """Unit-cost twin of :func:`_dijkstra_raw`: same arguments, same result.
 
@@ -324,8 +324,8 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
     keeps the candidate set complete while skipping already-covered
     prefixes.  ``branches`` maps each root prefix of an accepted path to the
     nodes accepted paths take next, which the root's spur search may not
-    step to.  A spur search bans the root's other
-    nodes and never returns to its start, so every candidate is loopless.
+    step to.  A spur search bans the root's other nodes and never returns to
+    its start, so every candidate is loopless.
 
     On Hop graphs a spur search the target's tree cannot settle is put off:
     it enters the candidate heap keyed (prefix + its least hop count, root)
@@ -353,7 +353,7 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
 
     accepted: list[tuple[float, tuple[int, ...]]] = []
     deviation: dict[tuple[int, ...], int] = {first[1]: 0}
-    branches: dict[tuple[int, ...], list[int]] = {}
+    branches: dict[tuple[int, ...], set[int]] = {}
     # Found paths (cost, path) and, on Hop graphs, put-off spur searches
     # (bound, root, prefix cost).
     candidates: list[tuple] = [first]
@@ -386,8 +386,8 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
             root = path[:i + 1]
             taken = branches.get(root)
             if taken is None:
-                taken = branches[root] = []
-            taken.append(path[i + 1])
+                taken = branches[root] = set()
+            taken.add(path[i + 1])
             if search is _bfs_raw:
                 found = _tree_route(pg, path[i], t, banned, taken)
                 if type(found) is int:
