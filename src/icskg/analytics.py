@@ -10,14 +10,16 @@ while PageRank and community detection count each parallel edge, weight 1.
 
 A view builds its path graph from that adjacency once per weight policy, on
 first use, and keeps it in ``view.path_graphs``; views and their edges are
-frozen, so the graph is never rebuilt.  Path searches take banned nodes and
-``banned_first``, the steps out of the source a Yen spur search excludes:
-the branches that accepted paths already took.  A Hop path graph also keeps,
-per target, the breadth-first tree of the whole graph toward it: a spur
-search whose closest allowed step has a tree route clear of the banned nodes
-takes that route, one whose allowed steps cannot reach the target finds
-none, and any other falls back to the breadth-first search, which Yen puts
-off until its lower bound is the cheapest candidate left.
+frozen, so the graph is never rebuilt.  Each path graph has one search,
+``_PathGraph.search``, which takes banned nodes and ``banned_first``, the
+steps out of the source a Yen spur search excludes: the branches that
+accepted paths already took.  RiskCost and MaxLikelihood graphs run the heap
+search.  A Hop graph keeps, per target, the breadth-first tree of the whole
+graph toward it: a search whose closest allowed step has a tree route clear
+of the banned nodes takes that route, one whose allowed steps cannot reach
+the target finds none, and any other returns a lower bound on its hop
+count.  Yen puts such a search off until that bound is the cheapest
+candidate left, and then the level search settles it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Optional, Union
 
-from icskg.errors import EmptyGraph
+from icskg.errors import EmptyGraph, UnknownNode
 from icskg.graph import Configuration, Edge, GraphView
 from icskg.risk import exposure, p_exploit_product
 
@@ -70,9 +72,10 @@ class _PathGraph:
     def __init__(self, view: GraphView, policy: WeightPolicy) -> None:
         self.ids = ids = view.nodes()
         self.rank = {u: i for i, u in enumerate(ids)}
-        # Unit costs make every route of one length tie, so Hop graphs use
-        # the breadth-first search; the others the heap search.
-        self.search = _bfs_raw if policy is WeightPolicy.HOP else _dijkstra_raw
+        # Unit costs make every route of one length tie, so Hop graphs answer
+        # from the target's tree, or with a lower bound; the others run the
+        # heap search.
+        self.search = _tree_route if policy is WeightPolicy.HOP else _dijkstra_raw
         self.adj: list[list[tuple[int, float]]] = []
         self.edge_for: dict[tuple[int, int], Edge] = {}
         self.cost_of: dict[tuple[int, int], float] = {}
@@ -106,33 +109,26 @@ class PathResult:
     of pExploit along it (``risk.p_exploit_product``) and its cost under the
     search's policy.
 
-    ``nodes`` and ``path_probability`` are built from the path graph's rank
-    tuple when first read, and ``hop_count`` reads the tuple itself.
+    ``nodes`` and ``path_probability`` are computed from the path graph's
+    rank tuple on each read, and ``hop_count`` reads the tuple itself.
     Results compare and print by (nodes, path_probability, total_cost).
     """
 
-    __slots__ = ("total_cost", "_pg", "_path", "_nodes", "_probability")
+    __slots__ = ("total_cost", "_pg", "_path")
 
     def __init__(self, pg: _PathGraph, path: tuple[int, ...], total_cost: float) -> None:
         self.total_cost = total_cost
         self._pg, self._path = pg, path
-        self._nodes: Optional[list[str]] = None
-        self._probability: Optional[float] = None
 
     @property
     def nodes(self) -> list[str]:
-        if self._nodes is None:
-            ids = self._pg.ids
-            self._nodes = [ids[i] for i in self._path]
-        return self._nodes
+        ids = self._pg.ids
+        return [ids[i] for i in self._path]
 
     @property
     def path_probability(self) -> float:
-        if self._probability is None:
-            path, edge_for = self._path, self._pg.edge_for
-            self._probability = p_exploit_product(
-                edge_for[a, b] for a, b in zip(path, path[1:]))
-        return self._probability
+        path, edge_for = self._path, self._pg.edge_for
+        return p_exploit_product(edge_for[a, b] for a, b in zip(path, path[1:]))
 
     @property
     def hop_count(self) -> int:
@@ -162,16 +158,15 @@ def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
                   banned_first: AbstractSet[int] = frozenset(),
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
     """Min-cost path with lexicographic tie-breaking on the node sequence,
-    avoiding ``banned_nodes`` and any first step to ``banned_first``.
+    for ``src`` and ``dst`` not banned, avoiding ``banned_nodes`` and any
+    first step to ``banned_first``.
 
     The search of RiskCost and MaxLikelihood path graphs (Hop graphs use
-    :func:`_bfs_raw`).  Heap keys are (cost, path) tuples over sorted-id
+    :func:`_tree_route`).  Heap keys are (cost, path) tuples over sorted-id
     ranks, so among equal-cost routes the lexicographically smallest settles
     first; with non-negative costs the first pop of ``dst`` is the canonical
     minimum.
     """
-    if src in banned_nodes or dst in banned_nodes:
-        return None
     adj = pg.adj
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
     visited: set[int] = set()
@@ -227,10 +222,11 @@ def _target_tree(pg: _PathGraph, dst: int
 def _tree_route(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[int],
                 banned_first: AbstractSet[int]
                 ) -> Union[None, int, tuple[float, tuple[int, ...]]]:
-    """:func:`_bfs_raw`'s answer from the target's tree (:func:`_target_tree`)
-    for ``src != dst``, neither banned: the route, None when there is none,
-    or, when the tree cannot tell, the fewest hops a route can take (an int)
-    for :func:`_level_search` to settle.
+    """The search of Hop path graphs, answered from the target's tree
+    (:func:`_target_tree`) for ``src != dst``, neither banned: the route
+    :func:`_dijkstra_raw` would find, None when there is none, or, when the
+    tree cannot tell, the fewest hops a route can take (an int) for
+    :func:`_level_search` to settle.
 
     Take the allowed first step ``a`` (a neighbour of ``src`` neither banned
     nor in ``banned_first``) with the least (distance, rank).  If no allowed
@@ -244,6 +240,10 @@ def _tree_route(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[in
     tree route is at its unbanned distance, so the lowest-rank neighbour one
     hop closer among all is also the lowest among those left.  Otherwise
     every route takes at least ``dist[a] + 1`` hops.
+
+    With nothing banned the tree always answers: ``a`` is then the closest
+    neighbour of ``src``, and each step of its tree route is one hop closer
+    to ``dst``, so no node on it is ``src`` (farther than ``a``) or banned.
     """
     dist, toward, steps = pg.trees.get(dst) or _target_tree(pg, dst)
     if dist[src] < 0:               # nor can any neighbour of src
@@ -268,7 +268,8 @@ def _tree_route(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[in
 def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[int],
                   banned_first: AbstractSet[int]
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
-    """:func:`_bfs_raw` without the tree, for ``src != dst``, neither banned.
+    """:func:`_tree_route`'s search without the tree, for ``src != dst``,
+    neither banned; it always settles.
 
     A breadth-first search from ``dst``, one level of nodes at a time,
     avoids the banned nodes and ``src`` until a level holds an allowed first
@@ -294,25 +295,6 @@ def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[
     return float(len(path) - 1), tuple(path)
 
 
-def _bfs_raw(pg: _PathGraph, src: int, dst: int,
-             banned_nodes: AbstractSet[int] = frozenset(),
-             banned_first: AbstractSet[int] = frozenset(),
-             ) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Unit-cost twin of :func:`_dijkstra_raw`: same arguments, same result.
-
-    The target's tree answers first (:func:`_tree_route`); what it cannot
-    tell, the level search settles (:func:`_level_search`).
-    """
-    if src in banned_nodes or dst in banned_nodes:
-        return None
-    if src == dst:
-        return 0.0, (src,)
-    found = _tree_route(pg, src, dst, banned_nodes, banned_first)
-    if type(found) is int:
-        return _level_search(pg, src, dst, banned_nodes, banned_first)
-    return found
-
-
 def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
                    policy: WeightPolicy = WeightPolicy.RISK_COST
                    ) -> list[PathResult]:
@@ -327,45 +309,49 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
     step to.  A spur search bans the root's other nodes and never returns to
     its start, so every candidate is loopless.
 
-    On Hop graphs a spur search the target's tree cannot settle is put off:
-    it enters the candidate heap keyed (prefix + its least hop count, root)
-    and runs only if that key comes up.  The key is below that of any path
-    the search can find (no cheaper, and the root is a proper prefix), so
-    the search runs before its path could be the cheapest candidate, and
-    before any such path is accepted and adds a branch at its root; a search
-    still waiting when the k-th path is accepted could not have found one of
-    the k.  Hop costs are whole numbers, so a path costs the same from
-    whichever root finds it, and paths are accepted in the same order as
-    when every search runs at once.
+    The first search (root ``(src,)``, nothing banned) and every spur
+    search are the path graph's one search.  On Hop graphs a spur search the
+    target's tree cannot settle (it always settles the first) returns its
+    least hop count and is put off: it enters the candidate heap keyed
+    (prefix + that count, root), and the level search runs only if that key
+    comes up.  The key is below that of any path the search can find (no
+    cheaper, and the root is a proper prefix), so the search runs before its
+    path could be the cheapest candidate, and before any such path is
+    accepted and adds a branch at its root; a search still waiting when the
+    k-th path is accepted could not have found one of the k.  Hop costs are
+    whole numbers, so a path costs the same from whichever root finds it,
+    and paths are accepted in the same order as when every search runs at
+    once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if src == dst:
         raise ValueError("source and target must differ")
-    view.graph.node(src)
-    view.graph.node(dst)
     pg = _path_graph(view, policy)
+    try:
+        s, t = pg.rank[src], pg.rank[dst]
+    except KeyError as error:
+        raise UnknownNode(f"{error.args[0]!r} is not a product of the view") from None
     search, cost_of = pg.search, pg.cost_of
-    s, t = pg.rank[src], pg.rank[dst]
-    first = search(pg, s, t)
-    if first is None:
-        return []
 
     accepted: list[tuple[float, tuple[int, ...]]] = []
-    deviation: dict[tuple[int, ...], int] = {first[1]: 0}
+    deviation: dict[tuple[int, ...], int] = {}
     branches: dict[tuple[int, ...], set[int]] = {}
-    # Found paths (cost, path) and, on Hop graphs, put-off spur searches
+    # Found paths (cost, path) and, on Hop graphs, put-off searches
     # (bound, root, prefix cost).
-    candidates: list[tuple] = [first]
+    candidates: list[tuple] = []
 
-    def add(root: tuple[int, ...], found: Optional[tuple[float, tuple[int, ...]]],
-            prefix: float) -> None:
-        if found is not None:
+    def add(root: tuple[int, ...],
+            found: Union[None, int, tuple[float, tuple[int, ...]]], prefix: float) -> None:
+        if type(found) is int:
+            heapq.heappush(candidates, (prefix + found, root, prefix))
+        elif found is not None:
             path = root[:-1] + found[1]
             if path not in deviation:
                 heapq.heappush(candidates, (prefix + found[0], path))
                 deviation[path] = len(root) - 1
 
+    add((s,), search(pg, s, t, frozenset(), frozenset()), 0.0)
     while candidates:
         entry = heapq.heappop(candidates)
         if len(entry) > 2:
@@ -388,14 +374,7 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
             if taken is None:
                 taken = branches[root] = set()
             taken.add(path[i + 1])
-            if search is _bfs_raw:
-                found = _tree_route(pg, path[i], t, banned, taken)
-                if type(found) is int:
-                    heapq.heappush(candidates, (prefix + found, root, prefix))
-                else:
-                    add(root, found, prefix)
-            else:
-                add(root, search(pg, path[i], t, banned, taken), prefix)
+            add(root, search(pg, path[i], t, banned, taken), prefix)
             banned.add(path[i])
             prefix += cost_of[path[i], path[i + 1]]
     accepted.sort()

@@ -31,9 +31,10 @@ from icskg.analytics import (
     Community,
     CommunityReport,
     WeightPolicy,
-    _bfs_raw,
     _dijkstra_raw,
+    _level_search,
     _path_graph,
+    _tree_route,
     betweenness,
     louvain,
     pagerank,
@@ -42,8 +43,8 @@ from icskg.analytics import (
     yen_k_shortest,
 )
 from icskg.enrich import fastrp_embed
-from icskg.errors import EmptyGraph
-from icskg.graph import COMMUNICATION_KINDS, Configuration, EdgeKind, Graph
+from icskg.errors import EmptyGraph, UnknownNode
+from icskg.graph import COMMUNICATION_KINDS, Configuration, EdgeKind, Graph, Node, NodeKind
 from icskg.risk import exposure, p_exploit_product
 
 POLICIES = (WeightPolicy.HOP, WeightPolicy.RISK_COST, WeightPolicy.MAX_LIKELIHOOD)
@@ -54,8 +55,8 @@ def original(graph):
 
 
 # ---------------------------------------------------------------------------
-# Single cheapest path: Yen with k = 1, whose one search is Dijkstra's
-# (a breadth-first search under Hop)
+# Single cheapest path: Yen with k = 1, whose one search is the path graph's
+# (Dijkstra's, or a route from the target's breadth-first tree under Hop)
 # ---------------------------------------------------------------------------
 
 def test_dijkstra_single_edge():
@@ -148,6 +149,20 @@ def test_yen_rejects_bad_arguments():
         yen_k_shortest(original(g), "A", "A", 3)
 
 
+def test_yen_names_an_id_that_is_not_a_product_of_the_view():
+    g = Graph()
+    add_product(g, "A")
+    add_product(g, "B")
+    add_comm(g, "A", "B")
+    g.upsert_node(Node("CVE-1", NodeKind.VULNERABILITY))
+    g.finalize()
+    view = original(g)
+    for src, dst, missing in (("A", "Z", "Z"), ("Z", "A", "Z"), ("A", "CVE-1", "CVE-1"),
+                              ("CVE-1", "B", "CVE-1")):
+        with pytest.raises(UnknownNode, match=repr(missing)):
+            yen_k_shortest(view, src, dst, 2, WeightPolicy.HOP)
+
+
 def test_yen_matches_enumeration_exactly():
     rng = random.Random(777)
     for _ in range(60):
@@ -180,18 +195,41 @@ def test_yen_path_probability_matches_product():
     assert paths[0].path_probability == pytest.approx(0.2, abs=1e-12)
 
 
+def hop_search(pg, src, dst, banned_nodes, banned_first):
+    """A Hop search as Yen runs it: the target's tree answers, and the level
+    search settles what the tree bounds; the bound is never above the hop
+    count the level search finds."""
+    found = _tree_route(pg, src, dst, banned_nodes, banned_first)
+    if type(found) is not int:
+        return found
+    settled = _level_search(pg, src, dst, banned_nodes, banned_first)
+    assert settled is None or found <= settled[0]
+    return settled
+
+
+def spur_arguments(rng, pg, dst):
+    """A source other than ``dst``, and banned nodes (neither ``dst`` nor the
+    source) and ``banned_first`` as a spur search may see them."""
+    n = len(pg.ids)
+    src = rng.choice([u for u in range(n) if u != dst])
+    others = [u for u in range(n) if u not in (src, dst)]
+    banned_nodes = frozenset(rng.sample(others, rng.randint(0, n // 4)))
+    banned_first = frozenset(v for v in pg.nbrs[src] if rng.random() < 0.5)
+    return src, banned_nodes, banned_first
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_graphs(2, 40), st.integers(0, 2**32 - 1))
 def test_bfs_search_equals_heap_search_on_hop_graphs(graph, seed):
     rng = random.Random(seed)
     pg = _path_graph(original(graph), WeightPolicy.HOP)
-    assert pg.search is _bfs_raw
-    n = len(pg.ids)
-    src, dst = rng.randrange(n), rng.randrange(n)
-    banned_nodes = frozenset(rng.sample(range(n), rng.randint(0, n // 4)))
-    banned_first = frozenset(v for v, _ in pg.adj[src] if rng.random() < 0.5)
-    got = _bfs_raw(pg, src, dst, banned_nodes, banned_first)
-    assert got == _dijkstra_raw(pg, src, dst, banned_nodes, banned_first)
+    assert pg.search is _tree_route
+    dst = rng.randrange(len(pg.ids))
+    src, banned_nodes, banned_first = spur_arguments(rng, pg, dst)
+    expected = _dijkstra_raw(pg, src, dst, banned_nodes, banned_first)
+    got = hop_search(pg, src, dst, banned_nodes, banned_first)
+    assert got == expected
+    assert _level_search(pg, src, dst, banned_nodes, banned_first) == expected
     if got is not None:
         assert type(got[0]) is float
 
@@ -270,11 +308,14 @@ def test_bfs_search_equals_the_level_search_with_trees_reused(graph, seed):
     n = len(pg.ids)
     targets = rng.sample(range(n), min(n, 3))
     for _ in range(12):
-        src, dst = rng.randrange(n), rng.choice(targets)
-        banned_nodes = frozenset(rng.sample(range(n), rng.randint(0, n // 4)))
-        banned_first = frozenset(v for v in pg.nbrs[src] if rng.random() < 0.5)
-        assert _bfs_raw(pg, src, dst, banned_nodes, banned_first) == \
+        dst = rng.choice(targets)
+        src, banned_nodes, banned_first = spur_arguments(rng, pg, dst)
+        assert hop_search(pg, src, dst, banned_nodes, banned_first) == \
             bfs_levels_oracle(pg, src, dst, banned_nodes, banned_first)
+        # With nothing banned the tree always answers (Yen's first search).
+        first = _tree_route(pg, src, dst, frozenset(), frozenset())
+        assert type(first) is not int
+        assert first == bfs_levels_oracle(pg, src, dst)
     assert set(pg.trees) <= set(targets)
 
 
