@@ -5,6 +5,10 @@ receive HAS_POSSIBLE_COMMUNICATION edges to their top-k most cosine-similar
 peers, surfacing plausible but unobserved interactions.  Everything is seeded
 and deterministic: the very-sparse random projection is drawn from a Philox
 counter stream over nodes in sorted-id order.
+
+numpy is imported inside :func:`fastrp_embed`, :func:`cosine_similarity_matrix`
+and :func:`knn_possible_links`, on their first call, and not when this module
+is imported: the CLI imports it for every command, and only ``enrich`` embeds.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from icskg.errors import EmptyGraph
 from icskg.graph import Edge, EdgeKind, GraphView, write_csv
@@ -45,6 +47,9 @@ def fastrp_embed(view: GraphView, dim: int = DEFAULT_DIM,
     undirected communication adjacency.  The final vector is the weighted sum
     of states, with iteration_weights[0] weighting the raw projection.
     """
+    # Imported here: numpy takes 50-90 ms to load, which every command but
+    # synth-logs and enrich would pay for at start-up.
+    import numpy as np
     nodes = view.nodes()
     if not nodes:
         raise EmptyGraph("fastrp_embed requires a non-empty view")
@@ -73,6 +78,7 @@ def fastrp_embed(view: GraphView, dim: int = DEFAULT_DIM,
 
 
 def cosine_similarity_matrix(emb: EmbeddingMatrix) -> np.ndarray:
+    import numpy as np
     norms = np.linalg.norm(emb.vectors, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = emb.vectors / safe[:, None]
@@ -90,6 +96,7 @@ def knn_possible_links(emb: EmbeddingMatrix, view: GraphView,
     possible-links.  ``emb.node_ids`` are sorted, as :func:`fastrp_embed`
     makes them, so index order is id order.
     """
+    import numpy as np
     sims = cosine_similarity_matrix(emb)
     ids = emb.node_ids
     index = {u: i for i, u in enumerate(ids)}

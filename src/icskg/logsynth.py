@@ -13,6 +13,10 @@ its row text, and formats its CSV lines :data:`CHUNK_LINES` at a time as it is
 iterated.  Timestamps count from 2025-01-06T00:00:00Z, rounded half-even to the
 microsecond and then truncated to the millisecond.
 
+numpy is imported inside the generator's functions, on their first call,
+and not when this module is imported.  The fold is pure Python, so every
+command but ``synth-logs`` and ``enrich`` starts without numpy.
+
 Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientIp``
 
 The log row lives here alone: its header, its vocabularies, the generator and
@@ -31,8 +35,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-import numpy as np
-
 from icskg.config import ControlProfile, integer, number, obj
 from icskg.errors import IngestError
 from icskg.graph import csv_line, parse_csv, read_lines
@@ -49,7 +51,8 @@ EVENTS = (READ, WRITE, FAILED_WRITE, AUDIT_WRITE, SESSION, CONFIG_CHECK_PASS, CO
     "Read", "Write", "FailedWrite", "AuditWrite", "Session", "ConfigCheckPass", "ConfigCheckFail")
 _CODE = {word: i for words in (AUTH_MODES, SECURITY_MODES, EVENTS) for i, word in enumerate(words)}
 
-_BASE_MS = np.datetime64("2025-01-06T00:00:00", "ms")
+# The instant that log offsets count from, read as a millisecond datetime64.
+_BASE = "2025-01-06T00:00:00"
 
 # A log is formatted and written this many lines at a time, so the
 # generator's memory is bounded by it and not by the number of records.
@@ -130,13 +133,18 @@ def secured_profile(base: SynthProfile, controls: ControlProfile) -> SynthProfil
 # Generation
 # ---------------------------------------------------------------------------
 
+# Each generator function imports numpy itself: loading it takes 50-90 ms,
+# which every command that only reads logs would pay for at start-up.
+
 def _flow_rng(seed: int, flow_index: int) -> np.random.Generator:
+    import numpy as np
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (0x1C5C4B << 32) | flow_index],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _quota_flags(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
     flags = np.zeros(n, dtype=bool)
     flags[:count] = True
     rng.shuffle(flags)
@@ -147,6 +155,7 @@ def _milliseconds(offsets: np.ndarray) -> np.ndarray:
     """Offsets in seconds from the log start as whole milliseconds: each
     rounded half-even to the microsecond, as ``timedelta`` rounds it, then
     truncated to the millisecond."""
+    import numpy as np
     whole = np.floor(offsets)
     micros = whole.astype(np.int64) * 1_000_000 \
         + np.rint((offsets - whole) * 1e6).astype(np.int64)
@@ -156,7 +165,8 @@ def _milliseconds(offsets: np.ndarray) -> np.ndarray:
 def _timestamps(ms: np.ndarray) -> np.ndarray:
     """The log timestamps of millisecond offsets from 2025-01-06T00:00:00Z,
     as an object array of strings."""
-    return np.datetime_as_string(_BASE_MS + ms, unit="ms",
+    import numpy as np
+    return np.datetime_as_string(np.datetime64(_BASE, "ms") + ms, unit="ms",
                                  timezone="UTC").astype(object)
 
 
@@ -164,6 +174,7 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
                    ) -> tuple[np.ndarray, np.ndarray]:
     """One flow's events in order: their millisecond offsets, and their CSV
     line tails (each row's text after the timestamp) as an object array."""
+    import numpy as np
     n = int(round(profile.per_flow_session_rate * profile.duration_hours))
     if n <= 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)
@@ -254,6 +265,7 @@ def _merged_flows(testbed: TestbedSpec, profile: SynthProfile,
     """The records of one sub-stream per dataflow that is not ``silent``,
     merged by time; the sort is stable, so ties keep flow order, then
     position in the flow."""
+    import numpy as np
     flows = [_generate_flow(flow_index, flow, profile)
              for flow_index, flow in enumerate(testbed.dataflows) if not silent(flow)]
     if not flows:

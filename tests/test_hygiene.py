@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -99,14 +100,94 @@ def test_each_log_word_is_spelled_once():
     assert {word: literals[word] for word in words} == dict.fromkeys(words, 1)
 
 
+def run_fresh(code: str, *args: str):
+    """The value of the last line that ``code`` prints, run with ``args`` in
+    a fresh interpreter: this suite's own process has numpy loaded."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(icskg.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    stdout = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    return ast.literal_eval(stdout.splitlines()[-1])
+
+
 def test_importing_the_cli_loads_no_network_modules():
     # xml.sax, which only the graphml export needs, pulls in urllib.request,
     # http, email and ssl: a cost every command would pay at start-up.
     # (urllib itself stays: pathlib loads urllib.parse.)
     heavy = ["xml.sax", "urllib.request", "http.client", "email", "ssl"]
     code = f"import sys, icskg.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(icskg.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout
-    assert loaded.strip() == "[]"
+    assert run_fresh(code) == []
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # Only synth-logs and enrich use numpy, which takes 50-90 ms to load.
+    assert run_fresh("import sys, icskg.cli; print('numpy' in sys.modules)") is False
+
+
+# Runs each argv of the list in argv[1] through icskg.cli.main, in one
+# interpreter, and prints each one's command, exit code and whether numpy
+# is loaded after it.
+RUN_COMMANDS = """
+import ast, sys
+from icskg.cli import main
+print([(argv[2], main(argv), "numpy" in sys.modules) for argv in ast.literal_eval(sys.argv[1])])
+"""
+
+
+def test_only_synth_logs_and_enrich_load_numpy(pipeline_out, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_out, run)
+    commands = ["controls", "simulate", "report", "export", "annotate"]
+    argvs = [["--out", str(run), command] for command in commands]
+    argvs.append(["--out", str(tmp_path / "fresh"), "build"])
+    assert run_fresh(RUN_COMMANDS, repr(argvs)) == [
+        (command, 0, False) for command in [*commands, "build"]]
+
+
+@pytest.mark.parametrize("command", ["synth-logs", "enrich"])
+def test_synth_logs_and_enrich_load_numpy(pipeline_out, tmp_path, command):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_out, run)
+    assert run_fresh(RUN_COMMANDS, repr([["--out", str(run), command]])) == [
+        (command, 0, True)]
+
+
+def numpy_scopes(tree: ast.Module):
+    """(scope, names np, imports numpy as np, imports from numpy at all) of
+    the module and of each function in it.  A function's scope is its body;
+    its decorators and defaults, and every class body, belong to the
+    enclosing scope.  Annotations are skipped: the package postpones them."""
+    scopes = [("<module>", tree.body)]
+    for scope, body in scopes:
+        names = imports_np = imports = False
+        pending = list(body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((node.name, node.body))
+                pending += [*node.decorator_list, *node.args.defaults,
+                            *filter(None, node.args.kw_defaults)]
+                continue
+            names |= isinstance(node, ast.Name) and node.id == "np"
+            if isinstance(node, ast.Import):
+                modules = [(alias.name, alias.asname) for alias in node.names]
+                imports_np |= ("numpy", "np") in modules
+                imports |= any(name.split(".")[0] == "numpy" for name, _ in modules)
+            if isinstance(node, ast.ImportFrom):
+                imports |= (node.module or "").split(".")[0] == "numpy"
+            for field, value in ast.iter_fields(node):
+                if field not in ("annotation", "returns"):
+                    pending += [child for child in (value if isinstance(value, list) else [value])
+                                if isinstance(child, ast.AST)]
+        yield scope, names, imports_np, imports
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_numpy_is_imported_only_by_the_functions_that_use_it(path):
+    # A function that names np without importing numpy fails only when it
+    # runs, and some run rarely (_merged_flows with no flows).
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    wrong = [f"{path.name}: {scope}"
+             for scope, names, imports_np, imports in numpy_scopes(tree)
+             if (scope == "<module>" and (names or imports)) or (names and not imports_np)]
+    assert wrong == []
