@@ -94,10 +94,19 @@ def list_of(item: Shape, describes: str = "a list", sizes: range = range(sys.max
                  lambda raw, name, _: make(item(x, f"{name}[{i}]") for i, x in enumerate(raw)))
 
 
-def table(value: Shape) -> Shape:
-    """A JSON object with free keys, each value read by ``value``."""
-    return shape("a JSON object", lambda raw: isinstance(raw, dict),
-                 lambda raw, _, prefix: {key: value(x, prefix + key) for key, x in raw.items()})
+def _require(raw: dict, required: Iterable[str], prefix: str) -> None:
+    for key in required:
+        if key not in raw:
+            raise IngestError(f"{prefix}{key} is required")
+
+
+def table(value: Shape, required: Iterable[str] = ()) -> Shape:
+    """A JSON object with free keys, each value read by ``value``; each
+    ``required`` key must be present."""
+    def read(raw: dict, _, prefix: str):
+        _require(raw, required, prefix)
+        return {key: value(x, prefix + key) for key, x in raw.items()}
+    return shape("a JSON object", lambda raw: isinstance(raw, dict), read)
 
 
 def obj(settings: dict[str, Shape], required: tuple[str, ...] = (), make: Callable = dict,
@@ -116,9 +125,7 @@ def obj(settings: dict[str, Shape], required: tuple[str, ...] = (), make: Callab
     def read(raw: dict, name: str, prefix: str):
         if label and isinstance(raw.get(label[0]), str):
             prefix = label[1].format(raw[label[0]]) + ": "
-        for key in required:
-            if key not in raw:
-                raise IngestError(f"{prefix}{key} is required")
+        _require(raw, required, prefix)
         unknown = closed and sorted(raw.keys() - settings)
         if unknown:
             raise IngestError(f"{prefix}{unknown[0]} is not one of {', '.join(settings)}")
@@ -256,12 +263,12 @@ class RiskConfig:
     def default_criticality(self, asset_class: str) -> int:
         return self.criticality_defaults.get(asset_class, FALLBACK_CRITICALITY)
 
-    def zone_weakness(self, zone: str) -> tuple[float, float, float, float]:
-        """Fallback weakness preset for a zone; unknown zones map to DMZ
-        (the conservative, weaker preset)."""
+    def zone_weakness(self, zone: str | None) -> tuple[float, float, float, float]:
+        """Fallback weakness preset for a node's zone; unknown zones and no
+        zone map to DMZ (the conservative, weaker preset)."""
         if zone in self.zone_default_weakness:
             return self.zone_default_weakness[zone]
-        if zone.upper().startswith("OT"):
+        if zone and zone.upper().startswith("OT"):
             return self.zone_default_weakness["OT"]
         return self.zone_default_weakness["DMZ"]
 
@@ -276,8 +283,8 @@ RISK_CONFIG = obj({
     "pruneThreshold": NUMBER,
     "factorCoefficients": obj({f.name: NUMBER for f in fields(FactorCoefficients)},
                               make=FactorCoefficients, closed=True),
-    "fAC": table(NUMBER),
-    "fAV": table(NUMBER),
+    "fAC": table(NUMBER, DEFAULT_F_AC),
+    "fAV": table(NUMBER, DEFAULT_F_AV),
     "criticalityDefaults": table(integer(0, 10)),
     "zoneDefaultWeakness": table(list_of(number(0, 1), "a list of four numbers", range(4, 5),
                                          tuple)),

@@ -234,12 +234,13 @@ class Edge:
         object.__setattr__(self, "props", MappingProxyType(dict(self.props)))
         object.__setattr__(self, "key", (self.src, self.dst, self.kind.value))
 
-    @property
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.src, self.dst))
-
     def is_communication(self) -> bool:
         return self.kind in COMMUNICATION_KINDS
+
+    def survives_prune(self, prune_threshold: float) -> bool:
+        """Whether the edge stays in the Controlled view: it is scored and
+        its riskWeight is at least the prune threshold."""
+        return self.risk is not None and self.risk.risk_weight >= prune_threshold
 
 
 class Graph:
@@ -371,8 +372,7 @@ class Graph:
             # Enriched edges without a controlled counterpart persist with
             # their own attributes, still subject to the prune below.
             fallback = [e for e in comm + possible if (e.src, e.dst) not in covered]
-            selected = [e for e in controlled + fallback
-                        if e.risk is not None and e.risk.risk_weight >= prune_threshold]
+            selected = [e for e in controlled + fallback if e.survives_prune(prune_threshold)]
         return tuple(sorted(selected, key=lambda e: e.key))
 
 

@@ -30,8 +30,8 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from icskg.config import (BOOLEAN, CONTROL_NAMES, STRING, ControlProfile, RiskConfig,
-                          integer, list_of, number, obj, one_of, table)
+from icskg.config import (BOOLEAN, CONTROL_NAMES, DEFAULT_F_AC, DEFAULT_F_AV, STRING,
+                          ControlProfile, RiskConfig, integer, list_of, number, obj, one_of, table)
 from icskg.errors import (
     BadEnum,
     CorruptState,
@@ -115,8 +115,9 @@ class VulnRecord:
 EPSS = number(0, 1)
 CVSS = {
     "baseScore": number(0, 10),
-    "accessComplexity": one_of(("Low", "High")),
-    "attackVector": one_of(("Network", "Adjacent", "Local", "Physical")),
+    # The risk config's fAC and fAV price every category.
+    "accessComplexity": one_of(DEFAULT_F_AC),
+    "attackVector": one_of(DEFAULT_F_AV),
 }
 ADVISORY = obj({
     "cveId": STRING,

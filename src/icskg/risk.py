@@ -3,8 +3,11 @@
 It reads logs as :mod:`icskg.logsynth`'s per-pair counts and CVEs through
 :func:`icskg.ingest.vulnerability_scores`.  The scoring chain per edge (u, v):
 
-1. derive four weakness fractions (accessibility, configuration hygiene,
-   exploitability, hardening residual) from the pair's log event counts;
+1. take four weakness fractions (accessibility, configuration hygiene,
+   exploitability, hardening residual) from :func:`_weakness`, the one
+   place that decides what an edge is scored from: the pair's own log
+   event counts for an observed link, both endpoints' merged counts for an
+   inferred one, or the weaker endpoint zone preset when there are none;
 2. controlStrength = product of the four factor scores (raw weaknesses under
    the Literal convention, their complements under Complement);
 3. pExploit = (1 - prod(1 - epss_i)) * (1 - controlStrength) over the target
@@ -14,15 +17,16 @@ It reads logs as :mod:`icskg.logsynth`'s per-pair counts and CVEs through
 
 Applying a control profile mirrors every communication edge as a
 CONTROLLED_COMMUNICATES_WITH edge recomputed from secured logs; edges whose
-recomputed riskWeight falls below the prune threshold are counted as pruned
-and drop out of the Controlled view.
+recomputed riskWeight falls below the prune threshold
+(:meth:`icskg.graph.Edge.survives_prune`) are counted as pruned and drop out
+of the Controlled view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from icskg.config import ControlProfile, Convention, FactorCoefficients, RiskConfig
 from icskg.graph import (
@@ -40,8 +44,7 @@ from icskg.logsynth import LogIndex, PairStats
 # Factor derivation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ControlFactors:
+class ControlFactors(NamedTuple):
     """Weakness fractions in [0,1]: accessibility, config hygiene,
     exploitability, hardening residual."""
 
@@ -49,9 +52,6 @@ class ControlFactors:
     c: float
     e: float
     h: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.a, self.c, self.e, self.h)
 
 
 def weakness_from_stats(stats: PairStats,
@@ -85,7 +85,7 @@ def control_strength(factors: ControlFactors,
     Literal multiplies the raw weakness scores; Complement multiplies their
     complements so that weaker observed behavior lowers the result.
     """
-    a, c, e, h = factors.as_tuple()
+    a, c, e, h = factors
     if convention is Convention.LITERAL:
         return a * c * e * h
     return (1.0 - a) * (1.0 - c) * (1.0 - e) * (1.0 - h)
@@ -129,27 +129,21 @@ def risk_weight(p: float, criticality: int) -> float:
 # Annotation
 # ---------------------------------------------------------------------------
 
-def _zone_weakness(graph: Graph, src: str, dst: str,
-                   config: RiskConfig) -> ControlFactors:
-    """Zone-default fallback when no logs exist for a pair; the weaker of the
-    two endpoint presets is used (cross-zone links inherit the softer side)."""
-    presets = []
-    for node_id in (src, dst):
-        zone = graph.node(node_id).zone or "DMZ"
-        presets.append(config.zone_weakness(zone))
-    weaker = max(presets, key=sum)
-    return ControlFactors(*weaker)
-
-
-def _communication_stats(graph: Graph, index: LogIndex
-                         ) -> Iterator[tuple[Edge, Optional[PairStats]]]:
-    """Each communication edge with the log statistics it is scored from:
-    the pair's own for an observed link, both endpoints' merged for an
-    inferred one."""
-    for edge in graph.edges(EdgeKind.COMMUNICATES_WITH):
-        yield edge, index.pair(edge.src, edge.dst)
-    for edge in graph.edges(EdgeKind.HAS_POSSIBLE_COMMUNICATION):
-        yield edge, index.merged(edge.src, edge.dst)
+def _weakness(graph: Graph, edge: Edge, logs: LogIndex,
+              config: RiskConfig) -> ControlFactors:
+    """The weakness fractions a communication edge is scored from: the
+    pair's own log statistics for an observed link, both endpoints' merged
+    statistics for an inferred one.  Without log events, the weaker of the
+    two endpoint zone presets (cross-zone links inherit the softer side)."""
+    if edge.kind is EdgeKind.COMMUNICATES_WITH:
+        stats = logs.pair(edge.src, edge.dst)
+    else:
+        stats = logs.merged(edge.src, edge.dst)
+    if stats is not None and not stats.empty:
+        return weakness_from_stats(stats, config.factor_coefficients)
+    presets = (config.zone_weakness(graph.node(node_id).zone)
+               for node_id in (edge.src, edge.dst))
+    return ControlFactors(*max(presets, key=sum))
 
 
 _Vulns = dict[str, list[tuple[float, CvssSummary]]]
@@ -164,13 +158,9 @@ def _product_vulns(graph: Graph) -> _Vulns:
     return vulns
 
 
-def _score(graph: Graph, edge: Edge, stats: Optional[PairStats], vulns: _Vulns,
+def _score(graph: Graph, edge: Edge, logs: LogIndex, vulns: _Vulns,
            config: RiskConfig, epss_scale: float = 1.0) -> RiskAttributes:
-    if stats is None or stats.empty:
-        weakness = _zone_weakness(graph, edge.src, edge.dst, config)
-    else:
-        weakness = weakness_from_stats(stats, config.factor_coefficients)
-    cs = control_strength(weakness, config.convention)
+    cs = control_strength(_weakness(graph, edge, logs, config), config.convention)
     cves = vulns.get(edge.dst, ())
     p = p_exploit([epss * epss_scale for epss, _ in cves], cs)
     cost = aggregate_attack_cost([
@@ -182,21 +172,19 @@ def _score(graph: Graph, edge: Edge, stats: Optional[PairStats], vulns: _Vulns,
 
 
 def annotate(graph: Graph, logs: LogIndex, config: RiskConfig) -> int:
-    """Attach RiskAttributes to every communication-family edge.
-
-    Observed links use their exact pair's log events; inferred possible
-    links use the union of both endpoints' logs; pairs with no events at
-    all fall back to the zone-default presets.  Edges whose target has no
+    """Attach RiskAttributes to every communication-family edge: observed
+    links, then inferred ones, each in key order, each scored from the
+    factors :func:`_weakness` chooses.  Edges whose target has no
     CVEs score pExploit 0 and riskWeight 0.  Deterministic and idempotent.
     Each scored edge replaces its unscored one, so a finalized graph raises
     :class:`GraphFinalized`.
     """
     vulns = _product_vulns(graph)
-    count = 0
-    for edge, stats in _communication_stats(graph, logs):
-        graph.upsert_edge(replace(edge, risk=_score(graph, edge, stats, vulns, config)))
-        count += 1
-    return count
+    edges = graph.edges(EdgeKind.COMMUNICATES_WITH) \
+        + graph.edges(EdgeKind.HAS_POSSIBLE_COMMUNICATION)
+    for edge in edges:
+        graph.upsert_edge(replace(edge, risk=_score(graph, edge, logs, vulns, config)))
+    return len(edges)
 
 
 @dataclass
@@ -218,24 +206,25 @@ def apply_controls(graph: Graph, controls: ControlProfile,
     ``edges_pruned``.
     """
     vulns = _product_vulns(graph)
-    recomputed = 0
+    blocked = RiskAttributes(
+        control_strength=control_strength(ControlFactors(0.0, 0.0, 0.0, 0.0),
+                                          config.convention),
+        p_exploit=0.0, attack_cost=0.0, risk_weight=0.0)
+    edges = graph.edges(EdgeKind.COMMUNICATES_WITH) \
+        + graph.edges(EdgeKind.HAS_POSSIBLE_COMMUNICATION)
     pruned = 0
-    for edge, stats in _communication_stats(graph, secured_logs):
+    for edge in edges:
         if controls.blocks(edge.src, edge.dst, lambda node_id: graph.node(node_id).zone):
-            zero = ControlFactors(0.0, 0.0, 0.0, 0.0)
-            cs = control_strength(zero, config.convention)
-            risk = RiskAttributes(control_strength=cs, p_exploit=0.0,
-                                  attack_cost=0.0, risk_weight=0.0)
+            risk = blocked
         else:
-            risk = _score(graph, edge, stats, vulns, config, controls.epss_scale)
+            risk = _score(graph, edge, secured_logs, vulns, config, controls.epss_scale)
         mirror = Edge(edge.src, edge.dst, EdgeKind.CONTROLLED_COMMUNICATES_WITH,
                       risk=risk,
                       props={**edge.props, "mirrors": edge.kind.value})
         graph.upsert_edge(mirror)
-        recomputed += 1
-        if risk.risk_weight < config.prune_threshold:
+        if not mirror.survives_prune(config.prune_threshold):
             pruned += 1
-    return ControlApplicationReport(recomputed, pruned)
+    return ControlApplicationReport(len(edges), pruned)
 
 
 # ---------------------------------------------------------------------------

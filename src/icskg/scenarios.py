@@ -10,7 +10,6 @@ Scenario catalogs are plain JSON data files so new cases need no code change.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from icskg.analytics import WeightPolicy, betweenness, pagerank, yen_k_shortest
@@ -167,13 +166,13 @@ def run_suite(views: dict[Configuration, GraphView],
         if not samples:
             aggregates.append(ConfigAggregate(config.value, 0.0, 0.0, 0.0, 0))
             continue
-        mean = sum(samples) / len(samples)
-        if len(samples) > 1:
-            half = 1.96 * statistics.stdev(samples) / math.sqrt(len(samples))
-        else:
-            half = 0.0
+        n, total = len(samples), sum(samples)
+        mean, half = total / n, 0.0
+        if n > 1:  # Python 3.10's statistics.stdev on ints, from exact sums
+            variance = (n * sum(h * h for h in samples) - total * total) / (n * (n - 1))
+            half = 1.96 * math.sqrt(variance) / math.sqrt(n)
         aggregates.append(ConfigAggregate(config.value, mean, mean - half,
-                                          mean + half, len(samples)))
+                                          mean + half, n))
     return SuiteReport(rows=rows, aggregates=aggregates)
 
 

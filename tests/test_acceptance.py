@@ -116,7 +116,7 @@ def test_factor_reproduction():
     assert stats.sessions == 10_000
     factors = weakness_from_stats(stats)
     expected = (0.03, 0.04, 0.03, 0.05)
-    for got, want in zip(factors.as_tuple(), expected):
+    for got, want in zip(factors, expected):
         assert abs(got - want) <= 0.015, (got, want)
     assert time.perf_counter() - start < 5.0
 

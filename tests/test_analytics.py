@@ -493,7 +493,8 @@ def test_betweenness_oracle_agreement_random():
     views = [original(random_comm_graph(rng, max_nodes=8)) for _ in range(12)]
     views += [random_enriched_view(rng) for _ in range(12)]
     parallel = [pair for view in views
-                for pair, n in Counter(e.pair for e in view.edges).items() if n > 1]
+                for pair, n in Counter(frozenset((e.src, e.dst)) for e in view.edges).items()
+                if n > 1]
     assert len(parallel) >= 5
     for view in views:
         scores = betweenness(view)

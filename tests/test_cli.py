@@ -379,6 +379,19 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
      "predictionMinConfidence must be a finite number from 0 to 1, got 1.5"),
     ("riskConfig.zoneDefaultWeakness.DMZ", [5, 0, 0, 0], "build --validate-only",
      "zoneDefaultWeakness.DMZ[0] must be a finite number from 0 to 1, got 5"),
+    # A cost table without a category an advisory may name passed build, then
+    # stopped annotate with the bare KeyError text "error: 'High'".
+    ("riskConfig.fAC", {"Low": 0.0}, "annotate", "fAC.High is required"),
+    ("riskConfig.fAC", {"Low": 0.0}, "build --validate-only", "fAC.High is required"),
+    ("riskConfig.fAC", {"High": 0.2}, "build --validate-only", "fAC.Low is required"),
+    ("riskConfig.fAV", {"Adjacent": 0.1, "Local": 0.2, "Physical": 0.3},
+     "build --validate-only", "fAV.Network is required"),
+    ("riskConfig.fAV", {"Network": 0.0, "Local": 0.2, "Physical": 0.3},
+     "build --validate-only", "fAV.Adjacent is required"),
+    ("riskConfig.fAV", {"Network": 0.0, "Adjacent": 0.1, "Physical": 0.3},
+     "build --validate-only", "fAV.Local is required"),
+    ("riskConfig.fAV", {"Network": 0.0, "Adjacent": 0.1, "Local": 0.2},
+     "build --validate-only", "fAV.Physical is required"),
 ], ids=["durationHours-bool", "durationHours-string", "durationHours-infinity",
         "clientIpPoolSize-300", "criticalityDefaults-float", "criticalityDefaults-bool",
         "predictionMinConfidence-bool", "predictionMinConfidence-string",
@@ -388,7 +401,10 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
         "durationHours-negative", "epss-above-1", "baseScore-above-10",
         "criticality-above-10", "criticalityDefaults-above-10", "cert_frac_floor-above-1",
         "misconfig_scale-above-1", "secured-profile-check-cap", "controlProfile-unknown",
-        "scenario-k-0", "predictionMinConfidence-above-1", "zoneDefaultWeakness-above-1"])
+        "scenario-k-0", "predictionMinConfidence-above-1", "zoneDefaultWeakness-above-1",
+        "fAC-without-High-annotate", "fAC-without-High", "fAC-without-Low",
+        "fAV-without-Network", "fAV-without-Adjacent", "fAV-without-Local",
+        "fAV-without-Physical"])
 def test_numeric_setting_must_be_in_range(tmp_path, pipeline_out, capsys,
                                           key, value, stage, needle):
     # ``key`` is a dotted path into the run config, or into the document a

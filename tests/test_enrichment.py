@@ -95,11 +95,11 @@ def test_knn_excludes_existing_links_and_self():
     g = comm_graph([("A", "B"), ("B", "C"), ("A", "C"), ("C", "D")])
     emb = fastrp_embed(original(g), dim=64, seed=4)
     links = knn_possible_links(emb, original(g), top_k=5)
-    existing = {e.pair for e in g.edges(EdgeKind.COMMUNICATES_WITH)}
+    existing = {frozenset((e.src, e.dst)) for e in g.edges(EdgeKind.COMMUNICATES_WITH)}
     for e in links:
         assert e.kind is EdgeKind.HAS_POSSIBLE_COMMUNICATION
         assert e.src != e.dst
-        assert e.pair not in existing
+        assert frozenset((e.src, e.dst)) not in existing
 
 
 def test_knn_degree_bound_random():
@@ -153,7 +153,7 @@ def knn_links_oracle(emb, view, top_k):
     linked by COMMUNICATES_WITH, with positive similarity, sorted by
     (-similarity, id)."""
     sims = cosine_similarity_matrix(emb)
-    linked = {e.pair for e in view.graph.edges(EdgeKind.COMMUNICATES_WITH)}
+    linked = {frozenset((e.src, e.dst)) for e in view.graph.edges(EdgeKind.COMMUNICATES_WITH)}
     edges = []
     for i, src in enumerate(emb.node_ids):
         candidates = []

@@ -124,6 +124,12 @@ def test_importing_the_cli_loads_no_numpy():
     assert run_fresh("import sys, icskg.cli; print('numpy' in sys.modules)") is False
 
 
+def test_importing_the_cli_loads_no_statistics():
+    # statistics loads fractions and decimal, 3-4 ms of every command's
+    # start-up, for the one standard deviation scenarios computes.
+    assert run_fresh("import sys, icskg.cli; print('statistics' in sys.modules)") is False
+
+
 # Runs each argv of the list in argv[1] through icskg.cli.main, in one
 # interpreter, and prints each one's command, exit code and whether numpy
 # is loaded after it.

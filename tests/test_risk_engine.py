@@ -85,7 +85,7 @@ def test_derive_factors_worked_example():
     # hardening: 0.5*((1-0.9) + 0 + 0.01)
     assert f.h == pytest.approx(0.055, abs=1e-12)
     # all within the reproduction tolerance of the published worked values
-    for got, want in zip(f.as_tuple(), (0.03, 0.04, 0.03, 0.05)):
+    for got, want in zip(f, (0.03, 0.04, 0.03, 0.05)):
         assert abs(got - want) <= 0.015
 
 

@@ -3,8 +3,9 @@
 
 Writes testbed.json, advisories.json, node.csv, relation.csv,
 predictions.csv, scenarios.json, risk_config.json and config.json into
-src/icskg/data/fixture/.  Everything is deterministic; rerunning produces
-identical bytes.  The manifest (expected build counts) is produced
+src/icskg/data/fixture/, through icskg's own writers (``graph.write_csv``
+with ``ingest``'s CSV headers, and ``graph.write_json``).  Everything is
+deterministic; rerunning produces identical bytes.  The manifest (expected build counts) is produced
 separately by running the build stage and freezing its summary.
 
 Topology: a smart-manufacturing plant with an Enterprise zone, a DMZ, an
@@ -18,13 +19,16 @@ below it.
 
 from __future__ import annotations
 
-import csv
-import json
 import sys
-from io import StringIO
 from pathlib import Path
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "icskg" / "data" / "fixture"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from icskg.graph import write_csv, write_json  # noqa: E402
+from icskg.ingest import NODE_CSV_HEADER, PREDICTION_CSV_HEADER, RELATION_CSV_HEADER  # noqa: E402
+
+FIXTURE_DIR = ROOT / "src" / "icskg" / "data" / "fixture"
 
 CELLS = ["CellA", "CellB", "CellC"]
 
@@ -348,48 +352,35 @@ def build_advisories() -> list[dict]:
     return advisories
 
 
-def build_node_csv() -> str:
-    buf = StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "kind", "name", "zone", "criticality", "props_json"])
-    for cwe_id, cwe_name in CWES:
-        w.writerow([cwe_id, "Weakness", cwe_name, "", "", "{}"])
-    for capec_id, capec_name in CAPECS:
-        w.writerow([capec_id, "AttackPattern", capec_name, "", "", "{}"])
-    for tech_id, tech_name in TECHNIQUES:
-        w.writerow([tech_id, "Technique", tech_name, "", "", "{}"])
-    for tactic_id, tactic_name in TACTICS:
-        w.writerow([tactic_id, "Tactic", tactic_name, "", "", "{}"])
-    for mit_id, mit_name in MITIGATIONS:
-        w.writerow([mit_id, "Mitigation", mit_name, "", "", "{}"])
-    return buf.getvalue()
+def build_node_csv() -> bytes:
+    rows = []
+    for kind, entries in (("Weakness", CWES), ("AttackPattern", CAPECS),
+                          ("Technique", TECHNIQUES), ("Tactic", TACTICS),
+                          ("Mitigation", MITIGATIONS)):
+        rows += [[node_id, kind, name, "", "", "{}"] for node_id, name in entries]
+    return write_csv(NODE_CSV_HEADER, rows)
 
 
-def build_relation_csv(advisories: list[dict]) -> str:
-    buf = StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["src", "dst", "kind", "props_json"])
+def build_relation_csv(advisories: list[dict]) -> bytes:
+    rows = []
     active = [a["cveId"] for a in advisories if a["status"] == "ACTIVE"]
     for i, cve_id in enumerate(active):
-        w.writerow([cve_id, CWES[i % len(CWES)][0], "HAS_CWE", "{}"])
+        rows.append([cve_id, CWES[i % len(CWES)][0], "HAS_CWE", "{}"])
     for i, (cwe_id, _) in enumerate(CWES):
-        w.writerow([cwe_id, CAPECS[i % len(CAPECS)][0], "HAS_CAPEC", "{}"])
-        w.writerow([cwe_id, MITIGATIONS[i % len(MITIGATIONS)][0], "MITIGATED_BY", "{}"])
+        rows.append([cwe_id, CAPECS[i % len(CAPECS)][0], "HAS_CAPEC", "{}"])
+        rows.append([cwe_id, MITIGATIONS[i % len(MITIGATIONS)][0], "MITIGATED_BY", "{}"])
     for i, (capec_id, _) in enumerate(CAPECS):
-        w.writerow([capec_id, TECHNIQUES[i % len(TECHNIQUES)][0], "HAS_TECHNIQUE", "{}"])
-        w.writerow([capec_id, TECHNIQUES[(i + 3) % len(TECHNIQUES)][0],
-                    "HAS_TECHNIQUE", "{}"])
+        rows.append([capec_id, TECHNIQUES[i % len(TECHNIQUES)][0], "HAS_TECHNIQUE", "{}"])
+        rows.append([capec_id, TECHNIQUES[(i + 3) % len(TECHNIQUES)][0],
+                     "HAS_TECHNIQUE", "{}"])
     for i, (tech_id, _) in enumerate(TECHNIQUES):
-        w.writerow([tech_id, TACTICS[i % len(TACTICS)][0], "SUGGESTED_TACTIC", "{}"])
-    return buf.getvalue()
+        rows.append([tech_id, TACTICS[i % len(TACTICS)][0], "SUGGESTED_TACTIC", "{}"])
+    return write_csv(RELATION_CSV_HEADER, rows)
 
 
-def build_predictions_csv(advisories: list[dict]) -> str:
-    buf = StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["srcId", "dstId", "kind", "confidence"])
+def build_predictions_csv(advisories: list[dict]) -> bytes:
     active = [a["cveId"] for a in advisories if a["status"] == "ACTIVE"]
-    rows = [
+    return write_csv(PREDICTION_CSV_HEADER, [
         (active[5], CWES[7][0], "HAS_POSSIBLE_CWE", 0.91),
         (active[12], CWES[2][0], "HAS_POSSIBLE_CWE", 0.84),
         (active[20], CWES[9][0], "HAS_POSSIBLE_CWE", 0.42),
@@ -398,10 +389,7 @@ def build_predictions_csv(advisories: list[dict]) -> str:
         (CAPECS[6][0], TECHNIQUES[2][0], "HAS_POSSIBLE_TECHNIQUE", 0.35),
         (TECHNIQUES[3][0], TACTICS[5][0], "SUGGESTED_TACTIC", 0.93),
         (TECHNIQUES[8][0], TACTICS[2][0], "SUGGESTED_TACTIC", 0.58),
-    ]
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
+    ])
 
 
 def build_scenarios() -> list[dict]:
@@ -557,11 +545,7 @@ def main() -> int:
 
     def dump(name: str, payload) -> None:
         path = FIXTURE_DIR / name
-        if isinstance(payload, str):
-            path.write_text(payload, encoding="utf-8")
-        else:
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+        path.write_bytes(payload if isinstance(payload, bytes) else write_json(payload))
         print(f"wrote {path}")
 
     dump("testbed.json", testbed)
