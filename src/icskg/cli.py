@@ -237,12 +237,11 @@ def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool) -> int:
     state = PipelineState(cfg, out_dir, "build")
     graph = Graph()
     product_count = ingest.load_testbed_into_graph(graph, cfg.testbed, cfg.risk)
-    node_result = ingest.load_nodes(graph, cfg.paths["nodes"])
+    results = {"nodes": ingest.load_nodes(graph, cfg.paths["nodes"])}
     advisories = ingest.preprocess_cves(ingest.load_advisories(cfg.paths["advisories"]))
     vuln_edges = ingest.link_products(graph, cfg.testbed, advisories)
-    rel_result = ingest.load_relations(graph, cfg.paths["relations"])
+    results["relations"] = ingest.load_relations(graph, cfg.paths["relations"])
     flow_count = ingest.build_dataflow_edges(graph, cfg.testbed)
-    results = {"nodes": node_result, "relations": rel_result}
     prediction_count = 0
     if "predictions" in cfg.paths:
         results["predictions"] = ingest.import_predictions(
@@ -264,7 +263,7 @@ def cmd_build(cfg: RunConfig, out_dir: Path, validate_only: bool) -> int:
         "vulnerabilityLinks": vuln_edges,
         "dataflows": flow_count,
         "predictionsImported": prediction_count,
-        "rowIssues": len(node_result.issues) + len(rel_result.issues),
+        "rowIssues": sum(len(result.issues) for result in results.values()),
     }
     if validate_only:
         print(json.dumps(summary["counts"], sort_keys=True))

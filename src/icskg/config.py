@@ -102,10 +102,11 @@ def _require(raw: dict, required: Iterable[str], prefix: str) -> None:
 
 def table(value: Shape, required: Iterable[str] = ()) -> Shape:
     """A JSON object with free keys, each value read by ``value``; each
-    ``required`` key must be present."""
+    ``required`` key must be present, checked after the values are read."""
     def read(raw: dict, _, prefix: str):
+        values = {key: value(x, prefix + key) for key, x in raw.items()}
         _require(raw, required, prefix)
-        return {key: value(x, prefix + key) for key, x in raw.items()}
+        return values
     return shape("a JSON object", lambda raw: isinstance(raw, dict), read)
 
 
@@ -173,7 +174,8 @@ FALLBACK_CRITICALITY = 5
 # Weakness scores used when a communication pair has no log records at all.
 # Keys are zone classes; DMZ-facing links are assumed weaker than OT-internal
 # ones.  Values are (accessibility, config hygiene, exploitability, hardening)
-# weakness fractions.
+# weakness fractions.  A risk config's table must hold both keys: every zone
+# without a preset of its own falls back to one of them.
 ZONE_DEFAULT_WEAKNESS = {
     "DMZ": (0.08, 0.06, 0.05, 0.10),
     "OT": (0.02, 0.03, 0.02, 0.04),
@@ -287,7 +289,7 @@ RISK_CONFIG = obj({
     "fAV": table(NUMBER, DEFAULT_F_AV),
     "criticalityDefaults": table(integer(0, 10)),
     "zoneDefaultWeakness": table(list_of(number(0, 1), "a list of four numbers", range(4, 5),
-                                         tuple)),
+                                         tuple), ZONE_DEFAULT_WEAKNESS),
     "controlOverrides": obj({f.name: number(0, 1) for f in fields(ControlOverrides)},
                             make=ControlOverrides, closed=True),
 }, make=RiskConfig)

@@ -419,9 +419,10 @@ def _load_rows(path: str | Path, columns: Sequence[str],
     the stripped cells of ``columns``, in that order (of a repeated header
     column, the last); ``load_row`` upserts the row and returns its key
     (None skips the row silently).  A row whose field count differs from
-    the header's, row problems, cells that do not parse (``ValueError``,
-    named with their row) and rejected upserts become row issues; any other
-    ingest error aborts the load as ``<path>: row N: <message>``."""
+    the header's, row problems, cells that do not parse (``ValueError``)
+    and rejected upserts become row issues, their messages without the row
+    number; any other ingest error aborts the load as
+    ``<path>: row N: <message>``."""
     header, rows = parse_csv(read_lines(path), path, columns)
     position = {name: i for i, name in enumerate(header)}
     picks = [position[name] for name in columns]
@@ -430,17 +431,14 @@ def _load_rows(path: str | Path, columns: Sequence[str],
     width = len(header)
     for row_num, fields in enumerate(rows, start=1):
         if len(fields) != width:
-            issues.append(RowIssue(row_num, "InvalidRow",
-                                   f"row {row_num} has {len(fields)} fields, not {width}"))
+            issues.append(RowIssue(row_num, "InvalidRow", f"{len(fields)} fields, not {width}"))
             continue
         try:
             key = load_row(*[fields[i].strip() for i in picks])
         except _RowProblem as exc:
             issues.append(RowIssue(row_num, exc.kind, str(exc)))
-        except GraphError as exc:
+        except (GraphError, ValueError) as exc:
             issues.append(RowIssue(row_num, "InvalidRow", str(exc)))
-        except ValueError as exc:
-            issues.append(RowIssue(row_num, "InvalidRow", f"row {row_num}: {exc}"))
         except IngestError as exc:
             raise type(exc)(f"{path}: row {row_num}: {exc}") from None
         else:
@@ -597,7 +595,7 @@ def save_state(graph: Graph, directory: str | Path) -> None:
 def load_state(directory: str | Path) -> Graph:
     """Inverse of :func:`save_state`.  Every fault of a state file is corrupt
     state: an ingest error reads ``corrupt state in <file>: …``, and a row
-    issue raises CorruptState naming the file and its first issue.
+    issue raises CorruptState naming the file, the row and its first issue.
     nodes.csv is read, and checked, before edges.csv."""
     directory = Path(directory)
     graph = Graph()
@@ -609,5 +607,6 @@ def load_state(directory: str | Path) -> Graph:
         except IngestError as exc:   # its message names the file first
             raise type(exc)(f"corrupt state in {exc}") from None
         if issues:
-            raise CorruptState(f"corrupt state in {path}: {issues[0].message}")
+            raise CorruptState(
+                f"corrupt state in {path}: row {issues[0].row}: {issues[0].message}")
     return graph

@@ -364,10 +364,10 @@ class LogIndex:
             counts[frozenset(row[:2])].count(row, n)
         self._rows = sum(rows.values())
         self._pair_stats = dict(counts)
-        self._by_endpoint: dict[str, list[frozenset[str]]] = {}
-        for pair in sorted(self._pair_stats, key=sorted):
+        self._by_endpoint: dict[str, set[frozenset[str]]] = {}
+        for pair in self._pair_stats:
             for endpoint in pair:
-                self._by_endpoint.setdefault(endpoint, []).append(pair)
+                self._by_endpoint.setdefault(endpoint, set()).add(pair)
 
     def __len__(self) -> int:
         return self._rows
@@ -376,12 +376,14 @@ class LogIndex:
         return self._pair_stats.get(frozenset((u, v)))
 
     def merged(self, u: str, v: str) -> Optional[PairStats]:
-        """Union of all events touching either endpoint (for inferred links)."""
-        pairs = set(self._by_endpoint.get(u, ())) | set(self._by_endpoint.get(v, ()))
+        """Union of all events touching either endpoint (for inferred links);
+        the pairs are added in any order, as :meth:`PairStats.add` only sums
+        counts and unions sets."""
+        pairs = self._by_endpoint.get(u, set()) | self._by_endpoint.get(v, set())
         if not pairs:
             return None
         merged = PairStats()
-        for pair in sorted(pairs, key=sorted):
+        for pair in pairs:
             merged.add(self._pair_stats[pair])
         return merged
 
@@ -444,5 +446,5 @@ def _checked(path: str | Path, rows: Iterable[Sequence[str]], width: int
     skipped."""
     for number, row in enumerate(rows, start=1):
         if len(row) != width:
-            raise IngestError(f"{path}: row {number} has {len(row)} fields, not {width}")
+            raise IngestError(f"{path}: row {number}: {len(row)} fields, not {width}")
         yield row

@@ -28,6 +28,7 @@ class Selector:
     values: list[str]
 
     def resolve(self, graph: Graph) -> list[str]:
+        """The selected product ids, in id order as graph.nodes lists them."""
         products = graph.nodes(NodeKind.PRODUCT)
         if self.by == "id":
             wanted = set(self.values)
@@ -42,7 +43,7 @@ class Selector:
             needles = [v.lower() for v in self.values]
             out = [p.id for p in products
                    if any(needle in p.id.lower() for needle in needles)]
-        return sorted(out)
+        return out
 
     def label(self) -> str:
         return "|".join(self.values)

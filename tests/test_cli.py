@@ -248,6 +248,17 @@ def test_report_schemas(pipeline_out):
         "product", "zone", "raw", "enriched", "after", "delta", "reductionPct"]
     assert len(residual) == 61
 
+    # Each JSON table uses its CSV's column names.
+    def records(name):
+        return json.loads((pipeline_out / name).read_text())
+    suite = records("propagation/propagation.json")
+    mean_ci = read_csv(pipeline_out / "propagation" / "plot_mean_ci.csv")
+    for table, rows in ((suite["rows"], propagation), (suite["aggregates"], mean_ci),
+                        (records("reports/interproduct.json"), interproduct),
+                        (records("reports/residual.json"), residual)):
+        assert len(table) == len(rows)
+        assert all(set(record) == set(rows[0]) for record in table)
+
 
 def test_report_top_n(tmp_path, pipeline_out):
     out = tmp_path / "copy"
@@ -392,6 +403,12 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
      "build --validate-only", "fAV.Local is required"),
     ("riskConfig.fAV", {"Network": 0.0, "Adjacent": 0.1, "Local": 0.2},
      "build --validate-only", "fAV.Physical is required"),
+    # A zone table without a preset every other zone falls back to passed
+    # build, then stopped annotate with "error: 'DMZ'".
+    ("riskConfig.zoneDefaultWeakness", {"OT": [0.02, 0.03, 0.02, 0.04]},
+     "build --validate-only", "zoneDefaultWeakness.DMZ is required"),
+    ("riskConfig.zoneDefaultWeakness", {"DMZ": [0.08, 0.06, 0.05, 0.10]},
+     "build --validate-only", "zoneDefaultWeakness.OT is required"),
 ], ids=["durationHours-bool", "durationHours-string", "durationHours-infinity",
         "clientIpPoolSize-300", "criticalityDefaults-float", "criticalityDefaults-bool",
         "predictionMinConfidence-bool", "predictionMinConfidence-string",
@@ -404,7 +421,8 @@ def test_integer_setting_must_be_json_integer(tmp_path, pipeline_out, capsys, ke
         "scenario-k-0", "predictionMinConfidence-above-1", "zoneDefaultWeakness-above-1",
         "fAC-without-High-annotate", "fAC-without-High", "fAC-without-Low",
         "fAV-without-Network", "fAV-without-Adjacent", "fAV-without-Local",
-        "fAV-without-Physical"])
+        "fAV-without-Physical", "zoneDefaultWeakness-without-DMZ",
+        "zoneDefaultWeakness-without-OT"])
 def test_numeric_setting_must_be_in_range(tmp_path, pipeline_out, capsys,
                                           key, value, stage, needle):
     # ``key`` is a dotted path into the run config, or into the document a
@@ -587,6 +605,9 @@ def test_build_logs_each_skipped_row_with_its_file_and_kind(tmp_path, caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     for prefix in expected:
         assert sum(message.startswith(prefix) for message in warnings) == 1, prefix
+    # The skipped prediction row counts too.
+    summary = json.loads((tmp_path / "out" / "graph-summary.json").read_text())
+    assert summary["rowIssues"] == 3
 
 
 def test_row_that_aborts_a_state_load_names_the_state_file(tmp_path, pipeline_out, capsys):
@@ -608,7 +629,7 @@ def test_row_issue_of_a_state_file_exits_2_as_corrupt_state(tmp_path, pipeline_o
     number = append_row(pipeline_out / "graph" / "edges.csv", edges, ["PLC_1", "MES_1"])
     before = tree_digest(out)
     assert main(["--out", str(out), "annotate"]) == 2
-    assert f"error: corrupt state in {edges}: row {number} has 2 fields, not 8" \
+    assert f"error: corrupt state in {edges}: row {number}: 2 fields, not 8" \
         in capsys.readouterr().err
     assert tree_digest(out) == before
 

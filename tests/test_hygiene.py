@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import shutil
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import icskg
+from icskg import cli, reports
 from icskg.logsynth import AUTH_MODES, EVENTS, SECURITY_MODES
 
 MODULES = sorted(Path(icskg.__file__).parent.glob("*.py"))
@@ -98,6 +100,28 @@ def test_each_log_word_is_spelled_once():
                        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                        if isinstance(node, ast.Constant) and isinstance(node.value, str))
     assert {word: literals[word] for word in words} == dict.fromkeys(words, 1)
+
+
+def test_each_public_reports_function_renders_one_file_in_the_cli():
+    # A benchmark tracer counts each call of a public function of
+    # icskg.reports as one rendered file; a public helper would count its
+    # bytes twice.
+    public = {name for name, value in vars(reports).items()
+              if inspect.isfunction(value) and not name.startswith("_")
+              and value.__module__ == reports.__name__}
+    rendered = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_write":
+            data = node.args[1]
+            if isinstance(data, ast.Call) and isinstance(data.func, ast.Attribute) \
+                    and isinstance(data.func.value, ast.Name) and data.func.value.id == "reports":
+                rendered.add(data.func.attr)
+    assert rendered == public
+    calls = {node.func.id
+             for node in ast.walk(ast.parse(Path(reports.__file__).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert calls & public == set()
 
 
 def run_fresh(code: str, *args: str):

@@ -95,8 +95,8 @@ def test_ragged_rows_are_row_issues(tmp_path):
     result = load_relations(g, write(tmp_path, "r.csv", csv_text))
     assert result.count == 1
     assert [(i.row, i.kind, i.message) for i in result.issues] == [
-        (1, "InvalidRow", "row 1 has 6 fields, not 4"),
-        (3, "InvalidRow", "row 3 has 2 fields, not 4")]
+        (1, "InvalidRow", "6 fields, not 4"),
+        (3, "InvalidRow", "2 fields, not 4")]
 
 
 @pytest.mark.parametrize("file_name", ["nodes.csv", "edges.csv"])
@@ -106,12 +106,13 @@ def test_load_state_rejects_ragged_rows(tmp_path, file_name):
     save_state(g, tmp_path)
     path = tmp_path / file_name
     header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    ragged = rf"corrupt state in .*{file_name}: row 1: \d+ fields, not"
     path.write_text("\n".join([header, first + ",x,y", *rest]) + "\n", encoding="utf-8")
-    with pytest.raises(CorruptState, match=f"corrupt state in .*{file_name}: row 1 has"):
+    with pytest.raises(CorruptState, match=ragged):
         load_state(tmp_path)
     short = first.rsplit(",", 2)[0]
     path.write_text("\n".join([header, short, *rest]) + "\n", encoding="utf-8")
-    with pytest.raises(CorruptState, match=f"corrupt state in .*{file_name}: row 1 has"):
+    with pytest.raises(CorruptState, match=ragged):
         load_state(tmp_path)
 
 
@@ -244,7 +245,7 @@ def test_load_state_rejects_props_that_are_not_strings(tmp_path, file_name):
     rows[0][-1] = '{"a": true}'
     path.write_bytes(write_csv(header, rows))
     with pytest.raises(CorruptState,
-                       match=f"corrupt state in .*{file_name}: unparseable props_json"):
+                       match=f"corrupt state in .*{file_name}: row 1: unparseable props_json"):
         load_state(tmp_path)
 
 
@@ -271,7 +272,7 @@ def test_edge_csv_unreadable_risk_cell_is_a_skipped_row(tmp_path):
     assert [e.key for e in g.edges(EdgeKind.COMMUNICATES_WITH)] == [
         ("MES_1", "PLC_1", "COMMUNICATES_WITH")]
     assert [(i.row, i.kind, i.message) for i in result.issues] == [
-        (1, "InvalidRow", "row 1: could not convert string to float: 'abc'")]
+        (1, "InvalidRow", "could not convert string to float: 'abc'")]
 
 
 @pytest.mark.parametrize("props, needle", [
@@ -647,5 +648,7 @@ def test_load_state_rejects_any_bad_edge_row(tmp_path, bad_row):
     save_state(g, tmp_path)
     with (tmp_path / "edges.csv").open("a", encoding="utf-8") as fh:
         fh.write(bad_row + "\n")
-    with pytest.raises(CorruptState, match="corrupt state"):
+    # Every row issue names its row: a bad kind, a dangling end, bad props.
+    with pytest.raises(CorruptState, match=re.escape(
+            f"corrupt state in {tmp_path / 'edges.csv'}: row {g.edge_count() + 1}: ")):
         load_state(tmp_path)

@@ -271,7 +271,7 @@ def ragged_log(path, width: int, quoted: bool):
 @pytest.mark.parametrize("width, quoted", [(3, False), (9, False), (3, True), (9, True)],
                          ids=["3", "9", "quoted-3", "quoted-9"])
 def test_load_log_csv_rejects_ragged_rows(tmp_path, width, quoted):
-    with pytest.raises(IngestError, match=f"row 2 has {width} fields, not 8$"):
+    with pytest.raises(IngestError, match=f"row 2: {width} fields, not 8$"):
         load_log_csv(ragged_log(tmp_path / "log.csv", width, quoted))
 
 
@@ -493,7 +493,7 @@ def whole_file_load(path) -> LogIndex:
     def checked():
         for number, row in enumerate(records, start=1):
             if len(row) != len(header):
-                raise IngestError(f"{path}: row {number} has {len(row)} fields, "
+                raise IngestError(f"{path}: row {number}: {len(row)} fields, "
                                   f"not {len(header)}")
             yield row
     columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
@@ -585,7 +585,7 @@ def test_load_log_csv_equals_the_whole_file_read(tmp_path_factory, text):
         ragged = [(n, len(row)) for n, row in enumerate(data, start=1) if len(row) != width]
         if ragged:
             n, length = ragged[0]
-            assert outcome == f"{path}: row {n} has {length} fields, not {width}"
+            assert outcome == f"{path}: row {n}: {length} fields, not {width}"
 
 
 @settings(max_examples=30, deadline=None)
