@@ -20,6 +20,11 @@ of the banned nodes takes that route, one whose allowed steps cannot reach
 the target finds none, and any other returns a lower bound on its hop
 count.  Yen puts such a search off until that bound is the cheapest
 candidate left, and then the level search settles it.
+
+PageRank and betweenness each have two kernels that return the same floats:
+Python loops, and numpy arrays that views of at least :data:`ARRAY_PRODUCTS`
+products use.  The array kernels import numpy on their first call, so
+``report`` on a smaller view, the fixture's among them, starts without it.
 """
 
 from __future__ import annotations
@@ -389,6 +394,15 @@ _DAMPING = 0.85
 _TOLERANCE = 1e-8
 _MAX_ITERATIONS = 1000
 
+# Views with at least this many products run both centralities on numpy
+# arrays, smaller ones on the loops; the scores are the same floats either
+# way.  Run as its own process, ``report`` on a smaller view would spend
+# more on numpy's import (70-150 ms) than the arrays save (BENCH_31.json).
+ARRAY_PRODUCTS = 200
+# Sources per array pass of betweenness: a pass holds five arrays of this
+# many rows of the view's products, and the links between its levels.
+_SOURCES_PER_PASS = 16
+
 
 def pagerank(view: GraphView) -> dict[str, float]:
     """Power iteration with uniform teleportation over all view nodes:
@@ -402,10 +416,20 @@ def pagerank(view: GraphView) -> dict[str, float]:
     nodes = view.nodes()
     if not nodes:
         raise EmptyGraph("pagerank requires a non-empty view")
-    # Neighbours in order of first appearance in view.edges: the order of
-    # each node's float sum.
-    links = [[(j, len(edges)) for j, edges in pairs.items()] for pairs in view.adjacency]
-    n = len(nodes)
+    links = _links(view)
+    kernel = _pagerank_arrays if len(nodes) >= ARRAY_PRODUCTS else _pagerank_loops
+    return dict(zip(nodes, kernel(links)))
+
+
+def _links(view: GraphView) -> list[list[tuple[int, int]]]:
+    """Each product's (neighbour, edges shared) pairs, neighbours in order of
+    first appearance in ``view.edges``: the order of each node's float sum."""
+    return [[(j, len(edges)) for j, edges in pairs.items()] for pairs in view.adjacency]
+
+
+def _pagerank_loops(links: list[list[tuple[int, int]]]) -> list[float]:
+    """PageRank scores by position, from :func:`_links`."""
+    n = len(links)
     out_weight = [sum(w for _, w in row) for row in links]
     rank = [1.0 / n] * n
     for _ in range(_MAX_ITERATIONS):
@@ -420,7 +444,33 @@ def pagerank(view: GraphView) -> dict[str, float]:
         rank = nxt
         if delta < _TOLERANCE:
             break
-    return dict(zip(nodes, rank))
+    return rank
+
+
+def _pagerank_arrays(links: list[list[tuple[int, int]]]) -> list[float]:
+    """:func:`_pagerank_loops` on numpy arrays, float for float: each
+    term is ``rank[j] * w / out_weight[j]`` and ``np.bincount`` adds a
+    row's terms in adjacency order, as the loop does.  The dangling mass
+    and the L1 change stay Python ``sum`` over lists, which some Python
+    versions compensate."""
+    import numpy as np
+    n = len(links)
+    out_weight = np.array([sum(w for _, w in row) for row in links], dtype=np.float64)
+    rows = np.repeat(np.arange(n), [len(row) for row in links])
+    cols = np.array([j for row in links for j, _ in row], dtype=np.intp)
+    weights = np.array([w for row in links for _, w in row], dtype=np.float64)
+    out_cols = out_weight[cols]
+    dangling_nodes = np.flatnonzero(out_weight == 0)
+    rank = np.full(n, 1.0 / n)
+    for _ in range(_MAX_ITERATIONS):
+        dangling = sum(rank[dangling_nodes].tolist())
+        incoming = np.bincount(rows, weights=rank[cols] * weights / out_cols, minlength=n)
+        nxt = (1.0 - _DAMPING) / n + _DAMPING * (incoming + dangling / n)
+        delta = sum(np.abs(nxt - rank).tolist())
+        rank = nxt
+        if delta < _TOLERANCE:
+            break
+    return rank.tolist()
 
 
 def betweenness(view: GraphView) -> dict[str, float]:
@@ -431,7 +481,14 @@ def betweenness(view: GraphView) -> dict[str, float]:
     nodes, nbrs = view.nodes(), [sorted(pairs) for pairs in view.adjacency]
     if not nodes:
         raise EmptyGraph("betweenness requires a non-empty view")
-    n = len(nodes)
+    kernel = _betweenness_arrays if len(nodes) >= ARRAY_PRODUCTS else _betweenness_loops
+    return {u: score / 2.0 for u, score in zip(nodes, kernel(nbrs))}
+
+
+def _betweenness_loops(nbrs: list[list[int]]) -> list[float]:
+    """Each position's betweenness, each pair counted from both ends, from
+    the sorted neighbour lists."""
+    n = len(nbrs)
     score = [0.0] * n
     for s in range(n):
         sigma = [0.0] * n
@@ -454,7 +511,88 @@ def betweenness(view: GraphView) -> dict[str, float]:
                     delta[p] += sigma[p] / su * c
             if u != s:
                 score[u] += delta[u]
-    return {u: score[i] / 2.0 for i, u in enumerate(nodes)}
+    return score
+
+
+def _betweenness_arrays(nbrs: list[list[int]],
+                        sources_per_pass: int = _SOURCES_PER_PASS) -> list[float]:
+    """:func:`_betweenness_loops` on numpy arrays, float for float: Brandes
+    one level at a time for a batch of sources at once.
+
+    A key ``b * n + v`` names node ``v`` of the batch's ``b``-th source.
+    A level is its keys in the loop's order of discovery: the next level
+    is the unvisited neighbours of its keys, taken in key order and each
+    key's neighbours in rank order, each where it first occurs.
+    ``np.bincount`` adds in entry order, so each ``sigma`` is the sum over
+    the parents in that order, and each ``delta`` the sum over the children
+    from the last discovered back, as the loop's are.  Each source's row of
+    ``delta`` is added to the scores in source order.
+    """
+    import numpy as np
+    n = len(nbrs)
+    degree = np.array([len(row) for row in nbrs], dtype=np.intp)
+    start = np.cumsum(degree) - degree
+    flat = np.array([v for row in nbrs for v in row], dtype=np.intp)
+
+    score = np.zeros(n)
+    for begin in range(0, n, sources_per_pass):
+        sources = np.arange(begin, min(begin + sources_per_pass, n))
+        size = len(sources) * n
+        dist = np.full(size, -1, dtype=np.intp)
+        sigma = np.zeros(size)
+        first = np.full(size, np.iinfo(np.intp).max)
+        slot = np.zeros(size, dtype=np.intp)
+        level = np.arange(len(sources)) * n + sources
+        dist[level], sigma[level] = 0, 1.0
+        # Per level below the sources, each link from the level above: the
+        # parent's index there and the child's index in this level.
+        levels, links = [level], [None]
+        while True:
+            parent, child = _entries(level, n, degree, start, flat)
+            fresh = dist[child] < 0
+            parent, child = parent[fresh], child[fresh]
+            if not len(child):
+                break
+            # The entry where each new key first occurs; keys of earlier
+            # levels are not fresh, so ``first`` needs no reset.
+            entry = np.arange(len(child))
+            np.minimum.at(first, child, entry)
+            weights = sigma[level][parent]
+            level = child[first[child] == entry]
+            slot[level] = np.arange(len(level))
+            sigma[level] = np.bincount(slot[child], weights=weights, minlength=len(level))
+            dist[level] = len(levels)
+            levels.append(level)
+            links.append((parent, slot[child]))
+        # A source's own delta is never scored, so the walk stops at level 1.
+        delta = np.zeros(size)
+        for d in range(len(levels) - 1, 1, -1):
+            above, below = levels[d - 1], levels[d]
+            parent, child = links[d]
+            order = np.argsort(-child)          # the last discovered child first
+            parent, child = parent[order], child[order]
+            terms = sigma[above][parent] / sigma[below][child] * (1.0 + delta[below])[child]
+            delta[above] = np.bincount(parent, weights=terms, minlength=len(above))
+        for row in delta.reshape(len(sources), n):
+            score += row
+    return score.tolist()
+
+
+def _entries(keys: np.ndarray, n: int, degree: np.ndarray, start: np.ndarray,
+             flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every neighbour of each key ``b * n + v`` of ``keys``, in order:
+    the key's index in ``keys`` and the neighbour's key.  Node ``v``'s
+    neighbours are ``flat[start[v]:start[v] + degree[v]]``."""
+    import numpy as np
+    nodes = keys % n
+    counts = degree[nodes]
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(keys)), counts)
+    at = (start[nodes] - ends + counts)[owner]
+    at += np.arange(ends[-1])
+    child = flat[at]
+    child += (keys - nodes)[owner]
+    return owner, child
 
 
 # ---------------------------------------------------------------------------

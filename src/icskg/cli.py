@@ -310,13 +310,15 @@ def cmd_enrich(cfg: RunConfig, out_dir: Path) -> int:
     embedding = dict(cfg.enrichment)
     top_k = embedding.pop("top_k", enrich.DEFAULT_TOP_K)
     state = PipelineState.open(cfg, out_dir, "enrich")
+    # Read before any graph is loaded, so that the file's parse does not
+    # add to the memory the graphs hold.
+    logs = logsynth.load_log_csv(out_dir / "logs" / "baseline.csv")
     graph = state.upstream()
     view = state.views(Configuration.ORIGINAL)[Configuration.ORIGINAL]
     emb = enrich.fastrp_embed(view, seed=cfg.seed, **embedding)
     links = enrich.knn_possible_links(emb, view, top_k=top_k)
     for edge in links:
         graph.upsert_edge(edge)
-    logs = logsynth.load_log_csv(out_dir / "logs" / "baseline.csv")
     risk.annotate(graph, logs, cfg.risk)
     state.save(graph)
     _write(out_dir / "embeddings.csv", emb.to_csv())

@@ -8,7 +8,8 @@ counter stream over nodes in sorted-id order.
 
 numpy is imported inside :func:`fastrp_embed`, :func:`cosine_similarity_matrix`
 and :func:`knn_possible_links`, on their first call, and not when this module
-is imported: the CLI imports it for every command, and only ``enrich`` embeds.
+is imported: the CLI imports it for every command, and only ``enrich`` embeds
+(``report`` imports numpy only for the centralities of a plant-scale view).
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def fastrp_embed(view: GraphView, dim: int = DEFAULT_DIM,
     undirected communication adjacency.  The final vector is the weighted sum
     of states, with iteration_weights[0] weighting the raw projection.
     """
-    # Imported here: numpy takes 50-90 ms to load, which every command but
-    # synth-logs and enrich would pay for at start-up.
+    # Imported here: numpy takes 50-90 ms to load, which every command that
+    # does not embed would pay for at start-up.
     import numpy as np
     nodes = view.nodes()
     if not nodes:

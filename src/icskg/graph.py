@@ -159,7 +159,7 @@ RISK_COLUMNS = ("riskWeight", "pExploit", "attackCost", "controlStrength")
 EDGE_CSV_HEADER = ["src", "dst", "kind", *RISK_COLUMNS, "protocol"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskAttributes:
     """Per-edge risk metrics carried by communication-family edges.
 
@@ -193,7 +193,17 @@ class RiskAttributes:
                    float(attack_cost or 0.0), float(risk_weight))
 
 
-@dataclass(frozen=True)
+# The props of every record that has none: one read-only empty mapping.
+_NO_PROPS: Mapping[str, str] = MappingProxyType({})
+
+
+def _frozen_props(props: Mapping[str, str]) -> Mapping[str, str]:
+    """A read-only copy of ``props``: neither the caller's dict nor the
+    record can change them afterwards."""
+    return MappingProxyType(dict(props)) if props else _NO_PROPS
+
+
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     kind: NodeKind
@@ -202,9 +212,7 @@ class Node:
     zone: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # A read-only copy: neither the caller's dict nor the record can
-        # change the props afterwards.
-        object.__setattr__(self, "props", MappingProxyType(dict(self.props)))
+        object.__setattr__(self, "props", _frozen_props(self.props))
 
     def validate(self) -> None:
         if not self.id:
@@ -219,7 +227,7 @@ class Node:
             raise InvalidNode(f"Product {self.id!r} must carry a zone")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     dst: str
@@ -231,7 +239,7 @@ class Edge:
     key: tuple[str, str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "props", MappingProxyType(dict(self.props)))
+        object.__setattr__(self, "props", _frozen_props(self.props))
         object.__setattr__(self, "key", (self.src, self.dst, self.kind.value))
 
     def is_communication(self) -> bool:

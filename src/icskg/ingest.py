@@ -460,11 +460,14 @@ def _edge_kind(raw: str) -> EdgeKind:
 
 
 def _endpoints(graph: Graph, src: str, dst: str) -> tuple[str, str]:
+    """The ids of the nodes ``src`` and ``dst`` name, as the graph holds
+    them: an edge then shares its endpoints' id strings with the nodes
+    instead of keeping the row's copies."""
     for node_id in (src, dst):
         if not graph.has_node(node_id):
             raise _RowProblem("DanglingReference",
                               f"row references unknown node {node_id!r}")
-    return src, dst
+    return graph.node(src).id, graph.node(dst).id
 
 
 def _props(raw: str) -> dict[str, str]:

@@ -14,8 +14,11 @@ iterated.  Timestamps count from 2025-01-06T00:00:00Z, rounded half-even to the
 microsecond and then truncated to the millisecond.
 
 numpy is imported inside the generator's functions, on their first call,
-and not when this module is imported.  The fold is pure Python, so every
-command but ``synth-logs`` and ``enrich`` starts without numpy.
+and not when this module is imported.  The fold is pure Python, so only
+``synth-logs``, ``enrich`` and ``report`` on a view of at least
+``analytics.ARRAY_PRODUCTS`` products load numpy.  A flow's per-event
+columns are built a bounded chunk of sessions at a time, after all of its
+random draws.
 
 Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientIp``
 
@@ -57,6 +60,9 @@ _BASE = "2025-01-06T00:00:00"
 # A log is formatted and written this many lines at a time, so the
 # generator's memory is bounded by it and not by the number of records.
 CHUNK_LINES = 4096
+
+# A flow's per-event columns are built this many sessions at a time.
+_CHUNK_SESSIONS = 1024
 
 # Per-session config checks are capped to keep streams bounded when
 # misconfigRate far exceeds failCheckFrac.
@@ -173,7 +179,11 @@ def _timestamps(ms: np.ndarray) -> np.ndarray:
 def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
                    ) -> tuple[np.ndarray, np.ndarray]:
     """One flow's events in order: their millisecond offsets, and their CSV
-    line tails (each row's text after the timestamp) as an object array."""
+    line tails (each row's text after the timestamp) as an object array.
+
+    Every random draw is made first, per session; the per-event columns are
+    then built :data:`_CHUNK_SESSIONS` sessions at a time into the two
+    result arrays, so the temporaries do not grow with the flow."""
     import numpy as np
     n = int(round(profile.per_flow_session_rate * profile.duration_hours))
     if n <= 0:
@@ -213,31 +223,47 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
         if total_checks else np.zeros(0, dtype=bool)
 
     # Session i holds a Session event, its write and its config checks,
-    # event j of them at i*slot + slot/(count+1)*j.  The categorical codes
+    # event j of them at i*slot + slot/(count+1)*j; ``ends[i]`` is the
+    # number of events up to and with session i.  The categorical codes
     # index AUTH_MODES, SECURITY_MODES and EVENTS.
     counts = np.diff(boundaries) + 2
-    session = np.repeat(np.arange(n), counts)
-    position = np.arange(len(session)) - np.repeat(np.cumsum(counts) - counts, counts)
-    offsets = session * slot + (slot / (counts + 1))[session] * position
+    ends = np.cumsum(counts)
+    ms = np.empty(int(ends[-1]), dtype=np.int64)
+    tails = np.empty(len(ms), dtype=object)
     c = _CODE
-    event = np.where(failed, c[FAILED_WRITE], np.where(audit, c[AUDIT_WRITE], c[WRITE]))[session]
-    event[position == 0] = c[SESSION]
-    event[position >= 2] = np.where(check_fail, c[CONFIG_CHECK_FAIL], c[CONFIG_CHECK_PASS])
-    auth = np.where(anon, c[ANONYMOUS], np.where(cert, c[CERTIFICATE], c[PASSWORD]))[session]
-    security = np.where(insecure, c[NO_SECURITY],
-                        np.where(sign_only, c[SIGN], c[SIGN_AND_ENCRYPT]))[session]
     # Each distinct (auth mode, security mode, event, client IP) of the
     # flow gets its tail built once.  The vocabularies and the IPs never
     # need quoting; the flow's endpoints and protocol are quoted once.
     shape = (len(AUTH_MODES), len(SECURITY_MODES), len(EVENTS), profile.client_ip_pool_size)
-    codes, inverse = np.unique(np.ravel_multi_index(
-        (auth, security, event, ip_assign[session]), shape), return_inverse=True)
     prefix = "," + csv_line((flow.src, flow.dst, flow.protocol))
     network = f"10.{(flow_index % 250) + 1}.0."
-    tails = np.array([
-        f"{prefix},{AUTH_MODES[a]},{SECURITY_MODES[s]},{EVENTS[e]},{network}{k + 1}"
-        for a, s, e, k in zip(*np.unravel_index(codes, shape))], dtype=object)
-    return _milliseconds(offsets), tails[inverse]
+    built: dict[int, str] = {}
+    for lo in range(0, n, _CHUNK_SESSIONS):
+        hi = min(lo + _CHUNK_SESSIONS, n)
+        count = counts[lo:hi]
+        first, last = int(ends[lo] - count[0]), int(ends[hi - 1])
+        session = np.repeat(np.arange(hi - lo), count)      # from lo
+        position = np.arange(last - first) - np.repeat(ends[lo:hi] - count - first, count)
+        offsets = (session + lo) * slot + (slot / (count + 1))[session] * position
+        event = np.where(failed[lo:hi], c[FAILED_WRITE],
+                         np.where(audit[lo:hi], c[AUDIT_WRITE], c[WRITE]))[session]
+        event[position == 0] = c[SESSION]
+        event[position >= 2] = np.where(check_fail[boundaries[lo]:boundaries[hi]],
+                                        c[CONFIG_CHECK_FAIL], c[CONFIG_CHECK_PASS])
+        auth = np.where(anon[lo:hi], c[ANONYMOUS],
+                        np.where(cert[lo:hi], c[CERTIFICATE], c[PASSWORD]))[session]
+        security = np.where(insecure[lo:hi], c[NO_SECURITY],
+                            np.where(sign_only[lo:hi], c[SIGN], c[SIGN_AND_ENCRYPT]))[session]
+        codes, inverse = np.unique(np.ravel_multi_index(
+            (auth, security, event, ip_assign[lo:hi][session]), shape), return_inverse=True)
+        for code, a, s, e, k in zip(codes.tolist(), *np.unravel_index(codes, shape)):
+            if code not in built:
+                built[code] = (f"{prefix},{AUTH_MODES[a]},{SECURITY_MODES[s]},"
+                               f"{EVENTS[e]},{network}{k + 1}")
+        chunk_tails = np.array([built[code] for code in codes.tolist()], dtype=object)
+        tails[first:last] = chunk_tails[inverse]
+        ms[first:last] = _milliseconds(offsets)
+    return ms, tails
 
 
 class LogStream:

@@ -11,6 +11,7 @@ import threading
 from collections import Counter, deque
 from dataclasses import FrozenInstanceError
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +28,19 @@ from conftest import (
     random_comm_graph,
     random_graphs,
 )
+from icskg import analytics
 from icskg.analytics import (
+    _SOURCES_PER_PASS,
     Community,
     CommunityReport,
     WeightPolicy,
+    _betweenness_arrays,
+    _betweenness_loops,
     _dijkstra_raw,
     _level_search,
+    _links,
+    _pagerank_arrays,
+    _pagerank_loops,
     _path_graph,
     _tree_route,
     betweenness,
@@ -545,6 +553,58 @@ def test_betweenness_bit_identical_to_predecessor_lists(graph, config):
     # scores must be equal, not close.
     view = graph.project_view(config)
     assert betweenness(view) == brandes_with_predecessor_lists(view)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """The centrality kernels' inputs, the sorted neighbour lists and
+    :func:`_links`, of one to three random views side by side (a view of
+    one component or several), each followed by up to two isolated
+    products; Enriched views can hold a pair twice."""
+    nbrs: list[list[int]] = []
+    links: list[list[tuple[int, int]]] = []
+    for _ in range(draw(st.integers(1, 3))):
+        view = draw(random_graphs(1, 40, inferred=True)).project_view(
+            draw(st.sampled_from([Configuration.ORIGINAL, Configuration.ENRICHED])))
+        offset = len(nbrs)
+        nbrs += [[offset + j for j in sorted(pairs)] for pairs in view.adjacency]
+        links += [[(offset + j, w) for j, w in row] for row in _links(view)]
+        isolated = draw(st.integers(0, 2))
+        nbrs += [[] for _ in range(isolated)]
+        links += [[] for _ in range(isolated)]
+    return nbrs, links
+
+
+def float_hexes(scores: list[float]) -> list[str]:
+    return [score.hex() for score in scores]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs(), st.sampled_from([1, 2, 5, _SOURCES_PER_PASS - 1, _SOURCES_PER_PASS]))
+def test_array_centralities_equal_the_loops_bit_for_bit(inputs, sources_per_pass):
+    # Batches of a few sources, of one less than the default width and of
+    # it, over views of up to 126 products: a partial last batch, sources
+    # without neighbours and components the search never leaves.
+    nbrs, links = inputs
+    assert float_hexes(_betweenness_arrays(nbrs, sources_per_pass)) \
+        == float_hexes(_betweenness_loops(nbrs))
+    assert float_hexes(_betweenness_arrays(nbrs)) == float_hexes(_betweenness_loops(nbrs))
+    assert float_hexes(_pagerank_arrays(links)) == float_hexes(_pagerank_loops(links))
+
+
+def test_views_of_array_products_or_more_run_the_arrays():
+    view = original(random_comm_graph(random.Random(7), max_nodes=8))
+    products = len(view.nodes())
+    results, calls = [], []
+    for threshold in (products + 1, products):
+        kernels = {name: mock.Mock(wraps=getattr(analytics, name))
+                   for name in ("_betweenness_arrays", "_pagerank_arrays")}
+        with mock.patch.object(analytics, "ARRAY_PRODUCTS", threshold), \
+                mock.patch.multiple(analytics, **kernels):
+            results.append((betweenness(view), pagerank(view)))
+        calls.append([kernel.call_count for kernel in kernels.values()])
+    assert results[0] == results[1]
+    assert calls == [[0, 0], [1, 1]]
 
 
 # ---------------------------------------------------------------------------
