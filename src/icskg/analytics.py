@@ -160,11 +160,12 @@ class PathResult:
 
 def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
                   banned_nodes: AbstractSet[int] = frozenset(),
-                  banned_first: AbstractSet[int] = frozenset(),
+                  banned_first: AbstractSet[int] = frozenset(), start: float = 0.0,
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
     """Min-cost path with lexicographic tie-breaking on the node sequence,
     for ``src`` and ``dst`` not banned, avoiding ``banned_nodes`` and any
-    first step to ``banned_first``.
+    first step to ``banned_first``; its cost is ``start`` plus each edge's
+    cost, added left to right.
 
     The search of RiskCost and MaxLikelihood path graphs (Hop graphs use
     :func:`_tree_route`).  Heap keys are (cost, path) tuples over sorted-id
@@ -173,7 +174,7 @@ def _dijkstra_raw(pg: _PathGraph, src: int, dst: int,
     minimum.
     """
     adj = pg.adj
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
+    heap: list[tuple[float, tuple[int, ...]]] = [(start, (src,))]
     visited: set[int] = set()
     while heap:
         cost, path = heapq.heappop(heap)
@@ -225,13 +226,13 @@ def _target_tree(pg: _PathGraph, dst: int
 
 
 def _tree_route(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[int],
-                banned_first: AbstractSet[int]
+                banned_first: AbstractSet[int], start: float = 0.0
                 ) -> Union[None, int, tuple[float, tuple[int, ...]]]:
     """The search of Hop path graphs, answered from the target's tree
     (:func:`_target_tree`) for ``src != dst``, neither banned: the route
     :func:`_dijkstra_raw` would find, None when there is none, or, when the
     tree cannot tell, the fewest hops a route can take (an int) for
-    :func:`_level_search` to settle.
+    :func:`_level_search` to settle.  A route costs ``start`` plus its hops.
 
     Take the allowed first step ``a`` (a neighbour of ``src`` neither banned
     nor in ``banned_first``) with the least (distance, rank).  If no allowed
@@ -267,11 +268,11 @@ def _tree_route(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[in
         if step in banned_nodes or step == src:
             return dist[path[1]] + 1
         path.append(step)
-    return float(len(path) - 1), tuple(path)
+    return start + (len(path) - 1), tuple(path)
 
 
 def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[int],
-                  banned_first: AbstractSet[int]
+                  banned_first: AbstractSet[int], start: float = 0.0
                   ) -> Optional[tuple[float, tuple[int, ...]]]:
     """:func:`_tree_route`'s search without the tree, for ``src != dst``,
     neither banned; it always settles.
@@ -282,7 +283,7 @@ def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[
     ``src`` then always takes the lowest-rank allowed step one level closer.
     All shortest routes have the same length, so that walk is the
     lexicographic minimum the heap search settles first, and
-    ``float(hops)`` equals its sum of unit costs.
+    ``start + hops`` equals ``start`` plus its unit costs.
     """
     nbrs = pg.nbrs
     first = nbrs[src] - banned_first
@@ -297,7 +298,7 @@ def _level_search(pg: _PathGraph, src: int, dst: int, banned_nodes: AbstractSet[
     path = [src, min(first & levels[-1])]
     for level in reversed(levels[:-1]):
         path.append(min(nbrs[path[-1]] & level))
-    return float(len(path) - 1), tuple(path)
+    return start + (len(path) - 1), tuple(path)
 
 
 def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
@@ -323,10 +324,13 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
     cheaper, and the root is a proper prefix), so the search runs before its
     path could be the cheapest candidate, and before any such path is
     accepted and adds a branch at its root; a search still waiting when the
-    k-th path is accepted could not have found one of the k.  Hop costs are
-    whole numbers, so a path costs the same from whichever root finds it,
-    and paths are accepted in the same order as when every search runs at
-    once.
+    k-th path is accepted could not have found one of the k.
+
+    A spur search starts at its root's cost, so every path's cost is its
+    edges' costs added left to right from ``src``: a path costs the same
+    float from whichever root finds it, routes that tie in real arithmetic
+    tie here too and are ordered by their node sequence, and paths are
+    accepted in the same order as when every search runs at once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -353,7 +357,7 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
         elif found is not None:
             path = root[:-1] + found[1]
             if path not in deviation:
-                heapq.heappush(candidates, (prefix + found[0], path))
+                heapq.heappush(candidates, (found[0], path))
                 deviation[path] = len(root) - 1
 
     add((s,), search(pg, s, t, frozenset(), frozenset()), 0.0)
@@ -361,8 +365,8 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
         entry = heapq.heappop(candidates)
         if len(entry) > 2:
             _, root, prefix = entry
-            add(root, _level_search(pg, root[-1], t, frozenset(root[:-1]), branches[root]),
-                prefix)
+            add(root, _level_search(pg, root[-1], t, frozenset(root[:-1]), branches[root],
+                                    prefix), prefix)
             continue
         accepted.append(entry)
         if len(accepted) == k:
@@ -379,7 +383,7 @@ def yen_k_shortest(view: GraphView, src: str, dst: str, k: int,
             if taken is None:
                 taken = branches[root] = set()
             taken.add(path[i + 1])
-            add(root, search(pg, path[i], t, banned, taken), prefix)
+            add(root, search(pg, path[i], t, banned, taken, prefix), prefix)
             banned.add(path[i])
             prefix += cost_of[path[i], path[i + 1]]
     accepted.sort()

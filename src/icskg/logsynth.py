@@ -7,11 +7,14 @@ assigned to sessions through a counter-based Philox stream keyed by
 (seed, flow index), so a fixed seed yields byte-identical output on every
 platform and per-flow generation can run in any order.  Each flow is built
 column-wise: its event offsets and categorical fields are numpy arrays, and
-the text after the timestamp is built once per distinct row.  A generated log
-is a :class:`LogStream` that keeps only each record's offset and a pointer to
-its row text, and formats its CSV lines :data:`CHUNK_LINES` at a time as it is
-iterated.  Timestamps count from 2025-01-06T00:00:00Z, rounded half-even to the
-microsecond and then truncated to the millisecond.
+the text after the timestamp is built and encoded once per distinct row.  A
+generated log is a :class:`LogStream` that keeps only each record's offset
+and a pointer to its row's bytes, and formats its CSV lines
+:data:`CHUNK_LINES` at a time as it is iterated or written: a chunk's clocks
+are filled into one fixed-width byte array with integer arithmetic, and its
+date text is formatted once per day.  Timestamps count from
+2025-01-06T00:00:00Z, rounded half-even to the microsecond and then
+truncated to the millisecond.
 
 numpy is imported inside the generator's functions, on their first call,
 and not when this module is imported.  The fold is pure Python, so only
@@ -25,7 +28,11 @@ Log CSV format: ``timestamp,src,dst,protocol,authMode,securityMode,event,clientI
 The log row lives here alone: its header, its vocabularies, the generator and
 the fold that counts a log CSV's distinct rows into a :class:`LogIndex`.  A
 log CSV is read a line at a time (:func:`load_log_csv`), so reading it holds
-memory for the distinct rows, not for the length of the file.
+memory for the distinct rows, not for the length of the file.  The fold
+first scans the file's bytes for a double quote or a carriage return, then
+counts each line's text after its first comma with C-level iterators and
+splits each distinct text once; a file it cannot read takes one
+``csv.reader`` pass instead.
 """
 
 from __future__ import annotations
@@ -33,14 +40,14 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice, product, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from icskg.config import ControlProfile, integer, number, obj
 from icskg.errors import IngestError
-from icskg.graph import csv_line, parse_csv, read_lines
+from icskg.graph import csv_line, not_utf8, parse_csv, read_lines
 from icskg.ingest import Dataflow, TestbedSpec
 
 LOG_CSV_HEADER = ["timestamp", "src", "dst", "protocol", "authMode",
@@ -54,8 +61,15 @@ EVENTS = (READ, WRITE, FAILED_WRITE, AUDIT_WRITE, SESSION, CONFIG_CHECK_PASS, CO
     "Read", "Write", "FailedWrite", "AuditWrite", "Session", "ConfigCheckPass", "ConfigCheckFail")
 _CODE = {word: i for words in (AUTH_MODES, SECURITY_MODES, EVENTS) for i, word in enumerate(words)}
 
-# The instant that log offsets count from, read as a millisecond datetime64.
-_BASE = "2025-01-06T00:00:00"
+# The day that log offsets count from, at 00:00:00Z.
+_BASE = "2025-01-06"
+_DAY_MS = 86_400_000
+
+# A timestamp's clock text, and the digits that fill its fields: "00" to
+# "99", and "000" to "999", back to back.
+_CLOCK = b"00:00:00.000Z"
+_PAIRS = bytes(chain.from_iterable(product(b"0123456789", repeat=2)))
+_TRIPLES = bytes(chain.from_iterable(product(b"0123456789", repeat=3)))
 
 # A log is formatted and written this many lines at a time, so the
 # generator's memory is bounded by it and not by the number of records.
@@ -168,18 +182,40 @@ def _milliseconds(offsets: np.ndarray) -> np.ndarray:
     return micros // 1000
 
 
-def _timestamps(ms: np.ndarray) -> np.ndarray:
+def _timestamp_parts(ms: np.ndarray) -> tuple[list[bytes], list[bytes]]:
     """The log timestamps of millisecond offsets from 2025-01-06T00:00:00Z,
-    as an object array of strings."""
+    each as two byte strings: its date and ``T`` (``2025-01-06T``), and its
+    clock (``00:00:00.000Z``).
+
+    The date text comes from ``np.datetime_as_string`` once per run of
+    offsets on one day, so a sorted chunk formats one or two dates.  The
+    clocks are one fixed-width array whose digit fields are filled from
+    tables with integer arithmetic; a date is ten characters only up to the
+    year 9999, so it stays a part of its own."""
     import numpy as np
-    return np.datetime_as_string(np.datetime64(_BASE, "ms") + ms, unit="ms",
-                                 timezone="UTC").astype(object)
+    days, of_day = np.divmod(ms, _DAY_MS)
+    new = np.diff(days, prepend=days[:1] - 1) != 0     # the first offset of each run
+    dates = np.array([f"{date}T".encode() for date in np.datetime_as_string(
+        np.datetime64(_BASE) + days[new], unit="D").tolist()], dtype=object)
+    seconds, milli = np.divmod(of_day, 1000)
+    minutes, second = np.divmod(seconds, 60)
+    hour, minute = np.divmod(minutes, 60)
+    clocks = np.empty(len(ms), np.dtype({"names": ["h", "m", "s", "ms"],
+                                         "formats": ["S2", "S2", "S2", "S3"],
+                                         "offsets": [0, 3, 6, 9], "itemsize": len(_CLOCK)}))
+    text = clocks.view(f"S{len(_CLOCK)}")
+    text[:] = _CLOCK
+    pairs, triples = np.frombuffer(_PAIRS, "S2"), np.frombuffer(_TRIPLES, "S3")
+    clocks["h"], clocks["m"], clocks["s"] = pairs[hour], pairs[minute], pairs[second]
+    clocks["ms"] = triples[milli]
+    return dates[np.cumsum(new) - 1].tolist(), text.tolist()
 
 
 def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
                    ) -> tuple[np.ndarray, np.ndarray]:
     """One flow's events in order: their millisecond offsets, and their CSV
-    line tails (each row's text after the timestamp) as an object array.
+    line tails (each row's text after the timestamp, with its LF, as UTF-8
+    bytes) as an object array.
 
     Every random draw is made first, per session; the per-event columns are
     then built :data:`_CHUNK_SESSIONS` sessions at a time into the two
@@ -232,12 +268,13 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
     tails = np.empty(len(ms), dtype=object)
     c = _CODE
     # Each distinct (auth mode, security mode, event, client IP) of the
-    # flow gets its tail built once.  The vocabularies and the IPs never
-    # need quoting; the flow's endpoints and protocol are quoted once.
+    # flow gets its tail built and encoded once.  The vocabularies and the
+    # IPs never need quoting; the flow's endpoints and protocol are quoted
+    # once.
     shape = (len(AUTH_MODES), len(SECURITY_MODES), len(EVENTS), profile.client_ip_pool_size)
     prefix = "," + csv_line((flow.src, flow.dst, flow.protocol))
     network = f"10.{(flow_index % 250) + 1}.0."
-    built: dict[int, str] = {}
+    built: dict[int, bytes] = {}
     for lo in range(0, n, _CHUNK_SESSIONS):
         hi = min(lo + _CHUNK_SESSIONS, n)
         count = counts[lo:hi]
@@ -259,7 +296,7 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
         for code, a, s, e, k in zip(codes.tolist(), *np.unravel_index(codes, shape)):
             if code not in built:
                 built[code] = (f"{prefix},{AUTH_MODES[a]},{SECURITY_MODES[s]},"
-                               f"{EVENTS[e]},{network}{k + 1}")
+                               f"{EVENTS[e]},{network}{k + 1}\n").encode("utf-8")
         chunk_tails = np.array([built[code] for code in codes.tolist()], dtype=object)
         tails[first:last] = chunk_tails[inverse]
         ms[first:last] = _milliseconds(offsets)
@@ -269,9 +306,9 @@ def _generate_flow(flow_index: int, flow: Dataflow, profile: SynthProfile
 class LogStream:
     """A generated log: the CSV data lines (without line ends) of its
     records in time order, formatted :data:`CHUNK_LINES` at a time each time
-    the stream is iterated.  It holds each record's millisecond offset and a
-    pointer to its line tail, one of the few distinct tails of its flow;
-    ``len()`` is the number of records."""
+    the stream is iterated or written.  It holds each record's millisecond
+    offset and a pointer to its line tail, one of the few distinct tails of
+    its flow; ``len()`` is the number of records."""
 
     def __init__(self, ms: np.ndarray, tails: np.ndarray) -> None:
         self._ms = ms
@@ -281,9 +318,15 @@ class LogStream:
         return len(self._ms)
 
     def __iter__(self) -> Iterator[str]:
+        for chunk in self._chunks():
+            yield from (b"".join(line)[:-1].decode("utf-8") for line in zip(*chunk))
+
+    def _chunks(self) -> Iterator[tuple[list[bytes], list[bytes], list[bytes]]]:
+        """Each chunk of lines as three lists of bytes, a part of each line
+        in each: the date, the clock and the tail, which ends in LF."""
         for start in range(0, len(self._ms), CHUNK_LINES):
             window = slice(start, start + CHUNK_LINES)
-            yield from (_timestamps(self._ms[window]) + self._tails[window]).tolist()
+            yield *_timestamp_parts(self._ms[window]), self._tails[window].tolist()
 
 
 def _merged_flows(testbed: TestbedSpec, profile: SynthProfile,
@@ -416,11 +459,18 @@ class LogIndex:
 
 def write_log_csv(lines: Iterable[str], path: str | Path) -> None:
     """Write a log CSV: the header, then the lines of a :class:`LogStream`
-    or of any iterable of data lines, each ending in LF.  The lines are
+    or of any iterable of data lines, each ending in LF.  A stream writes
+    each chunk of lines as one join of its lines' bytes; other lines are
     joined, encoded and written :data:`CHUNK_LINES` at a time."""
-    pending = iter(lines)
     with open(path, "wb") as file:
         file.write(f"{_HEADER_LINE}\n".encode("utf-8"))
+        if isinstance(lines, LogStream):
+            for chunk in lines._chunks():
+                parts = [b""] * (3 * len(chunk[0]))
+                parts[0::3], parts[1::3], parts[2::3] = chunk
+                file.write(b"".join(parts))
+            return
+        pending = iter(lines)
         while chunk := list(islice(pending, CHUNK_LINES)):
             chunk.append("")
             file.write("\n".join(chunk).encode("utf-8"))
@@ -430,16 +480,13 @@ def load_log_csv(path: str | Path) -> LogIndex:
     """The per-pair statistics of a log CSV: each distinct row, less its
     timestamp, counted and folded into a :class:`LogIndex`.
 
-    The file is read a line at a time: by :func:`_tail_rows` when its header
-    is :data:`LOG_CSV_HEADER` in order, and again by ``csv.reader`` when that
-    fold cannot read it or the header differs.  There columns are found by
-    name, and a row whose field count differs from the header's raises
-    :class:`IngestError` with its number.  A file that is not UTF-8 raises
-    :class:`IngestError` naming its first line that does not decode.
+    The file is read a line at a time: by :func:`_tail_rows` when that fold
+    can read it, and again by ``csv.reader`` when it cannot.  There columns
+    are found by name, and a row whose field count differs from the header's
+    raises :class:`IngestError` with its number.  A file that is not UTF-8
+    raises :class:`IngestError` naming its first line that does not decode.
     """
-    lines = read_lines(path)
-    header_line = next(lines, "").removesuffix("\n")
-    rows = _tail_rows(lines) if header_line == _HEADER_LINE else None
+    rows = _tail_rows(path)
     if rows is None:
         header, records = parse_csv(read_lines(path), path, LOG_CSV_HEADER)
         columns = itemgetter(*(header.index(col) for col in LOG_CSV_HEADER[1:]))
@@ -447,22 +494,41 @@ def load_log_csv(path: str | Path) -> LogIndex:
     return LogIndex(rows)
 
 
-def _tail_rows(lines: Iterable[str]) -> Optional[Counter]:
-    """How often each distinct row, less its timestamp, occurs in the data
-    lines of a log CSV in :data:`LOG_CSV_HEADER` order, counted by the text
-    after each line's first comma; blank lines are skipped.  None when a
-    line holds a double quote or a carriage return, in any field, or a row
-    has not eight fields: only ``csv.reader`` reads such a file right."""
-    # A line that holds either character is counted as the key '"': a row
-    # of one field, so the width check below turns the file away.
-    tails = Counter('"' if '"' in line or "\r" in line else line.partition(",")[2]
-                    for line in lines if line != "\n")
-    rows: Counter = Counter()
-    fields: dict[str, str] = {}   # distinct rows share each equal field
+# The fold's pre-scan reads the file this many bytes at a time.
+_SCAN_BYTES = 1 << 20
+
+
+def _tail_rows(path: str | Path) -> Optional[dict[tuple[str, ...], int]]:
+    """How often each distinct row, less its timestamp, occurs in the log
+    CSV ``path``, or None when only ``csv.reader`` reads the file right: its
+    header is not :data:`LOG_CSV_HEADER` in order, a byte of it is a double
+    quote or a carriage return, or a data line's text after its first comma
+    (its tail) has not seven fields.  A blank line and a line without a
+    comma have the empty tail, which has one.
+
+    The tails are counted in C (a ``Counter`` over ``str.partition``), and
+    each distinct tail is split once; equal fields of distinct rows share
+    one string, and a last line without LF counts with its equals."""
+    with open(path, "rb") as file:
+        while block := file.read(_SCAN_BYTES):
+            if b'"' in block or b"\r" in block:
+                return None
+    try:
+        with open(path, encoding="utf-8", newline="\n") as file:
+            if file.readline().removesuffix("\n") != _HEADER_LINE:
+                return None
+            tails = Counter(map(itemgetter(2), map(str.partition, file, repeat(","))))
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    rows: dict[tuple[str, ...], int] = {}
+    fields: dict[str, str] = {}
     for tail, n in tails.items():
         parts = tail.removesuffix("\n").split(",")
-        rows[tuple(map(fields.setdefault, parts, parts))] += n
-    return rows if all(len(row) == len(LOG_CSV_HEADER) - 1 for row in rows) else None
+        if len(parts) != len(LOG_CSV_HEADER) - 1:
+            return None
+        row = tuple(map(fields.setdefault, parts, parts))
+        rows[row] = rows.get(row, 0) + n
+    return rows
 
 
 def _checked(path: str | Path, rows: Iterable[Sequence[str]], width: int

@@ -180,9 +180,41 @@ def test_yen_matches_enumeration_exactly():
         for policy in POLICIES:
             expected = enumerate_simple_paths(view, src, dst, policy)[:20]
             got = yen_k_shortest(view, src, dst, 20, policy)
-            assert [list(p) for _, p in expected] == [p.nodes for p in got]
-            for (cost, _), result in zip(expected, got):
-                assert result.total_cost == pytest.approx(cost, abs=1e-9)
+            assert [(cost, tuple(p)) for cost, p in expected] == \
+                [(p.total_cost, tuple(p.nodes)) for p in got]
+
+
+# Weights from small sets that hold 0, so that routes tie in real arithmetic
+# while their float sums, added in another order, may differ by an ulp.
+TIED_RISK_WEIGHTS = (0.0, 0.1, 0.2, 0.3, 0.6, 0.7)
+TIED_P_EXPLOITS = (1.0, 0.9, 0.8, 0.72, 0.5, 0.25)   # MaxLikelihood costs -log(p)
+
+
+@st.composite
+def tied_graphs(draw):
+    """A finalized graph of 4-8 products, each pair linked or not, each link
+    with a riskWeight and a pExploit from the tied sets."""
+    g = Graph()
+    ids = [add_product(g, f"N{i:02d}") for i in range(draw(st.integers(4, 8)))]
+    for a, b in combinations(ids, 2):
+        if draw(st.booleans()):
+            add_comm(g, a, b, risk_weight=draw(st.sampled_from(TIED_RISK_WEIGHTS)),
+                     p_exploit=draw(st.sampled_from(TIED_P_EXPLOITS)))
+    g.finalize()
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_graphs(), st.sampled_from([WeightPolicy.RISK_COST, WeightPolicy.MAX_LIKELIHOOD]),
+       st.integers(1, 20), st.data())
+def test_yen_equals_enumeration_exactly_on_tied_weights(graph, policy, k, data):
+    """Each path costs its left-to-right sum whichever root found it, so
+    Yen's list is the enumeration's first k, costs and order alike."""
+    view = original(graph)
+    src, dst = data.draw(st.lists(st.sampled_from(view.nodes()), min_size=2, max_size=2,
+                                  unique=True))
+    assert [(p.total_cost, tuple(p.nodes)) for p in yen_k_shortest(view, src, dst, k, policy)] \
+        == enumerate_simple_paths(view, src, dst, policy)[:k]
 
 
 def test_yen_sorted_and_loopless():
@@ -266,10 +298,17 @@ def bfs_levels_oracle(pg, src, dst, banned_nodes=frozenset(), banned_first=froze
 
 def yen_oracle(view, src, dst, k, policy):
     """Yen's loop before deviation-index starts and lazy results, verbatim
-    but for its searches (today's Dijkstra, or the BFS oracle above) and its
-    results: (nodes, total_cost, path_probability) tuples."""
+    but for its searches (today's Dijkstra, or the BFS oracle above), which
+    start at the root's cost, and its results: (nodes, total_cost,
+    path_probability) tuples."""
     pg = _path_graph(view, policy)
-    search = bfs_levels_oracle if policy is WeightPolicy.HOP else _dijkstra_raw
+    if policy is WeightPolicy.HOP:
+        def search(pg, src, dst, banned_nodes=frozenset(), banned_first=frozenset(),
+                   start=0.0):
+            found = bfs_levels_oracle(pg, src, dst, banned_nodes, banned_first)
+            return found and (start + found[0], found[1])
+    else:
+        search = _dijkstra_raw
     cost_of = pg.cost_of
     s, t = pg.rank[src], pg.rank[dst]
     first = search(pg, s, t)
@@ -288,13 +327,14 @@ def yen_oracle(view, src, dst, k, policy):
             root = prev_nodes[:i + 1]
             branches.setdefault(root, set()).add(prev_nodes[i + 1])
             if i >= deviation[prev_nodes]:
-                spur_found = search(pg, prev_nodes[i], t, frozenset(root[:-1]), branches[root])
+                spur_found = search(pg, prev_nodes[i], t, frozenset(root[:-1]), branches[root],
+                                    prefix)
                 if spur_found is not None:
-                    spur_cost, spur_nodes = spur_found
+                    total_cost, spur_nodes = spur_found
                     total_nodes = root[:-1] + spur_nodes
                     if len(set(total_nodes)) == len(total_nodes) \
                             and total_nodes not in deviation:
-                        heapq.heappush(candidates, (prefix + spur_cost, total_nodes))
+                        heapq.heappush(candidates, (total_cost, total_nodes))
                         deviation[total_nodes] = i
             prefix += cost_of[(prev_nodes[i], prev_nodes[i + 1])]
         if not candidates:

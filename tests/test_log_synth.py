@@ -22,7 +22,7 @@ from conftest import log_index
 from icskg import logsynth
 from icskg.config import ControlOverrides, ControlProfile
 from icskg.errors import IngestError
-from icskg.graph import csv_line, parse_csv, write_csv
+from icskg.graph import csv_line, parse_csv, read_lines, write_csv
 from icskg.ingest import TESTBED, Dataflow, TestbedProduct, TestbedSpec
 from icskg.logsynth import (
     AUTH_MODES,
@@ -37,7 +37,7 @@ from icskg.logsynth import (
     _generate_flow,
     _milliseconds,
     _quota_flags,
-    _timestamps,
+    _timestamp_parts,
     generate,
     generate_secured,
     load_log_csv,
@@ -287,6 +287,12 @@ def reference_timestamp(offset_seconds: float) -> str:
     return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}Z"
 
 
+def timestamp_bytes(ms) -> list[bytes]:
+    """The formatter's timestamps of millisecond offsets, date and clock
+    joined."""
+    return list(map(bytes.__add__, *_timestamp_parts(ms)))
+
+
 def reference_flow(flow_index: int, flow: Dataflow, profile: SynthProfile) -> list[list[str]]:
     """One flow's rows built session by session, with the same draws from
     the flow's random stream as :func:`_generate_flow`."""
@@ -337,8 +343,10 @@ def _near(centres, width: float):
 
 
 _SECONDS = st.integers(0, 10**7)
-# Days after the 2025-01-06 start that begin February, March, April and May.
+# Days after the 2025-01-06 start that begin February, March, April and May,
+# 2026 (a year end), 29 February 2028 and 1 March 2028.
 _MONTH_STARTS = st.sampled_from([26, 54, 85, 115])
+_YEAR_DAYS = st.sampled_from([360, 1149, 1150])
 
 OFFSETS = st.one_of(
     st.floats(0.0, 1e7),
@@ -351,17 +359,33 @@ OFFSETS = st.one_of(
     # millisecond boundaries, and .9995 s where rounding to the millisecond differs
     _near(st.builds(lambda s, ms: s + ms / 1000, _SECONDS, st.integers(0, 999)), 1e-6),
     _near(_SECONDS.map(lambda s: s + 0.9995), 1e-6),
-    # the end of a day, and of a month
+    # the end of a day, of a month, of a year and of 29 February
     _near(st.integers(1, 115).map(lambda day: day * 86400.0), 1e-3),
     _near(_MONTH_STARTS.map(lambda day: day * 86400.0), 1e-3),
+    _near(_YEAR_DAYS.map(lambda day: day * 86400.0), 1e-3),
+    # offsets of many years, up to 2100
+    st.floats(1e7, 2.3e9),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(OFFSETS, min_size=1, max_size=40))
 def test_timestamps_round_as_timedelta_does(offsets):
-    assert _timestamps(_milliseconds(np.array(offsets))).tolist() \
-        == [reference_timestamp(x) for x in offsets]
+    assert timestamp_bytes(_milliseconds(np.array(offsets))) \
+        == [reference_timestamp(x).encode() for x in offsets]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**11, 10**11), min_size=1, max_size=64), st.booleans())
+def test_timestamps_equal_numpy_past_the_year_9999(spread, ordered):
+    """Days from the year 9999 into 10000, where the date text widens, in
+    time order or not: the formatter's text is numpy's."""
+    year_10000 = (np.datetime64("10000-01-01T00:00:00.000") - np.datetime64(
+        "2025-01-06T00:00:00.000")).astype(np.int64)
+    ms = year_10000 + np.array(sorted(spread) if ordered else spread, dtype=np.int64)
+    assert timestamp_bytes(ms) == np.datetime_as_string(
+        np.datetime64("2025-01-06T00:00:00.000") + ms, unit="ms", timezone="UTC"
+    ).astype("S").tolist()
 
 
 @st.composite
@@ -393,8 +417,8 @@ def valid_profiles(draw) -> SynthProfile:
 def test_generate_flow_equals_per_session_reference(profile, flow_index):
     flow = Dataflow("SRC", "DST", "OPC_UA")
     ms, tails = _generate_flow(flow_index, flow, profile)
-    assert (_timestamps(ms) + tails).tolist() \
-        == [",".join(row) for row in reference_flow(flow_index, flow, profile)]
+    assert list(map(bytes.__add__, timestamp_bytes(ms), tails)) \
+        == [f"{','.join(row)}\n".encode() for row in reference_flow(flow_index, flow, profile)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,8 +460,10 @@ def test_log_csv_matches_csv_module_and_per_row_count(tmp_path_factory, flows, s
                                       for flow_index, flow in enumerate(flows)),
                   key=itemgetter(0))
     path = tmp_path_factory.mktemp("log") / "log.csv"
-    write_log_csv(generate(testbed, profile), path)
+    stream = generate(testbed, profile)
+    write_log_csv(stream, path)
     assert path.read_bytes() == write_csv(LOG_CSV_HEADER, rows)
+    assert list(stream) == list(map(csv_line, rows))
     assert_folds_rows(load_log_csv(path), rows)
 
 
@@ -446,14 +472,21 @@ def test_log_csv_matches_csv_module_and_per_row_count(tmp_path_factory, flows, s
 # line-at-a-time reader replaced as its oracle
 # ---------------------------------------------------------------------------
 
-def test_tail_fold_shares_equal_fields_between_rows():
+def test_tail_fold_shares_equal_fields_between_rows(tmp_path):
     """Two distinct rows hold one string object for a field they share, not
-    a copy each (multi-character values: CPython caches one-character ones)."""
-    lines = ["2024-01-01T00:00:00.000Z,PLC_1,HMI_1,OPC_UA,Anonymous,None,Connect,10.0.0.1\n",
-             "2024-01-01T00:00:01.000Z,PLC_1,HMI_2,OPC_UA,Anonymous,None,Connect,10.0.0.1\n"]
-    first, second = logsynth._tail_rows(lines)
+    a copy each (multi-character values: CPython caches one-character ones),
+    and a last line without LF counts with its equal row."""
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join([
+        ",".join(LOG_CSV_HEADER),
+        "2024-01-01T00:00:00.000Z,PLC_1,HMI_1,OPC_UA,Anonymous,None,Connect,10.0.0.1",
+        "2024-01-01T00:00:01.000Z,PLC_1,HMI_2,OPC_UA,Anonymous,None,Connect,10.0.0.1",
+        "2024-01-01T00:00:02.000Z,PLC_1,HMI_1,OPC_UA,Anonymous,None,Connect,10.0.0.1"]),
+        encoding="utf-8")
+    (first, n), (second, m) = logsynth._tail_rows(path).items()
     assert first[0] == second[0] == "PLC_1" and first[0] is second[0]
     assert first[-1] is second[-1]
+    assert (n, m) == (2, 1)
 
 
 def traced(work):
@@ -533,11 +566,13 @@ LOG_ROWS = st.tuples(
     st.sampled_from(SECURITY_MODES), st.sampled_from(EVENTS),
     st.sampled_from(["10.1.0.1", "10.2.0.7"])).map(list)
 # Oddities put in at a drawn line: a field that needs quoting (one with a
-# quote and a comma, with an LF or with a CR), a quoted timestamp, a bare CR
-# in a drawn field, a CRLF line end, a blank line, or a row of the wrong
-# width.
+# quote and a comma, with an LF or with a CR), a quoted timestamp, a quote or
+# a bare CR inside the timestamp only, a bare CR in a drawn field, a CRLF
+# line end, a blank line, a line of spaces, a line without a comma, or a row
+# of the wrong width.
 ODDITIES = st.sampled_from(["quoted", "lf-in-quotes", "cr-in-quotes", "quoted-timestamp",
-                            "bare-cr", "crlf", "blank", "short", "long"])
+                            "quote-in-timestamp", "cr-in-timestamp", "bare-cr", "crlf",
+                            "blank", "spaces", "no-comma", "short", "long"])
 
 
 @st.composite
@@ -566,9 +601,13 @@ def log_files(draw) -> str:
             row = row[:draw(st.integers(1, 7))]
         elif oddity == "long":
             row.append("extra")
-        text = "" if oddity == "blank" else line(row)
+        text = {"blank": "", "spaces": "   ", "no-comma": row[0]}.get(oddity, None)
+        text = line(row) if text is None else text
         if oddity == "quoted-timestamp":
             text = text.replace(row[0], f'"{row[0]}"')
+        elif oddity in ("quote-in-timestamp", "cr-in-timestamp"):
+            mark = '"' if oddity == "quote-in-timestamp" else "\r"
+            text = text.replace(row[0], f"{row[0][:10]}{mark}{row[0][10:]}")
         elif oddity == "bare-cr":
             cut = draw(st.integers(1, len(text) - 1))
             text = text[:cut] + "\r" + text[cut:]
@@ -610,6 +649,27 @@ def test_load_log_csv_equals_the_whole_file_read(tmp_path_factory, text):
         if ragged:
             n, length = ragged[0]
             assert outcome == f"{path}: row {n}: {length} fields, not {width}"
+
+
+def test_byte_that_is_not_utf8_past_the_first_block_names_its_line(tmp_path):
+    """A log over 1 MiB, with no quote or CR, whose one byte that is not
+    UTF-8 sits in a timestamp after the first block the fold scans: the load
+    fails naming that line, as the ``csv.reader`` pass does."""
+    lines = generate(one_flow_testbed(), SynthProfile(seed=1, duration_hours=60,
+                                                     per_flow_session_rate=100))
+    path = tmp_path / "log.csv"
+    write_log_csv(lines, path)
+    data = path.read_bytes()
+    assert len(data) > 1 << 20 and b'"' not in data and b"\r" not in data
+    at = data.index(b"\n", 3 << 19) + 1 + len("2025-01-0")  # a day's last digit
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    number = data.count(b"\n", 0, at) + 1
+    with pytest.raises(IngestError) as expected:
+        list(parse_csv(read_lines(path), path, LOG_CSV_HEADER)[1])
+    assert str(expected.value).startswith(f"{path}: line {number}: ")
+    with pytest.raises(IngestError) as got:
+        load_log_csv(path)
+    assert str(got.value) == str(expected.value)
 
 
 @settings(max_examples=30, deadline=None)
